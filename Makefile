@@ -1,5 +1,6 @@
 # Development pipeline. `make ci` is the gate: format check, clippy with
-# warnings denied, a release build, the test suite, the WAL
+# warnings denied, a release build, the test suite (plus the unit tests
+# of the core and server crates), the WAL
 # fault-injection suite, the ldml-lint self-check over the example
 # scripts, the bench smoke run (which validates the BENCH_*.json
 # shapes), and the server smoke run (a scripted client session against
@@ -28,8 +29,12 @@ clippy:
 build:
 	$(CARGO) build --release
 
+# `cargo test` alone runs only the root package; the second line runs
+# the unit tests inside crates/core (WAL, transactions) and
+# crates/server (writer thread, reactor, replica).
 test:
 	$(CARGO) test -q
+	$(CARGO) test -q -p winslett-core -p winslett-serve
 
 # Exhaustive crash sweep: kills WAL writes at every byte boundary and
 # checks recovery lands on a legal prefix state. Release mode — the
@@ -68,10 +73,10 @@ compaction-smoke:
 replication-smoke:
 	$(CARGO) run --release -q -p winslett-bench --bin harness -- replication --quick --out target/bench-smoke
 
-# Short concurrent-socket run (small tiers) of the epoll reactor vs the
-# --threaded baseline; the harness writes BENCH_connections.json and
-# fails unless the shape validates — in particular, unless the epoll
-# rows actually held every socket their tier asked for.
+# Short concurrent-socket run (small tiers) of the epoll reactor; the
+# harness writes BENCH_connections.json and fails unless the shape
+# validates — in particular, unless every tier actually held every
+# socket it asked for.
 connections-smoke:
 	$(CARGO) run --release -q -p winslett-bench --bin harness -- connections --quick --out target/bench-smoke
 

@@ -224,9 +224,9 @@ fn main() {
         }
     }
     if want("conflicts") {
-        // ≥3 writers: with the leader serving from inside the writer pool,
-        // queued depth maxes out at writers − 1, and coalescing needs ≥2
-        // jobs queued together.
+        // ≥3 writers: each writer has one request in flight, and
+        // coalescing needs ≥2 writes queued together while the writer
+        // thread is busy with the previous run.
         let bench = conflicts_bench::run_conflicts_bench(
             if quick { 3 } else { 4 },
             if quick { 150 } else { 1000 },

@@ -7,7 +7,7 @@
 //! pools (so the statements are pairwise independent by footprint) while
 //! reader connections run pin → check → unpin loops — one instance with
 //! [`winslett_serve::ServerOptions::batch_writes`] on, one with it off.
-//! The batched leader coalesces queued independent writes into group
+//! The writer thread coalesces queued independent writes into group
 //! commits: one sync and one snapshot publication per batch instead of
 //! one per write.
 //!
@@ -20,7 +20,7 @@
 //! that changed any verdict would fail the shape gate in
 //! `make bench-smoke`.
 
-use crate::report::Table;
+use crate::report::{percentile, Table};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -74,7 +74,7 @@ pub struct SideResult {
     /// Snapshots the writer published over the whole run (stats counter;
     /// includes seeding and reconciliation).
     pub snapshots_published: u64,
-    /// Batches the write leader flushed (0 when batching is off).
+    /// Batches the writer thread flushed (0 when batching is off).
     pub write_batches: u64,
     /// Writes that shared a batch with at least one other write.
     pub coalesced_writes: u64,
@@ -110,14 +110,6 @@ pub struct ConflictsBench {
     pub speedup: f64,
     /// Free-form observations.
     pub notes: Vec<String>,
-}
-
-fn percentile(sorted_us: &[f64], q: f64) -> f64 {
-    if sorted_us.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted_us.len() - 1) as f64 * q).round() as usize;
-    sorted_us[idx]
 }
 
 /// The probe checklist: one certain atom per writer pool after
@@ -159,7 +151,6 @@ fn run_side(batch: bool, writers: usize, window: Duration) -> (SideResult, Vec<(
             // This experiment isolates the batching effect; the compactor
             // would add its own publications to the counts under test.
             compaction: None,
-            threaded: false,
             ..ServerOptions::default()
         },
     )

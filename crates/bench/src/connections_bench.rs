@@ -1,17 +1,14 @@
 //! The `connections` experiment behind `BENCH_connections.json`: how
-//! many concurrent sockets one `winslett-serve` instance can hold, and
-//! what a read costs once they are all held — epoll reactor vs the
-//! `--threaded` thread-per-connection baseline.
+//! many concurrent sockets one `winslett-serve` instance's epoll reactor
+//! can hold, and what a read costs once they are all held.
 //!
-//! For each tier size `n` and each serve mode, the bench boots one
-//! in-process server (MemStorage, compaction off), dials `n`
-//! connections from a single pacing thread — a connection counts as
-//! *held* only once its Ping round-trips — then sends entailment-check
-//! probes through a stride sample of the held sockets and records
-//! p50/p99 per-check latency. The dial loop is identical for both
-//! modes, so `accept_per_sec` compares admission cost (epoll: one
-//! nonblocking accept plus an epoll registration; threaded: a full OS
-//! thread spawn per socket).
+//! For each tier size `n`, the bench boots one in-process server
+//! (MemStorage, compaction off), dials `n` connections from a single
+//! pacing thread — a connection counts as *held* only once its Ping
+//! round-trips — then sends entailment-check probes through a stride
+//! sample of the held sockets and records p50/p99 per-check latency.
+//! `accept_per_sec` is the admission rate: one nonblocking accept plus
+//! an epoll registration per socket.
 //!
 //! File-descriptor budget: `n` held sockets cost `2n` descriptors in
 //! this one process (client end + server end). The bench asks the
@@ -19,7 +16,7 @@
 //! binds, honestly shrinks the tier and says so in `notes` rather than
 //! reporting a tier it could not actually hold.
 
-use crate::report::Table;
+use crate::report::{percentile, Table};
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 use winslett_core::{DbOptions, MemStorage, SyncPolicy, WalOptions};
@@ -119,11 +116,9 @@ mod hardclose {
     }
 }
 
-/// One (mode, tier) cell of the sweep.
+/// One tier of the sweep.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ConnTier {
-    /// `"epoll"` or `"threaded"`.
-    pub mode: String,
     /// Connections this tier tried to hold (already fd-capped).
     pub target: u64,
     /// Connections actually held — Ping round-tripped and the socket
@@ -154,24 +149,14 @@ pub struct ConnectionsBench {
     pub fd_limit: u64,
     /// `std::thread::available_parallelism()` on the measuring host.
     pub host_parallelism: u64,
-    /// The sweep: for each tier size, one epoll row and one threaded
-    /// row, in increasing tier order.
+    /// The sweep: one row per tier size, in increasing tier order.
     pub tiers: Vec<ConnTier>,
     /// Free-form observations, including any fd-forced tier shrinks.
     pub notes: Vec<String>,
 }
 
-fn percentile(sorted_us: &[f64], q: f64) -> f64 {
-    if sorted_us.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted_us.len() - 1) as f64 * q).round() as usize;
-    sorted_us[idx]
-}
-
 fn boot(
     target: usize,
-    threaded: bool,
 ) -> (
     std::thread::JoinHandle<Result<MemStorage, winslett_core::DbError>>,
     std::net::SocketAddr,
@@ -188,7 +173,6 @@ fn boot(
             max_connections: target + 64,
             idle_timeout: Duration::from_secs(120),
             compaction: None,
-            threaded,
             ..ServerOptions::default()
         },
     )
@@ -197,11 +181,10 @@ fn boot(
     (std::thread::spawn(move || server.run()), addr)
 }
 
-/// Runs one (mode, tier) cell against a fresh server.
-fn run_tier(target: usize, threaded: bool, probe_budget: usize) -> (ConnTier, Vec<String>) {
-    let mode = if threaded { "threaded" } else { "epoll" };
+/// Runs one tier against a fresh server.
+fn run_tier(target: usize, probe_budget: usize) -> (ConnTier, Vec<String>) {
     let mut notes = Vec::new();
-    let (running, addr) = boot(target, threaded);
+    let (running, addr) = boot(target);
 
     let mut setup = Client::connect(addr).expect("setup connect");
     setup.declare_relation("R", 1).expect("declare");
@@ -216,7 +199,7 @@ fn run_tier(target: usize, threaded: bool, probe_budget: usize) -> (ConnTier, Ve
             Ok(c) => c,
             Err(e) => {
                 notes.push(format!(
-                    "{mode}/{target}: dial failed after {} held: {e}",
+                    "tier {target}: dial failed after {} held: {e}",
                     held.len()
                 ));
                 break;
@@ -224,7 +207,7 @@ fn run_tier(target: usize, threaded: bool, probe_budget: usize) -> (ConnTier, Ve
         };
         if let Err(e) = client.ping() {
             notes.push(format!(
-                "{mode}/{target}: ping failed after {} held: {e}",
+                "tier {target}: ping failed after {} held: {e}",
                 held.len()
             ));
             break;
@@ -235,7 +218,7 @@ fn run_tier(target: usize, threaded: bool, probe_budget: usize) -> (ConnTier, Ve
 
     // Probe a stride sample of the held sockets while all of them stay
     // open — the latency numbers include whatever bookkeeping cost the
-    // serve mode pays for the other `held - 1` connections.
+    // reactor pays for the other `held - 1` connections.
     let mut latencies_us = Vec::new();
     if !held.is_empty() {
         let stride = (held.len() / probe_budget.max(1)).max(1);
@@ -246,7 +229,7 @@ fn run_tier(target: usize, threaded: bool, probe_budget: usize) -> (ConnTier, Ve
             match held[idx].check(PROBE) {
                 Ok(_) => latencies_us.push(start.elapsed().as_secs_f64() * 1e6),
                 Err(e) => {
-                    notes.push(format!("{mode}/{target}: probe failed: {e}"));
+                    notes.push(format!("tier {target}: probe failed: {e}"));
                     break;
                 }
             }
@@ -256,7 +239,6 @@ fn run_tier(target: usize, threaded: bool, probe_budget: usize) -> (ConnTier, Ve
     latencies_us.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
 
     let tier = ConnTier {
-        mode: mode.to_owned(),
         target: target as u64,
         held: held.len() as u64,
         establish_ms: establish.as_secs_f64() * 1e3,
@@ -279,30 +261,28 @@ fn run_tier(target: usize, threaded: bool, probe_budget: usize) -> (ConnTier, Ve
     match Client::connect(addr) {
         Ok(mut c) => {
             if let Err(e) = c.shutdown() {
-                notes.push(format!("{mode}/{target}: shutdown failed: {e}"));
+                notes.push(format!("tier {target}: shutdown failed: {e}"));
             }
         }
-        Err(e) => notes.push(format!("{mode}/{target}: shutdown connect failed: {e}")),
+        Err(e) => notes.push(format!("tier {target}: shutdown connect failed: {e}")),
     }
     if running.join().is_err() {
-        notes.push(format!("{mode}/{target}: server thread panicked"));
+        notes.push(format!("tier {target}: server thread panicked"));
     }
     (tier, notes)
 }
 
 /// Runs the full sweep and assembles the `BENCH_connections.json`
 /// document. `targets` are tier sizes in increasing order; each runs
-/// once per serve mode against its own fresh server.
+/// against its own fresh server.
 pub fn run_connections_bench(targets: &[usize], probe_budget: usize) -> ConnectionsBench {
     let fd_limit = fdlimit::raise(65_536);
     let mut notes = vec![
         "A connection is held only after its Ping round-trips; probes are \
          entailment checks asked through a stride sample of the held sockets."
             .to_owned(),
-        "The threaded baseline spends one OS thread (and its stack) per held \
-         socket; the reactor holds every tier with a constant thread count \
-         (reactor + writer + solver pool), so compare accept_per_sec and \
-         footprint as well as latency."
+        "The reactor holds every tier with a constant thread count \
+         (reactor + writer + solver pool)."
             .to_owned(),
     ];
     let fd_room = (fd_limit.saturating_sub(FD_SLACK) / 2) as usize;
@@ -319,15 +299,13 @@ pub fn run_connections_bench(targets: &[usize], probe_budget: usize) -> Connecti
         if target == 0 {
             continue;
         }
-        for threaded in [false, true] {
-            let (tier, mut tier_notes) = run_tier(target, threaded, probe_budget);
-            tiers.push(tier);
-            notes.append(&mut tier_notes);
-        }
+        let (tier, mut tier_notes) = run_tier(target, probe_budget);
+        tiers.push(tier);
+        notes.append(&mut tier_notes);
     }
 
     ConnectionsBench {
-        version: 1,
+        version: 2,
         experiment: "connections".to_owned(),
         fd_limit,
         host_parallelism: std::thread::available_parallelism()
@@ -344,7 +322,7 @@ pub fn run_connections_bench(targets: &[usize], probe_budget: usize) -> Connecti
 pub fn validate_connections_bench(text: &str) -> Result<ConnectionsBench, String> {
     let b: ConnectionsBench = serde_json::from_str(text)
         .map_err(|e| format!("BENCH_connections.json does not parse: {e}"))?;
-    if b.version != 1 {
+    if b.version != 2 {
         return Err(format!("unknown version {}", b.version));
     }
     if b.experiment != "connections" {
@@ -359,63 +337,40 @@ pub fn validate_connections_bench(text: &str) -> Result<ConnectionsBench, String
     if b.fd_limit == 0 || b.host_parallelism == 0 {
         return Err("fd_limit / host_parallelism must be positive".to_owned());
     }
-    let mut targets: Vec<u64> = b.tiers.iter().map(|t| t.target).collect();
-    targets.dedup();
-    let mut prev = 0;
-    for &t in &targets {
-        if t <= prev {
-            return Err("tier targets must strictly increase".to_owned());
-        }
-        prev = t;
-    }
-    for &t in &targets {
-        for mode in ["epoll", "threaded"] {
-            if !b.tiers.iter().any(|x| x.target == t && x.mode == mode) {
-                return Err(format!("tier {t} is missing its {mode} row"));
-            }
-        }
+    if b.tiers.windows(2).any(|w| w[0].target >= w[1].target) {
+        return Err("tier targets must strictly increase".to_owned());
     }
     for tier in &b.tiers {
-        if tier.mode != "epoll" && tier.mode != "threaded" {
-            return Err(format!("unknown mode {:?}", tier.mode));
-        }
-        // The epoll reactor is the product path: it must actually hold
-        // every socket the tier asked for. The threaded baseline may
-        // fall short (that shortfall is a result, recorded honestly).
-        if tier.mode == "epoll" && tier.held != tier.target {
+        // The reactor must actually hold every socket the tier asked
+        // for (the fd budget already shrank the target where needed).
+        if tier.held == 0 || tier.held != tier.target {
             return Err(format!(
-                "epoll tier {} held only {} sockets",
+                "tier {} held only {} sockets",
                 tier.target, tier.held
             ));
         }
-        if tier.held == 0 {
-            return Err(format!("{} tier {} held nothing", tier.mode, tier.target));
-        }
         if !(tier.establish_ms.is_finite() && tier.establish_ms > 0.0) {
             return Err(format!(
-                "{} tier {} establish_ms is not positive finite",
-                tier.mode, tier.target
+                "tier {} establish_ms is not positive finite",
+                tier.target
             ));
         }
         if !(tier.accept_per_sec.is_finite() && tier.accept_per_sec > 0.0) {
             return Err(format!(
-                "{} tier {} accept_per_sec is not positive finite",
-                tier.mode, tier.target
+                "tier {} accept_per_sec is not positive finite",
+                tier.target
             ));
         }
         if tier.probes == 0 {
-            return Err(format!(
-                "{} tier {} recorded no probes",
-                tier.mode, tier.target
-            ));
+            return Err(format!("tier {} recorded no probes", tier.target));
         }
         let ordered = tier.read_p50_us > 0.0
             && tier.read_p50_us <= tier.read_p99_us
             && tier.read_p99_us.is_finite();
         if !ordered {
             return Err(format!(
-                "{} tier {} read percentiles are not ordered positive finite",
-                tier.mode, tier.target
+                "tier {} read percentiles are not ordered positive finite",
+                tier.target
             ));
         }
     }
@@ -426,9 +381,8 @@ pub fn validate_connections_bench(text: &str) -> Result<ConnectionsBench, String
 pub fn connections_table(b: &ConnectionsBench) -> Table {
     let mut t = Table::new(
         "CONNECTIONS",
-        "concurrent-socket capacity and read latency: epoll reactor vs thread-per-connection",
+        "concurrent-socket capacity and read latency of the epoll reactor",
         &[
-            "mode",
             "target",
             "held",
             "establish ms",
@@ -440,7 +394,6 @@ pub fn connections_table(b: &ConnectionsBench) -> Table {
     );
     for tier in &b.tiers {
         t.row(vec![
-            tier.mode.clone(),
             tier.target.to_string(),
             tier.held.to_string(),
             format!("{:.1}", tier.establish_ms),
@@ -467,45 +420,47 @@ mod tests {
     #[test]
     fn small_bench_runs_and_round_trips() {
         let b = run_connections_bench(&[4, 8], 24);
-        assert_eq!(b.tiers.len(), 4);
+        assert_eq!(b.tiers.len(), 2);
         let text = serde_json::to_string_pretty(&b).expect("serializes");
         let back = validate_connections_bench(&text).expect("validates");
-        assert!(back
-            .tiers
-            .iter()
-            .filter(|t| t.mode == "epoll")
-            .all(|t| t.held == t.target));
+        assert!(back.tiers.iter().all(|t| t.held == t.target));
     }
 
     #[test]
     fn validation_rejects_broken_documents() {
-        let b = run_connections_bench(&[3], 12);
+        let b = run_connections_bench(&[3, 5], 12);
         let mut bad = b.clone();
-        bad.tiers[0].held = bad.tiers[0].target - 1; // epoll row comes first
+        bad.tiers[0].held = bad.tiers[0].target - 1;
         let text = serde_json::to_string_pretty(&bad).expect("serializes");
         assert!(validate_connections_bench(&text)
             .unwrap_err()
             .contains("held only"));
         let mut bad = b.clone();
-        bad.tiers.retain(|t| t.mode == "epoll");
+        bad.tiers.reverse();
         let text = serde_json::to_string_pretty(&bad).expect("serializes");
         assert!(validate_connections_bench(&text)
             .unwrap_err()
-            .contains("missing its threaded row"));
+            .contains("strictly increase"));
         let mut bad = b.clone();
         bad.tiers[1].read_p99_us = -1.0;
         let text = serde_json::to_string_pretty(&bad).expect("serializes");
         assert!(validate_connections_bench(&text)
             .unwrap_err()
             .contains("percentiles"));
+        let mut bad = b.clone();
+        bad.version = 1;
+        let text = serde_json::to_string_pretty(&bad).expect("serializes");
+        assert!(validate_connections_bench(&text)
+            .unwrap_err()
+            .contains("version"));
         assert!(validate_connections_bench("{").is_err());
     }
 
     #[test]
-    fn table_renders_both_modes() {
+    fn table_renders_one_row_per_tier() {
         let b = run_connections_bench(&[2], 8);
-        let rendered = connections_table(&b).render();
-        assert!(rendered.contains("epoll"));
-        assert!(rendered.contains("threaded"));
+        let table = connections_table(&b);
+        assert_eq!(table.rows.len(), 1);
+        assert!(table.render().contains("CONNECTIONS"));
     }
 }

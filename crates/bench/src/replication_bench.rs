@@ -23,7 +23,7 @@
 //!    recovered primary's world set. Spliced logs with an LSN gap at
 //!    the checkpoint boundary must be *refused*, not absorbed.
 
-use crate::report::Table;
+use crate::report::{percentile, Table};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -120,14 +120,6 @@ pub struct ReplicationBench {
     pub catchup: CatchupSweep,
     /// Free-form observations.
     pub notes: Vec<String>,
-}
-
-fn percentile(sorted_us: &[f64], q: f64) -> f64 {
-    if sorted_us.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted_us.len() - 1) as f64 * q).round() as usize;
-    sorted_us[idx]
 }
 
 fn boot_primary() -> (

@@ -1,4 +1,5 @@
-//! Plain-text table rendering for the experiment harness.
+//! Plain-text table rendering and latency percentiles for the experiment
+//! harness.
 
 use serde::Serialize;
 
@@ -77,9 +78,28 @@ impl Table {
     }
 }
 
+/// The `q`-quantile (0.0–1.0) of an ascending-sorted sample, by
+/// nearest rank; `0.0` for an empty sample.
+pub fn percentile(sorted: &[f64], q: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
+    sorted[idx]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn percentile_is_nearest_rank() {
+        assert_eq!(percentile(&[], 0.5), 0.0);
+        let v = [1.0, 2.0, 3.0, 4.0, 5.0];
+        assert_eq!(percentile(&v, 0.0), 1.0);
+        assert_eq!(percentile(&v, 0.5), 3.0);
+        assert_eq!(percentile(&v, 0.99), 5.0);
+    }
 
     #[test]
     fn renders_aligned() {

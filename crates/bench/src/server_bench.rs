@@ -18,7 +18,7 @@
 //! the host-independent `verdicts_match`. `host_parallelism` is recorded
 //! so multi-core results can be read for the scaling claim.
 
-use crate::report::Table;
+use crate::report::{percentile, Table};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -83,14 +83,6 @@ pub struct ServerBench {
     pub direct_check_us: f64,
     /// Free-form observations.
     pub notes: Vec<String>,
-}
-
-fn percentile(sorted_us: &[f64], q: f64) -> f64 {
-    if sorted_us.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted_us.len() - 1) as f64 * q).round() as usize;
-    sorted_us[idx]
 }
 
 fn boot() -> (

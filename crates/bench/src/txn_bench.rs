@@ -26,7 +26,7 @@
 //! sides. The headline claim gated by `make txn-smoke`: disjoint
 //! transactional throughput sustains the plain batched baseline.
 
-use crate::report::Table;
+use crate::report::{percentile, Table};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -129,14 +129,6 @@ pub struct TxnBench {
     pub notes: Vec<String>,
 }
 
-fn percentile(sorted_us: &[f64], q: f64) -> f64 {
-    if sorted_us.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted_us.len() - 1) as f64 * q).round() as usize;
-    sorted_us[idx]
-}
-
 /// The probe checklist after reconciliation: one atom per private pool,
 /// one shared atom, and the seeded branch (kept uncertain so checks do
 /// real SAT work).
@@ -183,12 +175,11 @@ fn run_side(mode: Mode, writers: usize, window: Duration) -> (TxnSide, Vec<(bool
         ServerOptions {
             max_connections: 64,
             idle_timeout: Duration::from_secs(30),
-            // All three shapes keep the PR-6 batching leader on so the
-            // plain side *is* the batching baseline and the transactional
+            // All three shapes keep the write batcher on so the plain
+            // side *is* the batching baseline and the transactional
             // sides differ only in how statements are grouped.
             batch_writes: true,
             compaction: None,
-            threaded: false,
             lock_timeout: LOCK_TIMEOUT,
         },
     )

@@ -92,8 +92,9 @@ pub enum DbError {
         /// What conflicted, naming the contended lock key.
         message: String,
     },
-    /// A lock acquisition gave up at its deadline — the deadlock-avoidance
-    /// bound of [`crate::txn::LockTable::lock_wait`].
+    /// A transactional statement's footprint locks were still contended
+    /// at its deadline — the deadlock-avoidance bound; the transaction
+    /// is rolled back.
     TxnTimeout {
         /// What timed out, naming the contended lock key.
         message: String,

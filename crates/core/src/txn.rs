@@ -19,19 +19,17 @@
 //! mode by statements whose footprint the analyzer cannot bound (schema
 //! changes, loads, unparseable sources, pruning updates).
 //!
-//! Deadlock handling is avoidance by timeout, not detection: a waiter
-//! that cannot acquire its full request set within the deadline gives up
-//! with a typed [`DbError::TxnTimeout`], and the server aborts the
-//! transaction, releasing whatever it held. Acquisition is
-//! all-or-nothing per statement (no partial grants), which keeps the
-//! hold-and-wait window to a single condvar wait and makes the timeout
-//! bound the only liveness knob.
+//! Acquisition is all-or-nothing per statement (no partial grants) and
+//! never blocks: [`LockTable::try_lock`] either grants the whole request
+//! set or names a contended key. The server's writer thread parks a
+//! contended statement and retries it; deadlock handling is avoidance by
+//! timeout, not detection — a statement still contended at its deadline
+//! aborts its transaction with a typed
+//! [`crate::DbError::TxnTimeout`], releasing whatever it held.
 
-use crate::error::DbError;
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, PoisonError};
-use std::time::{Duration, Instant};
+use std::sync::atomic::AtomicU64;
+use std::sync::{Mutex, PoisonError};
 
 /// The reserved whole-database key: conflicts with every other key (and
 /// itself). Statements without a bounded footprint lock this exclusively.
@@ -184,7 +182,6 @@ pub struct LockStats {
 #[derive(Debug, Default)]
 pub struct LockTable {
     tables: Mutex<Tables>,
-    released: Condvar,
     /// Wait/timeout counters.
     pub stats: LockStats,
 }
@@ -199,57 +196,10 @@ impl LockTable {
         self.tables.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Atomically acquires every request for `txn`, blocking (bounded by
-    /// `timeout`) until the whole set is grantable. On timeout the typed
-    /// [`DbError::TxnTimeout`] names the first contended key; nothing is
-    /// granted. Safe only on threads that hold **no** writer lock — a
-    /// blocked waiter is released by another transaction's
-    /// commit/rollback, which needs the writer lock to journal.
-    pub fn lock_wait(
-        &self,
-        txn: u64,
-        requests: &[LockRequest],
-        timeout: Duration,
-    ) -> Result<(), DbError> {
-        if requests.is_empty() {
-            return Ok(());
-        }
-        let deadline = Instant::now() + timeout;
-        let mut tables = self.tables();
-        let mut waited = false;
-        loop {
-            match tables.blocked_on(Some(txn), requests) {
-                None => {
-                    tables.grant_all(txn, requests);
-                    return Ok(());
-                }
-                Some(key) => {
-                    if !waited {
-                        waited = true;
-                        self.stats.waits.fetch_add(1, Ordering::Relaxed);
-                    }
-                    let now = Instant::now();
-                    if now >= deadline {
-                        self.stats.timeouts.fetch_add(1, Ordering::Relaxed);
-                        return Err(DbError::TxnTimeout {
-                            message: format!(
-                                "transaction {txn} timed out waiting for lock on `{key}`"
-                            ),
-                        });
-                    }
-                    let (guard, _) = self
-                        .released
-                        .wait_timeout(tables, deadline - now)
-                        .unwrap_or_else(PoisonError::into_inner);
-                    tables = guard;
-                }
-            }
-        }
-    }
-
-    /// Non-blocking all-or-nothing acquisition — the epoll writer thread's
-    /// path (it must never condvar-wait; contended statements are requeued
-    /// with a retry deadline instead). `Err` carries the contended key.
+    /// Non-blocking all-or-nothing acquisition — the writer thread's path
+    /// (it must never wait, since it is also the thread that releases
+    /// locks; contended statements are requeued with a retry deadline
+    /// instead). `Err` carries the contended key.
     pub fn try_lock(&self, txn: u64, requests: &[LockRequest]) -> Result<(), String> {
         if requests.is_empty() {
             return Ok(());
@@ -277,8 +227,7 @@ impl LockTable {
         self.tables().blocked_on(None, requests)
     }
 
-    /// Releases everything `txn` holds (strict 2PL release point) and
-    /// wakes every waiter.
+    /// Releases everything `txn` holds (strict 2PL release point).
     pub fn release_all(&self, txn: u64) {
         let mut tables = self.tables();
         let Some(keys) = tables.owned.remove(&txn) else {
@@ -295,8 +244,6 @@ impl LockTable {
                 }
             }
         }
-        drop(tables);
-        self.released.notify_all();
     }
 
     /// Number of transactions currently holding at least one lock.
@@ -332,7 +279,6 @@ impl LockTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn shared_locks_coexist_exclusive_excludes() {
@@ -434,35 +380,5 @@ mod tests {
             )
             .is_err());
         assert!(t.would_block(&[LockRequest::exclusive("R(a)")]).is_none());
-    }
-
-    #[test]
-    fn lock_wait_times_out_with_typed_error() {
-        let t = LockTable::new();
-        t.try_lock(1, &[LockRequest::exclusive("R(a)")]).unwrap();
-        let err = t
-            .lock_wait(
-                2,
-                &[LockRequest::exclusive("R(a)")],
-                Duration::from_millis(20),
-            )
-            .unwrap_err();
-        assert!(matches!(err, DbError::TxnTimeout { .. }), "{err:?}");
-        assert_eq!(t.stats.timeouts.load(Ordering::Relaxed), 1);
-        assert_eq!(t.stats.waits.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn release_wakes_blocked_waiter() {
-        let t = Arc::new(LockTable::new());
-        t.try_lock(1, &[LockRequest::exclusive("R(a)")]).unwrap();
-        let t2 = Arc::clone(&t);
-        let waiter = std::thread::spawn(move || {
-            t2.lock_wait(2, &[LockRequest::exclusive("R(a)")], Duration::from_secs(5))
-        });
-        std::thread::sleep(Duration::from_millis(30));
-        t.release_all(1);
-        waiter.join().expect("join").expect("granted after release");
-        assert_eq!(t.holders(), 1);
     }
 }

@@ -38,6 +38,7 @@ use crate::error::DbError;
 use crate::persist::{self, DependencyDump, TheoryDump};
 use crate::replay::replay_updates;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeSet;
 use std::collections::HashMap;
 use std::collections::HashSet;
 use std::collections::VecDeque;
@@ -489,6 +490,83 @@ fn effective_entries(entries: Vec<WalEntry>) -> Vec<WalEntry> {
         .into_iter()
         .filter(|e| !aborted.contains(&e.lsn) && !matches!(e.record, WalRecord::Abort(_)))
         .collect()
+}
+
+/// How the outcome markers in a run of WAL entries settle each record —
+/// the one rule recovery and the compaction swap replay by. An
+/// [`WalRecord::Abort`] annuls the record at its target LSN, and a
+/// transaction's [`WalRecord::TxnOp`] intents take effect only if its
+/// [`WalRecord::TxnCommit`] marker is in the run.
+struct Outcomes {
+    /// LSNs annulled by an `Abort` record.
+    annulled: HashSet<u64>,
+    /// Transactions whose commit marker is in the run.
+    committed: HashSet<u64>,
+    /// Transactions whose abort marker is in the run.
+    aborted: HashSet<u64>,
+    /// Transactions with a begin marker or an intent in the run.
+    begun: BTreeSet<u64>,
+}
+
+impl Outcomes {
+    fn resolve(entries: &[WalEntry]) -> Self {
+        let mut outcomes = Outcomes {
+            annulled: HashSet::new(),
+            committed: HashSet::new(),
+            aborted: HashSet::new(),
+            begun: BTreeSet::new(),
+        };
+        for entry in entries {
+            match &entry.record {
+                WalRecord::Abort(lsn) => {
+                    outcomes.annulled.insert(*lsn);
+                }
+                WalRecord::TxnBegin(t) | WalRecord::TxnOp(t, _) => {
+                    outcomes.begun.insert(*t);
+                }
+                WalRecord::TxnCommit(t) => {
+                    outcomes.committed.insert(*t);
+                }
+                WalRecord::TxnAbort(t) => {
+                    outcomes.aborted.insert(*t);
+                }
+                _ => {}
+            }
+        }
+        outcomes
+    }
+
+    /// What `entry` replays as: its own operation, or a committed
+    /// intent's inner operation. `None` for records before `from_lsn`
+    /// (already folded into the base the replay starts from), annulled
+    /// records, uncommitted intents, and the markers themselves.
+    /// Committed intents replay at their journal position: the lock
+    /// table made everything interleaved with them footprint-disjoint,
+    /// so this equals replaying them at the commit point (Theorems 3/4).
+    fn effective<'e>(&self, entry: &'e WalEntry, from_lsn: u64) -> Option<&'e WalRecord> {
+        if entry.lsn < from_lsn || self.annulled.contains(&entry.lsn) {
+            return None;
+        }
+        match &entry.record {
+            WalRecord::TxnOp(txn, op) if self.committed.contains(txn) => Some(op),
+            WalRecord::Abort(_)
+            | WalRecord::TxnOp(..)
+            | WalRecord::TxnBegin(_)
+            | WalRecord::TxnCommit(_)
+            | WalRecord::TxnAbort(_) => None,
+            other => Some(other),
+        }
+    }
+
+    /// Transactions begun in the run that reached neither marker, in id
+    /// order.
+    fn unfinished(&self) -> Vec<u64> {
+        self.begun
+            .iter()
+            .copied()
+            .filter(|t| !self.committed.contains(t) && !self.aborted.contains(t))
+            .collect()
+    }
 }
 
 /// Reads and validates the snapshot file, without restoring the theory.
@@ -1015,66 +1093,13 @@ impl<S: Storage> DurableDatabase<S> {
             .map(|e| e.lsn + 1)
             .unwrap_or(0)
             .max(snapshot_lsn);
-        let aborted: HashSet<u64> = parsed
-            .entries
-            .iter()
-            .filter_map(|e| match e.record {
-                WalRecord::Abort(lsn) => Some(lsn),
-                _ => None,
-            })
-            .collect();
-        // Transaction outcomes: a TxnOp is effective only if its commit
-        // marker made it into the intact log. Anything begun but neither
-        // committed nor aborted is an in-flight transaction the crash
-        // interrupted — its intents are skipped here and `open` appends
-        // the compensating abort marker.
-        let mut txn_seen: std::collections::BTreeSet<u64> = std::collections::BTreeSet::new();
-        let mut txn_committed: HashSet<u64> = HashSet::new();
-        let mut txn_aborted: HashSet<u64> = HashSet::new();
+        // Anything begun but neither committed nor aborted is an
+        // in-flight transaction the crash interrupted — its intents are
+        // skipped here and `open` appends the compensating abort marker.
+        let outcomes = Outcomes::resolve(&parsed.entries);
+        let unfinished = outcomes.unfinished();
         for entry in &parsed.entries {
-            match &entry.record {
-                WalRecord::TxnBegin(t) => {
-                    txn_seen.insert(*t);
-                }
-                WalRecord::TxnOp(txn, _) => {
-                    txn_seen.insert(*txn);
-                }
-                WalRecord::TxnCommit(t) => {
-                    txn_committed.insert(*t);
-                }
-                WalRecord::TxnAbort(t) => {
-                    txn_aborted.insert(*t);
-                }
-                _ => {}
-            }
-        }
-        let unfinished: Vec<u64> = txn_seen
-            .iter()
-            .copied()
-            .filter(|t| !txn_committed.contains(t) && !txn_aborted.contains(t))
-            .collect();
-        for entry in &parsed.entries {
-            if entry.lsn < snapshot_lsn
-                || aborted.contains(&entry.lsn)
-                || matches!(entry.record, WalRecord::Abort(_))
-            {
-                report.skipped += 1;
-                continue;
-            }
-            // Committed transactions replay their intents at journal
-            // position: the lock table made everything interleaved with
-            // them footprint-disjoint, so this equals replaying them at
-            // the commit point (Theorems 3/4). Uncommitted intents and
-            // the markers themselves replay nothing.
-            let effective: Option<&WalRecord> = match &entry.record {
-                WalRecord::TxnOp(txn, op) if txn_committed.contains(txn) => Some(op),
-                WalRecord::TxnOp(..)
-                | WalRecord::TxnBegin(_)
-                | WalRecord::TxnCommit(_)
-                | WalRecord::TxnAbort(_) => None,
-                other => Some(other),
-            };
-            let Some(record) = effective else {
+            let Some(record) = outcomes.effective(entry, snapshot_lsn) else {
                 report.skipped += 1;
                 continue;
             };
@@ -1909,45 +1934,27 @@ impl<S: Storage> DurableDatabase<S> {
                 ),
             });
         }
+        // Records annulled by a compensating abort, and intents whose
+        // commit marker is not in the tail, never reached the live theory;
+        // skip them exactly as recovery does.
+        let outcomes = Outcomes::resolve(&tail);
+        // Transaction ids are begin LSNs. One that began before the
+        // capture and committed inside the window had its pre-capture
+        // intents applied to the live theory at commit, but those intents
+        // are not in the tail, so the replay would silently drop them.
+        if let Some(txn) = outcomes.committed.iter().filter(|&&t| t < from_lsn).min() {
+            return Err(DbError::Compaction {
+                message: format!(
+                    "transaction {txn} began before the capture at lsn {from_lsn} and \
+                     committed inside the compaction window"
+                ),
+            });
+        }
         let generation_before = self.db.theory().generation();
         let nodes_before = self.db.theory().store_nodes();
-        // Records annulled by a compensating abort never reached the live
-        // theory; skip them exactly as recovery does.
-        let aborted: HashSet<u64> = tail
-            .iter()
-            .filter_map(|e| match e.record {
-                WalRecord::Abort(lsn) => Some(lsn),
-                _ => None,
-            })
-            .collect();
-        // Transactions begun during the capture→install window: only ops
-        // whose commit marker is in the tail reached the live theory (the
-        // server never captures while transactions are open, so no
-        // transaction straddles the capture point).
-        let committed: HashSet<u64> = tail
-            .iter()
-            .filter_map(|e| match e.record {
-                WalRecord::TxnCommit(t) => Some(t),
-                _ => None,
-            })
-            .collect();
         let mut scratch = LogicalDatabase::from_theory(compacted, self.db.options());
         let mut replayed = 0usize;
-        for entry in &tail {
-            if entry.lsn < from_lsn
-                || aborted.contains(&entry.lsn)
-                || matches!(entry.record, WalRecord::Abort(_))
-            {
-                continue;
-            }
-            let record = match &entry.record {
-                WalRecord::TxnOp(txn, op) if committed.contains(txn) => op.as_ref(),
-                WalRecord::TxnOp(..)
-                | WalRecord::TxnBegin(_)
-                | WalRecord::TxnCommit(_)
-                | WalRecord::TxnAbort(_) => continue,
-                other => other,
-            };
+        for record in tail.iter().filter_map(|e| outcomes.effective(e, from_lsn)) {
             // Unlike crash recovery (which replays through the §4
             // unsimplified path and folds once at the end), replay the
             // suffix exactly as the live writer applied it — inline
@@ -1977,9 +1984,9 @@ impl<S: Storage> DurableDatabase<S> {
         let nodes_after = self.db.theory().store_nodes();
         let generation_after = self.db.theory().generation();
         debug_assert!(generation_after > generation_before);
-        // A transaction may have begun after the capture; checkpointing
-        // now would hit the open-transaction refusal, so skip it and let
-        // the next quiescent round (or auto-compaction) fold the log.
+        // A transaction may still be open; checkpointing now would hit
+        // the open-transaction refusal, so skip it and let the next
+        // quiescent round (or auto-compaction) fold the log.
         let checkpoint = checkpoint && self.txns.is_empty();
         if checkpoint {
             self.checkpoint()?;
@@ -2669,6 +2676,34 @@ mod tests {
         let outcome = ddb.install_compacted(copy, from_lsn, false).unwrap();
         assert_eq!(outcome.replayed, 1); // only the surviving insert
         assert_eq!(world_set(ddb.db()), live);
+    }
+
+    #[test]
+    fn compaction_refuses_a_transaction_straddling_the_capture() {
+        let mut ddb = seeded(opts_nocompact());
+        ddb.declare_relation("R", 1).unwrap();
+        ddb.declare_relation("S", 1).unwrap();
+        let txn = ddb.txn_begin().unwrap();
+        ddb.txn_execute(txn, "INSERT R(a) WHERE T").unwrap();
+        let (copy, from_lsn) = ddb.begin_compaction();
+        ddb.txn_execute(txn, "INSERT S(b) WHERE T").unwrap();
+        ddb.txn_commit(txn).unwrap();
+        // The tail holds only the post-capture intent, so installing
+        // would drop `INSERT R(a)`; the swap must refuse instead.
+        let err = ddb.install_compacted(copy, from_lsn, true).unwrap_err();
+        assert!(matches!(err, DbError::Compaction { .. }), "{err:?}");
+        assert!(!ddb.compaction_pending());
+        assert_eq!(ddb.stats().compactions, 0);
+        for wff in ["R(a)", "S(b)"] {
+            assert!(ddb.db_mut().is_certain(wff).unwrap(), "{wff} live");
+        }
+        let (mut recovered, _) = reopen(ddb.into_storage());
+        for wff in ["R(a)", "S(b)"] {
+            assert!(
+                recovered.db_mut().is_certain(wff).unwrap(),
+                "{wff} recovered"
+            );
+        }
     }
 
     #[test]

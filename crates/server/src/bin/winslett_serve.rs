@@ -15,8 +15,7 @@ winslett-serve — a concurrent LDML database server
 USAGE:
   winslett-serve serve --dir PATH [--addr HOST:PORT] [--idle-secs N]
                        [--max-conns N] [--group-commit N] [--no-batch]
-                       [--compact | --no-compact] [--threaded]
-                       [--lock-timeout-ms N]
+                       [--compact | --no-compact] [--lock-timeout-ms N]
   winslett-serve serve --replica-of HOST:PORT [--addr HOST:PORT]
                        [--idle-secs N] [--max-conns N]
   winslett-serve repl  --addr HOST:PORT
@@ -25,6 +24,8 @@ USAGE:
 serve   Serve a durable database from PATH (created if missing).
         Default --addr 127.0.0.1:7171. SIGTERM/SIGINT and the protocol
         Shutdown request both drain connections and flush the WAL.
+        One epoll reactor thread serves every connection; writes go to
+        a single writer thread, SAT reads to a small worker pool.
         --no-batch disables the conflict-aware write batcher (queued
         pairwise-independent writes coalesced into one fsync and one
         snapshot publication).
@@ -32,9 +33,6 @@ serve   Serve a durable database from PATH (created if missing).
         --compact): a thread that snapshots the theory, runs full
         simplification off the writer lock, and atomically swaps the
         compacted theory back in, replaying the writes that raced it.
-        --threaded serves with the classic blocking
-        thread-per-connection loop instead of the default nonblocking
-        epoll reactor (kept as the benchmarking baseline).
         --lock-timeout-ms bounds how long a transaction statement waits
         for a contended footprint lock before the transaction is rolled
         back with a typed TxnTimeout (default 2000; doubles as the
@@ -148,7 +146,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         idle_timeout: Duration::from_secs(idle_secs.max(1)),
         batch_writes: !args.iter().any(|a| a == "--no-batch"),
         compaction,
-        threaded: args.iter().any(|a| a == "--threaded"),
         lock_timeout: Duration::from_millis(lock_timeout_ms.max(1)),
     };
     let (server, report) = Server::bind(

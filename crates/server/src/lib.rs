@@ -8,9 +8,9 @@
 //! * [`protocol`] — the frame format and request/response vocabulary,
 //!   including the WAL-subscription kinds (`Subscribe` / `Catchup` /
 //!   `WalBatch`).
-//! * [`server`] — [`Server`]: accept loop, admission control, per-request
-//!   dispatch, snapshot publication, WAL shipping to subscribers,
-//!   graceful drain.
+//! * [`server`] — [`Server`]: the epoll reactor's primary role, admission
+//!   control, the single writer thread, snapshot publication, WAL
+//!   shipping to subscribers, graceful drain.
 //! * [`replica`] — [`Replica`]: a WAL-shipping read replica serving
 //!   pinned-LSN consistent reads (see `docs/replication.md`).
 //! * [`client`] — [`Client`]: a blocking request/response client.

@@ -537,8 +537,8 @@ pub struct StatsReply {
     pub idle_closes: u64,
     /// Malformed frames / undecodable requests observed.
     pub protocol_errors: u64,
-    /// Write batches flushed by the batching leader (each batch = one
-    /// sync + one snapshot publication).
+    /// Write batches flushed by the writer thread's batcher (each batch =
+    /// one sync + one snapshot publication).
     pub write_batches: u64,
     /// Writes that shared a batch with at least one other write.
     pub coalesced_writes: u64,

@@ -237,10 +237,10 @@ pub(crate) enum Done {
     Shipped,
 }
 
-struct Completion {
-    token: u64,
-    seq: u64,
-    done: Done,
+pub(crate) struct Completion {
+    pub(crate) token: u64,
+    pub(crate) seq: u64,
+    pub(crate) done: Done,
 }
 
 /// The queue worker threads post results into, plus the waker that makes
@@ -268,7 +268,7 @@ impl Completions {
         self.waker.wake();
     }
 
-    fn drain(&self) -> Vec<Completion> {
+    pub(crate) fn drain(&self) -> Vec<Completion> {
         std::mem::take(&mut self.queue.lock().unwrap_or_else(PoisonError::into_inner))
     }
 }
@@ -491,8 +491,8 @@ struct Conn {
     /// other value are stale (a panic-path double post) and dropped.
     seq: u64,
     /// Read-side deadline: reset when a complete frame arrives (stricter
-    /// than the blocking loop's per-byte reset — a dribbling peer cannot
-    /// stay alive on one byte per timeout).
+    /// than a per-byte socket read timeout — a dribbling peer cannot stay
+    /// alive on one byte per timeout).
     idle_deadline: Instant,
     /// Last time the socket accepted bytes; bounds write-side stalls.
     last_progress: Instant,
@@ -1348,8 +1348,8 @@ impl<R: Role> Reactor<R> {
             match conn.mode {
                 Mode::Idle => {
                     if conn.rbuf.pending() > 0 {
-                        // EOF inside a frame: the same torn-frame close
-                        // the blocking loop counts as a protocol error.
+                        // EOF inside a frame: a torn-frame close,
+                        // counted as a protocol error.
                         EofAction::Torn
                     } else {
                         conn.close_after_flush = true;
@@ -1446,8 +1446,7 @@ impl<R: Role> Reactor<R> {
 
     /// Starts the drain: stop accepting, end subscription streams, leave
     /// request connections to finish on their own terms (one more
-    /// answered request or their idle deadline — same discipline as the
-    /// blocking loop).
+    /// answered request or their idle deadline).
     fn begin_drain(&mut self) {
         if self.draining {
             return;

@@ -34,9 +34,8 @@
 
 use crate::client::Client;
 use crate::protocol::{
-    assemble_snapshot, read_frame, recv, send, CatchupReply, ErrorKindWire, ExplainReply,
-    FrameError, QueryReply, Request, Response, SnapshotReply, StatsReply, TruthReply,
-    WalBatchReply, WireError,
+    assemble_snapshot, read_frame, recv, send, CatchupReply, ErrorKindWire, FrameError, Request,
+    Response, StatsReply, WalBatchReply, WireError,
 };
 use crate::reactor::{
     Completions, NetCounters, PublishedView, Reactor, ReactorConfig, Role, RoleAction,
@@ -47,7 +46,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
 use std::time::Duration;
-use winslett_core::snapshot::{SnapshotReader, TheorySnapshot};
+use winslett_core::snapshot::TheorySnapshot;
 use winslett_core::wal::WalRecord;
 use winslett_core::{replay_record, restore_theory, DbError, DbOptions, LogicalDatabase};
 
@@ -60,14 +59,6 @@ pub struct ReplicaOptions {
     pub idle_timeout: Duration,
     /// Pause between reconnection attempts to the primary.
     pub reconnect_backoff: Duration,
-    /// Run the post-batch simplification pass the primary's recovery
-    /// path would run. On by default; benches may disable it to measure
-    /// raw apply throughput.
-    pub simplify_after_batch: bool,
-    /// Serve reads with the classic blocking thread-per-connection loop
-    /// instead of the epoll reactor (benchmarking baseline; the reactor
-    /// is the default).
-    pub threaded: bool,
 }
 
 impl Default for ReplicaOptions {
@@ -76,8 +67,6 @@ impl Default for ReplicaOptions {
             max_connections: 64,
             idle_timeout: Duration::from_secs(30),
             reconnect_backoff: Duration::from_millis(50),
-            simplify_after_batch: true,
-            threaded: false,
         }
     }
 }
@@ -138,7 +127,7 @@ struct ReplicaShared {
 }
 
 /// A cheap, clonable handle for poking a running replica from outside
-/// its accept loop.
+/// its event loop.
 #[derive(Clone)]
 pub struct ReplicaHandle {
     addr: SocketAddr,
@@ -163,7 +152,7 @@ impl ReplicaHandle {
         self.active.load(Ordering::SeqCst)
     }
 
-    /// Requests a graceful shutdown of the accept loop and the tailer.
+    /// Requests a graceful shutdown of the event loop and the tailer.
     pub fn request_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
         let _ = TcpStream::connect_timeout(&self.addr, Duration::from_secs(1));
@@ -228,21 +217,10 @@ impl Replica {
     }
 
     /// Serves reads until shutdown is requested, then drains live
-    /// connections and joins the tailer. The default I/O core is the
-    /// same epoll reactor the primary uses;
-    /// [`ReplicaOptions::threaded`] selects the classic blocking loop.
+    /// connections and joins the tailer. The I/O core is the same epoll
+    /// reactor the primary uses; the tailer is its own thread — it is a
+    /// client of the primary, not a served connection.
     pub fn run(self) -> Result<(), DbError> {
-        if self.shared.options.threaded {
-            self.run_threaded()
-        } else {
-            self.run_epoll()
-        }
-    }
-
-    /// The epoll event-loop read server (the tailer stays its own
-    /// thread in both modes — it is a client of the primary, not a
-    /// served connection).
-    fn run_epoll(self) -> Result<(), DbError> {
         let Replica {
             listener,
             shared,
@@ -271,48 +249,6 @@ impl Replica {
         shared.shutdown.store(true, Ordering::SeqCst);
         let _ = tailer.join();
         run_result?;
-        Ok(())
-    }
-
-    /// The classic blocking loop: one kernel thread per connection.
-    fn run_threaded(self) -> Result<(), DbError> {
-        let Replica {
-            listener,
-            shared,
-            db_options,
-        } = self;
-        let tailer = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || run_tailer(&shared, db_options))
-        };
-        loop {
-            let stream = match listener.accept() {
-                Ok((stream, _)) => stream,
-                Err(_) if shared.shutdown.load(Ordering::SeqCst) => break,
-                Err(_) => continue,
-            };
-            if shared.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            let active = shared.active.fetch_add(1, Ordering::SeqCst) + 1;
-            if active > shared.options.max_connections {
-                shared.active.fetch_sub(1, Ordering::SeqCst);
-                shared.stats.rejected_busy.fetch_add(1, Ordering::Relaxed);
-                reject_busy(stream, active, shared.options.max_connections);
-                continue;
-            }
-            shared.stats.accepted.fetch_add(1, Ordering::Relaxed);
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || {
-                ReplicaConnection::new(stream, Arc::clone(&shared)).serve();
-                shared.active.fetch_sub(1, Ordering::SeqCst);
-            });
-        }
-        drop(listener);
-        while shared.active.load(Ordering::SeqCst) > 0 {
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        let _ = tailer.join();
         Ok(())
     }
 }
@@ -379,18 +315,6 @@ impl Role for ReplicaRole {
     }
 
     fn generation_moved(&self) {}
-}
-
-/// Sends the typed `Busy` rejection (best-effort) and closes.
-fn reject_busy(mut stream: TcpStream, active: usize, cap: usize) {
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-    let _ = send(
-        &mut stream,
-        &Response::Error(WireError {
-            kind: ErrorKindWire::Busy,
-            message: format!("replica busy: {active} connections, cap {cap}"),
-        }),
-    );
 }
 
 // ----- the tailer -----------------------------------------------------------
@@ -617,9 +541,7 @@ fn tail_once(
         if applied == 0 {
             continue;
         }
-        if shared.options.simplify_after_batch {
-            db.simplify(db_options.simplify);
-        }
+        db.simplify(db_options.simplify);
         shared
             .stats
             .replica_records
@@ -664,242 +586,6 @@ fn republish(shared: &ReplicaShared, db: &mut LogicalDatabase, cursor: u64, last
         Arc::new(ReplicaPublished { snapshot, last_lsn });
 }
 
-// ----- read connections -----------------------------------------------------
-
-/// Per-connection state on the replica: the stream plus read sessions,
-/// mirroring the primary's connection but with every write-shaped
-/// request refused.
-struct ReplicaConnection {
-    stream: TcpStream,
-    shared: Arc<ReplicaShared>,
-    pinned: Option<SnapshotReader>,
-    latest: Option<SnapshotReader>,
-}
-
-impl Drop for ReplicaConnection {
-    fn drop(&mut self) {
-        if self.pinned.is_some() {
-            self.shared
-                .stats
-                .pinned_generations
-                .fetch_sub(1, Ordering::Relaxed);
-        }
-    }
-}
-
-impl ReplicaConnection {
-    fn new(stream: TcpStream, shared: Arc<ReplicaShared>) -> Self {
-        ReplicaConnection {
-            stream,
-            shared,
-            pinned: None,
-            latest: None,
-        }
-    }
-
-    fn serve(&mut self) {
-        let _ = self.stream.set_nodelay(true);
-        let _ = self
-            .stream
-            .set_read_timeout(Some(self.shared.options.idle_timeout));
-        loop {
-            // Sampled before blocking: a request that arrives during the
-            // drain is still answered, and only then is the connection
-            // closed — mirrors the primary's drain discipline.
-            let draining = self.shared.shutdown.load(Ordering::SeqCst);
-            let payload = match read_frame(&mut self.stream) {
-                Ok(p) => p,
-                Err(FrameError::Closed) => break,
-                Err(FrameError::TimedOut) => {
-                    self.shared
-                        .stats
-                        .idle_closes
-                        .fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-                Err(e @ (FrameError::Oversized { .. } | FrameError::BadCrc { .. })) => {
-                    self.shared
-                        .stats
-                        .protocol_errors
-                        .fetch_add(1, Ordering::Relaxed);
-                    let _ = send(
-                        &mut self.stream,
-                        &Response::Error(WireError {
-                            kind: ErrorKindWire::BadRequest,
-                            message: e.to_string(),
-                        }),
-                    );
-                    break;
-                }
-                Err(_) => {
-                    self.shared
-                        .stats
-                        .protocol_errors
-                        .fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-            };
-            let request: Request = match crate::protocol::decode(&payload) {
-                Ok(r) => r,
-                Err(e) => {
-                    self.shared
-                        .stats
-                        .protocol_errors
-                        .fetch_add(1, Ordering::Relaxed);
-                    let resp = Response::Error(WireError {
-                        kind: ErrorKindWire::BadRequest,
-                        message: e.to_string(),
-                    });
-                    if send(&mut self.stream, &resp).is_err() {
-                        break;
-                    }
-                    continue;
-                }
-            };
-            self.shared.stats.requests.fetch_add(1, Ordering::Relaxed);
-            let is_shutdown = matches!(request, Request::Shutdown);
-            let response = self.dispatch(request);
-            if send(&mut self.stream, &response).is_err() {
-                break;
-            }
-            // During a drain, close after answering the request that was
-            // in flight when the drain started instead of letting a
-            // chatty client hold the drain open: the drain is bounded by
-            // the idle timeout OR one request round-trip per connection,
-            // whichever ends first.
-            if is_shutdown || draining {
-                break;
-            }
-        }
-    }
-
-    fn dispatch(&mut self, request: Request) -> Response {
-        match request {
-            Request::Query(src) => self.read(|r| {
-                let generation = r.generation();
-                r.query(&src).map(|a| {
-                    Response::Rows(QueryReply {
-                        certain: a.certain,
-                        possible: a.possible,
-                        generation,
-                    })
-                })
-            }),
-            Request::Check(src) => self.read(|r| {
-                let generation = r.generation();
-                r.decide(&src).map(|(possible, certain)| {
-                    Response::Truth(TruthReply {
-                        possible,
-                        certain,
-                        generation,
-                    })
-                })
-            }),
-            Request::Explain(src) => self.read(|r| {
-                let generation = r.generation();
-                r.explain(&src).map(|e| {
-                    Response::Explained(ExplainReply {
-                        verdict: wire_verdict(e.verdict),
-                        witness: e.witness,
-                        counterexample: e.counterexample,
-                        generation,
-                    })
-                })
-            }),
-            Request::Pin => self.pin(0),
-            Request::PinAt(min_lsn) => self.pin(min_lsn),
-            Request::Unpin => {
-                if self.pinned.take().is_some() {
-                    self.shared
-                        .stats
-                        .pinned_generations
-                        .fetch_sub(1, Ordering::Relaxed);
-                }
-                Response::Unpinned
-            }
-            Request::Stats => self.stats(),
-            Request::Ping => Response::Pong,
-            Request::Shutdown => {
-                self.shared.shutdown.store(true, Ordering::SeqCst);
-                let _ = TcpStream::connect_timeout(&self.shared.addr, Duration::from_secs(1));
-                Response::ShuttingDown
-            }
-            Request::Execute(_)
-            | Request::DeclareRelation(..)
-            | Request::DeclareAttribute(_)
-            | Request::LoadFact(..)
-            | Request::LoadWff(_)
-            | Request::Checkpoint
-            | Request::Begin
-            | Request::Commit
-            | Request::Rollback
-            | Request::Subscribe(_) => read_only(),
-        }
-    }
-
-    /// `Pin` / `PinAt` on the replica: the identical check the primary
-    /// runs, but here `last_lsn` is the replication cursor — so a refusal
-    /// means "not caught up yet", the pinned-LSN consistency contract.
-    fn pin(&mut self, min_lsn: u64) -> Response {
-        let published = published(&self.shared);
-        if min_lsn > 0 && published.last_lsn < min_lsn {
-            self.shared
-                .stats
-                .lag_refusals
-                .fetch_add(1, Ordering::Relaxed);
-            return Response::Error(WireError {
-                kind: ErrorKindWire::LagBehind,
-                message: format!(
-                    "replica applied through lsn {} but the pin demands lsn {min_lsn}",
-                    published.last_lsn
-                ),
-            });
-        }
-        let reply = SnapshotReply {
-            generation: published.snapshot.generation(),
-            updates_applied: self.shared.stats.replica_records.load(Ordering::Relaxed),
-            last_lsn: published.last_lsn,
-        };
-        if self.pinned.is_none() {
-            self.shared
-                .stats
-                .pinned_generations
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        self.pinned = Some(published.snapshot.reader());
-        Response::Pinned(reply)
-    }
-
-    fn read(
-        &mut self,
-        f: impl FnOnce(&mut SnapshotReader) -> Result<Response, DbError>,
-    ) -> Response {
-        self.shared.stats.reads.fetch_add(1, Ordering::Relaxed);
-        let reader = if let Some(pinned) = self.pinned.as_mut() {
-            pinned
-        } else {
-            let published = published(&self.shared);
-            let current = published.snapshot.generation();
-            let session = match self.latest.take() {
-                Some(r) if r.generation() == current => r,
-                _ => published.snapshot.reader(),
-            };
-            self.latest.insert(session)
-        };
-        match f(reader) {
-            Ok(resp) => resp,
-            // Same kind mapping as the primary (strict-parse errors are
-            // `Parse`, dependency refusals are `Refused`, ...): a client
-            // must not be able to tell the roles apart by error kind.
-            Err(e) => Response::Error(crate::server::wire_error(&e)),
-        }
-    }
-
-    fn stats(&mut self) -> Response {
-        Response::Stats(Box::new(stats_reply(&self.shared)))
-    }
-}
-
 /// Builds the replica's stats reply — everything is an atomic or the
 /// published snapshot, so no lock beyond the publication slot is taken.
 fn stats_reply(shared: &ReplicaShared) -> StatsReply {
@@ -929,17 +615,6 @@ fn read_only() -> Response {
         kind: ErrorKindWire::ReadOnly,
         message: "replica is read-only; send writes to the primary".into(),
     })
-}
-
-fn wire_verdict(v: winslett_core::explain::Verdict) -> crate::protocol::WireVerdict {
-    use crate::protocol::WireVerdict;
-    use winslett_core::explain::Verdict;
-    match v {
-        Verdict::Certain => WireVerdict::Certain,
-        Verdict::Uncertain => WireVerdict::Uncertain,
-        Verdict::Impossible => WireVerdict::Impossible,
-        Verdict::Inconsistent => WireVerdict::Inconsistent,
-    }
 }
 
 #[cfg(test)]

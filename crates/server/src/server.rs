@@ -1,42 +1,43 @@
-//! The server: one writer thread-at-a-time, any number of snapshot
-//! readers, bounded admission, idle timeouts, graceful drain.
+//! The server: an epoll reactor owning every socket, one writer thread,
+//! a small snapshot-read worker pool, bounded admission, idle timeouts,
+//! graceful drain.
 //!
 //! ## Concurrency model
 //!
-//! * **Writes** serialize through a `Mutex<DurableDatabase>`. Each
-//!   acknowledged update is journaled (WAL) *before* GUA applies it, and
-//!   its reply carries the WAL LSN — the serialization order.
+//! * **Writes** are handed by the reactor to a single writer thread,
+//!   which applies them under the `Mutex<DurableDatabase>` writer lock
+//!   (shared only with the background compactor). Each acknowledged
+//!   update is journaled (WAL) *before* GUA applies it, and its reply
+//!   carries the WAL LSN — the serialization order.
 //! * **Write batching** (on by default, [`ServerOptions::batch_writes`]):
-//!   writes enqueue into a shared queue and whichever thread wins the
-//!   writer lock drains it as the *leader*, applying everyone's writes
-//!   and handing replies back through per-job slots. The leader runs the
-//!   queued statements through [`winslett_analyze::ConflictAnalyzer`] and
-//!   coalesces a run of pairwise-independent updates into one batch:
-//!   applied in arrival order (never reordered), made durable with **one
-//!   `fsync`**, and published as **one snapshot**. Conflicting or
-//!   unanalyzable statements close the batch, so a reader can only ever
-//!   miss intermediate states that provably-independent writes would have
-//!   produced. Batched acks are sent *after* the batch's sync — at least
-//!   as durable as the unbatched path.
+//!   the writer thread takes every write that accumulated while it was
+//!   busy as one run and passes the run's statements through
+//!   [`winslett_analyze::ConflictAnalyzer`], coalescing consecutive
+//!   pairwise-independent updates into one batch: applied in arrival
+//!   order (never reordered), made durable with **one `fsync`**, and
+//!   published as **one snapshot**. Conflicting or unanalyzable
+//!   statements close the batch, so a reader can only ever miss
+//!   intermediate states that provably-independent writes would have
+//!   produced. Batched acks are posted *after* the batch's sync — at
+//!   least as durable as the unbatched path.
 //! * **Reads** never take the writer lock. After every update the writer
 //!   publishes a [`TheorySnapshot`] (theory cloned once behind an `Arc`)
-//!   into an `RwLock` slot; connections grab the `Arc` and answer from a
-//!   private [`SnapshotReader`] whose entailment session is encoded once
-//!   per snapshot and reused across queries. A connection may `Pin` its
-//!   snapshot, keeping a long analytical session on one generation while
-//!   the writer commits on.
+//!   into an `RwLock` slot; each connection answers from a private
+//!   [`winslett_core::snapshot::SnapshotReader`] whose entailment session
+//!   is encoded once per snapshot and reused across queries. A
+//!   connection may `Pin` its snapshot, keeping a long analytical
+//!   session on one generation while the writer commits on.
 //! * **Admission** is a hard cap on live connections: the connection over
 //!   the cap receives a typed `Busy` error frame and a close — never a
 //!   silent hang.
 //! * **Shutdown** (protocol request or [`ServerHandle::request_shutdown`])
-//!   stops the accept loop, drains live connections (bounded by the idle
+//!   stops accepting, drains live connections (bounded by the idle
 //!   timeout), then closes the durable database — flushing any
 //!   group-commit buffered WAL records — and hands the storage back.
 
 use crate::protocol::{
-    catchup_frames, read_frame, send, CheckpointReply, ErrorKindWire, ExecReply, ExplainReply,
-    FrameError, QueryReply, Request, Response, SnapshotReply, StatsReply, TruthReply, TxnReply,
-    WalBatchReply, WireError, WireVerdict, MAX_FRAME_LEN,
+    catchup_frames, CheckpointReply, ErrorKindWire, ExecReply, Request, Response, StatsReply,
+    TxnReply, WalBatchReply, WireError, WireVerdict, MAX_FRAME_LEN,
 };
 use crate::reactor::{
     Completions, Done, NetCounters, PublishedView, Reactor, ReactorConfig, Role, RoleAction,
@@ -45,11 +46,11 @@ use crate::reactor::{
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError, RwLock, TryLockError, Weak};
+use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError, RwLock, Weak};
 use std::time::{Duration, Instant};
 use winslett_analyze::ConflictAnalyzer;
 use winslett_core::explain::Verdict;
-use winslett_core::snapshot::{SnapshotReader, TheorySnapshot};
+use winslett_core::snapshot::TheorySnapshot;
 use winslett_core::wal::{Catchup, DurableDatabase, RecoveryReport, Storage, WalOptions};
 use winslett_core::{DbError, DbOptions, LockRequest, LockTable, WalEntry};
 use winslett_gua::SimplifyLevel;
@@ -79,11 +80,6 @@ pub struct ServerOptions {
     /// thread. On by default — the trigger thresholds keep it dormant on
     /// small databases.
     pub compaction: Option<CompactionPolicy>,
-    /// Serve with the classic blocking thread-per-connection loop
-    /// instead of the epoll reactor. Kept as the benchmarking baseline
-    /// (`BENCH_connections.json` compares the two); the reactor is the
-    /// default and the gated path.
-    pub threaded: bool,
     /// How long a transactional statement may wait for its footprint
     /// locks before the transaction is aborted with a typed `TxnTimeout`.
     /// The timeout doubles as deadlock avoidance: two transactions that
@@ -98,7 +94,6 @@ impl Default for ServerOptions {
             idle_timeout: Duration::from_secs(30),
             batch_writes: true,
             compaction: Some(CompactionPolicy::default()),
-            threaded: false,
             lock_timeout: Duration::from_secs(2),
         }
     }
@@ -143,7 +138,8 @@ impl Default for CompactionPolicy {
     }
 }
 
-/// Monotone counters, updated lock-free by connection threads.
+/// Monotone counters, updated lock-free by the reactor, writer and
+/// compactor threads.
 #[derive(Debug, Default)]
 pub struct ServerStats {
     /// Connections accepted into service.
@@ -212,8 +208,6 @@ struct Published {
 struct Shared<S: Storage> {
     writer: Mutex<Option<DurableDatabase<S>>>,
     published: RwLock<Arc<Published>>,
-    /// Pending writes awaiting a leader (batched mode only).
-    queue: Mutex<VecDeque<WriteJob>>,
     /// Live WAL subscribers: each holds the sending half of its
     /// subscription channel. Registration happens under the writer lock
     /// (atomically with the catch-up computation), so no committed record
@@ -225,11 +219,10 @@ struct Shared<S: Storage> {
     active: Arc<AtomicUsize>,
     options: ServerOptions,
     addr: SocketAddr,
-    /// The reactor's completion queue, installed in epoll mode so
-    /// [`ship`] can wake the event loop when records land for streaming
-    /// subscribers. `None` in threaded mode (subscription threads block
-    /// on their channels directly).
-    notify: Mutex<Option<Arc<Completions>>>,
+    /// The reactor's completion queue: the writer thread posts every
+    /// reply through it, and [`ship`] wakes the event loop through it
+    /// when records land for streaming subscribers.
+    completions: Arc<Completions>,
     /// Weak handles on superseded published generations, backing the
     /// `retained_generations` gauge: an entry whose upgrade fails has
     /// been fully released (no pin, cached session, or in-flight read
@@ -238,19 +231,18 @@ struct Shared<S: Storage> {
     /// The lock table: S/X locks at footprint-atom granularity, held by
     /// open transactions under strict two-phase locking.
     locks: LockTable,
-    /// Reactor-mode bookkeeping: which connection token owns which open
-    /// transaction. Value `0` reserves the slot while the `Begin` is in
-    /// flight to the writer thread (real transaction ids are WAL LSNs,
-    /// which start at 1).
+    /// Which connection token owns which open transaction. Value `0`
+    /// reserves the slot while the `Begin` is in flight to the writer
+    /// thread (real transaction ids are WAL LSNs, which start at 1).
     txn_by_token: Mutex<HashMap<u64, u64>>,
 }
 
-/// Upper bound on writes coalesced into one batch, so a follower's ack
-/// latency stays bounded under a deep queue.
+/// Upper bound on writes coalesced into one batch, so ack latency stays
+/// bounded under a deep queue.
 const MAX_BATCH: usize = 32;
 
 /// A write request in database terms, detached from its connection so the
-/// leader can apply it on the submitter's behalf.
+/// writer thread can apply it on the submitter's behalf.
 enum WriteOp {
     Execute(String),
     DeclareRelation(String, u64),
@@ -259,73 +251,28 @@ enum WriteOp {
     LoadWff(String),
 }
 
-/// Where a write's reply goes: a blocking connection thread's slot, or
-/// the reactor's completion queue.
-#[derive(Clone)]
-enum WriteDone {
-    /// Fill the slot and wake the waiting connection thread.
-    Slot(Arc<ReplySlot>),
-    /// Post to the reactor, tagged for the awaiting connection.
-    Reactor {
-        token: u64,
-        seq: u64,
-        completions: Arc<Completions>,
-    },
+/// Where a write's reply goes: the reactor connection awaiting it.
+#[derive(Clone, Copy)]
+struct WriteDone {
+    token: u64,
+    seq: u64,
 }
 
 impl WriteDone {
-    fn fill(&self, r: Response) {
-        match self {
-            WriteDone::Slot(slot) => slot.fill(r),
-            WriteDone::Reactor {
-                token,
-                seq,
-                completions,
-            } => completions.post(*token, *seq, Done::Resp(r)),
-        }
+    /// Posts the reply to the reactor, tagged for the awaiting connection.
+    fn fill<S: Storage>(self, shared: &Shared<S>, r: Response) {
+        shared.completions.post(self.token, self.seq, Done::Resp(r));
     }
 }
 
-/// One queued write plus the path its reply travels back through.
+/// One queued write plus the connection its reply goes back to.
 struct WriteJob {
     op: WriteOp,
     done: WriteDone,
 }
 
-/// A single-use mailbox: the leader fills it, the submitter waits on it.
-#[derive(Default)]
-struct ReplySlot {
-    resp: Mutex<Option<Response>>,
-    cv: Condvar,
-}
-
-impl ReplySlot {
-    fn fill(&self, r: Response) {
-        // The slot holds plain data; a poisoned lock can't corrupt it.
-        let mut guard = self.resp.lock().unwrap_or_else(PoisonError::into_inner);
-        *guard = Some(r);
-        self.cv.notify_all();
-    }
-
-    fn try_take(&self) -> Option<Response> {
-        self.resp
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take()
-    }
-
-    fn wait(&self, timeout: Duration) -> Option<Response> {
-        let guard = self.resp.lock().unwrap_or_else(PoisonError::into_inner);
-        let (mut guard, _) = self
-            .cv
-            .wait_timeout(guard, timeout)
-            .unwrap_or_else(PoisonError::into_inner);
-        guard.take()
-    }
-}
-
 /// A cheap, clonable handle for poking a running server from outside its
-/// accept loop (signal handlers, tests, sibling threads).
+/// event loop (signal handlers, tests, sibling threads).
 #[derive(Clone)]
 pub struct ServerHandle {
     addr: SocketAddr,
@@ -350,18 +297,19 @@ impl ServerHandle {
         self.active.load(Ordering::SeqCst)
     }
 
-    /// Requests a graceful shutdown: sets the flag and pokes the accept
+    /// Requests a graceful shutdown: sets the flag and pokes the event
     /// loop awake with a throwaway connection.
     pub fn request_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        // Wake a blocking `accept` so it observes the flag. Errors are
-        // fine — the listener may already be gone.
+        // Make the listener readable so the reactor's epoll wait returns
+        // and observes the flag. Errors are fine — the listener may
+        // already be gone.
         let _ = TcpStream::connect_timeout(&self.addr, Duration::from_secs(1));
     }
 }
 
-/// The server: a bound listener plus the shared state its connection
-/// threads work against.
+/// The server: a bound listener plus the shared state its reactor,
+/// writer and compactor threads work against.
 pub struct Server<S: Storage + Send + 'static> {
     listener: TcpListener,
     shared: Arc<Shared<S>>,
@@ -394,14 +342,13 @@ impl<S: Storage + Send + 'static> Server<S> {
                 updates_applied: 0,
                 last_lsn,
             })),
-            queue: Mutex::new(VecDeque::new()),
             subscribers: Mutex::new(Vec::new()),
             stats: Arc::new(ServerStats::default()),
             shutdown: Arc::new(AtomicBool::new(false)),
             active: Arc::new(AtomicUsize::new(0)),
             options,
             addr,
-            notify: Mutex::new(None),
+            completions: Completions::new()?,
             retained: Mutex::new(Vec::new()),
             locks: LockTable::new(),
             txn_by_token: Mutex::new(HashMap::new()),
@@ -428,39 +375,24 @@ impl<S: Storage + Send + 'static> Server<S> {
     /// closes the durable database — **flushing buffered WAL records** —
     /// and returns the storage (tests reopen it to inspect final state).
     ///
-    /// The default I/O core is the nonblocking epoll reactor (one thread
-    /// owning every socket, writes funneled to a single writer thread,
-    /// SAT reads on a small worker pool); `ServerOptions::threaded`
-    /// selects the classic blocking thread-per-connection loop instead.
+    /// The I/O core is the nonblocking epoll reactor: one thread owning
+    /// every socket, writes funneled to a single writer thread, SAT reads
+    /// on a small worker pool.
     pub fn run(self) -> Result<S, DbError> {
-        if self.shared.options.threaded {
-            self.run_threaded()
-        } else {
-            self.run_epoll()
-        }
-    }
-
-    /// The epoll event-loop server.
-    fn run_epoll(self) -> Result<S, DbError> {
         let Server { listener, shared } = self;
         let compactor = shared.options.compaction.clone().map(|policy| {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || run_compactor(&shared, &policy))
         });
-        let completions = Completions::new()?;
-        *shared.notify.lock().unwrap_or_else(PoisonError::into_inner) =
-            Some(Arc::clone(&completions));
         let chan = Arc::new(WriterChan::default());
         let writer_thread = {
             let shared = Arc::clone(&shared);
             let chan = Arc::clone(&chan);
-            let completions = Arc::clone(&completions);
-            std::thread::spawn(move || run_writer(&shared, &chan, &completions))
+            std::thread::spawn(move || run_writer(&shared, &chan))
         };
         let role = PrimaryRole {
             shared: Arc::clone(&shared),
             chan: Arc::clone(&chan),
-            completions: Arc::clone(&completions),
         };
         let config = ReactorConfig {
             max_connections: shared.options.max_connections,
@@ -469,7 +401,7 @@ impl<S: Storage + Send + 'static> Server<S> {
         let run_result = Reactor::new(
             listener,
             role,
-            Arc::clone(&completions),
+            Arc::clone(&shared.completions),
             config,
             Arc::clone(&shared.shutdown),
             Arc::clone(&shared.active),
@@ -482,68 +414,11 @@ impl<S: Storage + Send + 'static> Server<S> {
         shared.shutdown.store(true, Ordering::SeqCst);
         chan.close();
         let _ = writer_thread.join();
-        *shared.notify.lock().unwrap_or_else(PoisonError::into_inner) = None;
         if let Some(handle) = compactor {
             let _ = handle.join();
         }
         rollback_orphans(&shared);
         run_result?;
-        let db = shared
-            .writer
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take();
-        match db {
-            Some(db) => db.close(),
-            None => Err(DbError::Storage {
-                message: "writer already closed".into(),
-            }),
-        }
-    }
-
-    /// The classic blocking loop: one kernel thread per connection.
-    fn run_threaded(self) -> Result<S, DbError> {
-        let Server { listener, shared } = self;
-        let compactor = shared.options.compaction.clone().map(|policy| {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || run_compactor(&shared, &policy))
-        });
-        loop {
-            let stream = match listener.accept() {
-                Ok((stream, _)) => stream,
-                Err(_) if shared.shutdown.load(Ordering::SeqCst) => break,
-                Err(_) => continue,
-            };
-            if shared.shutdown.load(Ordering::SeqCst) {
-                break; // the wake-up poke, or a late arrival during drain
-            }
-            // Admission gate: count ourselves in, back out if over cap.
-            let active = shared.active.fetch_add(1, Ordering::SeqCst) + 1;
-            if active > shared.options.max_connections {
-                shared.active.fetch_sub(1, Ordering::SeqCst);
-                shared.stats.rejected_busy.fetch_add(1, Ordering::Relaxed);
-                reject_busy(stream, active, shared.options.max_connections);
-                continue;
-            }
-            shared.stats.accepted.fetch_add(1, Ordering::Relaxed);
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || {
-                Connection::new(stream, Arc::clone(&shared)).serve();
-                shared.active.fetch_sub(1, Ordering::SeqCst);
-            });
-        }
-        drop(listener);
-        // Drain: connection threads exit on their own (request loop, idle
-        // timeout); writes arriving during the drain are refused.
-        while shared.active.load(Ordering::SeqCst) > 0 {
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        // The compactor observes the shutdown flag; join it before taking
-        // the writer so an in-flight swap completes or aborts cleanly.
-        if let Some(handle) = compactor {
-            let _ = handle.join();
-        }
-        rollback_orphans(&shared);
         // Even if a write panicked and poisoned the lock, closing is the
         // best effort left: the WAL only ever holds intact records.
         let db = shared
@@ -560,576 +435,7 @@ impl<S: Storage + Send + 'static> Server<S> {
     }
 }
 
-/// Sends the typed `Busy` rejection (best-effort) and closes.
-fn reject_busy(mut stream: TcpStream, active: usize, cap: usize) {
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-    let _ = send(
-        &mut stream,
-        &Response::Error(WireError {
-            kind: ErrorKindWire::Busy,
-            message: format!("server busy: {active} connections, cap {cap}"),
-        }),
-    );
-}
-
-/// Per-connection state: the stream plus this connection's read sessions.
-struct Connection<S: Storage + Send + 'static> {
-    stream: TcpStream,
-    shared: Arc<Shared<S>>,
-    /// Set while the client holds a `Pin`: reads stay on this snapshot.
-    pinned: Option<SnapshotReader>,
-    /// Follow-the-latest reader, rebuilt only when the published
-    /// generation moves (so repeated reads reuse one entailment session).
-    latest: Option<SnapshotReader>,
-    /// The transaction this connection holds open, if any. All writes
-    /// route into it until `Commit`/`Rollback`; teardown rolls it back.
-    txn: Option<u64>,
-}
-
-impl<S: Storage + Send + 'static> Drop for Connection<S> {
-    /// Releases the pinned-generation gauge entry if the connection dies
-    /// while holding a pin — covers clients that disconnect (or are
-    /// idle-timeout reaped) without sending `Unpin`. The reader itself
-    /// drops with the struct, which is what actually frees the pinned
-    /// `Arc<Theory>` generation.
-    fn drop(&mut self) {
-        if self.pinned.is_some() {
-            self.shared
-                .stats
-                .pinned_generations
-                .fetch_sub(1, Ordering::Relaxed);
-        }
-    }
-}
-
-impl<S: Storage + Send + 'static> Connection<S> {
-    fn new(stream: TcpStream, shared: Arc<Shared<S>>) -> Self {
-        Connection {
-            stream,
-            shared,
-            pinned: None,
-            latest: None,
-            txn: None,
-        }
-    }
-
-    fn serve(&mut self) {
-        let _ = self.stream.set_nodelay(true);
-        let _ = self
-            .stream
-            .set_read_timeout(Some(self.shared.options.idle_timeout));
-        loop {
-            // Sampled before blocking: a request that arrives during the
-            // drain is still answered (typed refusal for writes), and
-            // only then is the connection closed.
-            let draining = self.shared.shutdown.load(Ordering::SeqCst);
-            let payload = match read_frame(&mut self.stream) {
-                Ok(p) => p,
-                Err(FrameError::Closed) => break,
-                Err(FrameError::TimedOut) => {
-                    self.shared
-                        .stats
-                        .idle_closes
-                        .fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-                Err(e @ (FrameError::Oversized { .. } | FrameError::BadCrc { .. })) => {
-                    // The stream is not resynchronizable past a bad
-                    // length/checksum: answer with the typed error, close.
-                    self.shared
-                        .stats
-                        .protocol_errors
-                        .fetch_add(1, Ordering::Relaxed);
-                    let _ = send(
-                        &mut self.stream,
-                        &Response::Error(WireError {
-                            kind: ErrorKindWire::BadRequest,
-                            message: e.to_string(),
-                        }),
-                    );
-                    break;
-                }
-                Err(_) => {
-                    // Torn mid-frame or I/O failure: nothing to say to a
-                    // half-dead peer; clean close.
-                    self.shared
-                        .stats
-                        .protocol_errors
-                        .fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-            };
-            let request: Request = match crate::protocol::decode(&payload) {
-                Ok(r) => r,
-                Err(e) => {
-                    // The frame itself was intact, so the stream is still
-                    // synchronized: report and keep serving.
-                    self.shared
-                        .stats
-                        .protocol_errors
-                        .fetch_add(1, Ordering::Relaxed);
-                    let resp = Response::Error(WireError {
-                        kind: ErrorKindWire::BadRequest,
-                        message: e.to_string(),
-                    });
-                    if send(&mut self.stream, &resp).is_err() {
-                        break;
-                    }
-                    continue;
-                }
-            };
-            self.shared.stats.requests.fetch_add(1, Ordering::Relaxed);
-            if let Request::Subscribe(from_lsn) = request {
-                // The connection turns into a one-way WAL stream and never
-                // returns to request/response service.
-                self.serve_subscription(from_lsn);
-                break;
-            }
-            let is_shutdown = matches!(request, Request::Shutdown);
-            let response = self.dispatch(request);
-            if send(&mut self.stream, &response).is_err() {
-                break;
-            }
-            // During a drain, close after answering the request that was
-            // in flight when the drain started instead of letting a
-            // chatty client hold the drain open: the drain is bounded by
-            // the idle timeout OR one request round-trip per connection,
-            // whichever ends first.
-            if is_shutdown || draining {
-                break;
-            }
-        }
-        // A connection that exits (peer gone, idle-reaped, or drained)
-        // with a transaction open must not leave its locks behind.
-        if let Some(txn) = self.txn.take() {
-            txn_rollback_shared(&self.shared, txn);
-        }
-    }
-
-    fn dispatch(&mut self, request: Request) -> Response {
-        match request {
-            Request::Execute(src) => self.write(WriteOp::Execute(src)),
-            Request::DeclareRelation(name, arity) => {
-                self.write(WriteOp::DeclareRelation(name, arity))
-            }
-            Request::DeclareAttribute(name) => self.write(WriteOp::DeclareAttribute(name)),
-            Request::LoadFact(pred, args) => self.write(WriteOp::LoadFact(pred, args)),
-            Request::LoadWff(src) => self.write(WriteOp::LoadWff(src)),
-            Request::Begin => self.begin(),
-            Request::Commit => self.commit(),
-            Request::Rollback => self.rollback(),
-            Request::Query(src) => self.read(|r| {
-                let generation = r.generation();
-                r.query(&src).map(|a| {
-                    Response::Rows(QueryReply {
-                        certain: a.certain,
-                        possible: a.possible,
-                        generation,
-                    })
-                })
-            }),
-            Request::Check(src) => self.read(|r| {
-                let generation = r.generation();
-                r.decide(&src).map(|(possible, certain)| {
-                    Response::Truth(TruthReply {
-                        possible,
-                        certain,
-                        generation,
-                    })
-                })
-            }),
-            Request::Explain(src) => self.read(|r| {
-                let generation = r.generation();
-                r.explain(&src).map(|e| {
-                    Response::Explained(ExplainReply {
-                        verdict: wire_verdict(e.verdict),
-                        witness: e.witness,
-                        counterexample: e.counterexample,
-                        generation,
-                    })
-                })
-            }),
-            Request::Pin => self.pin(0),
-            Request::PinAt(min_lsn) => self.pin(min_lsn),
-            Request::Unpin => {
-                if self.pinned.take().is_some() {
-                    self.shared
-                        .stats
-                        .pinned_generations
-                        .fetch_sub(1, Ordering::Relaxed);
-                }
-                Response::Unpinned
-            }
-            Request::Stats => self.stats(),
-            Request::Checkpoint => self.checkpoint(),
-            Request::Shutdown => {
-                self.shared.shutdown.store(true, Ordering::SeqCst);
-                // Wake the accept loop so the drain starts now.
-                let _ = TcpStream::connect_timeout(&self.shared.addr, Duration::from_secs(1));
-                Response::ShuttingDown
-            }
-            Request::Ping => Response::Pong,
-            // Intercepted in `serve` before dispatch; reaching here means
-            // a bug, answer typed rather than panic.
-            Request::Subscribe(_) => Response::Error(WireError {
-                kind: ErrorKindWire::BadRequest,
-                message: "subscription must be the stream's own request".into(),
-            }),
-        }
-    }
-
-    /// `Pin` / `PinAt`: nails the connection's reads to the current
-    /// published snapshot, refusing with a typed `LagBehind` when that
-    /// snapshot has not yet acknowledged `min_lsn` — on the primary that
-    /// only happens for an LSN from the future, but the identical check on
-    /// a replica is the pinned-LSN consistency contract.
-    fn pin(&mut self, min_lsn: u64) -> Response {
-        let published = read_published(&self.shared);
-        if min_lsn > 0 && published.last_lsn < min_lsn {
-            self.shared
-                .stats
-                .lag_refusals
-                .fetch_add(1, Ordering::Relaxed);
-            return Response::Error(WireError {
-                kind: ErrorKindWire::LagBehind,
-                message: format!(
-                    "snapshot covers lsn {} but the pin demands lsn {min_lsn}",
-                    published.last_lsn
-                ),
-            });
-        }
-        let reply = SnapshotReply {
-            generation: published.snapshot.generation(),
-            updates_applied: published.updates_applied,
-            last_lsn: published.last_lsn,
-        };
-        if self.pinned.is_none() {
-            // Re-pinning swaps generations without changing the count of
-            // connections holding one.
-            self.shared
-                .stats
-                .pinned_generations
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        self.pinned = Some(published.snapshot.reader());
-        Response::Pinned(reply)
-    }
-
-    /// Serves one WAL subscription: under the writer lock, computes the
-    /// catch-up material for `from_lsn` and registers the subscription
-    /// channel — atomically, so every committed record lands in exactly
-    /// one of the two. Then streams the backlog and every subsequent write
-    /// batch, with empty heartbeats while idle. Exits when the peer drops,
-    /// a send fails, or the server drains.
-    fn serve_subscription(&mut self, from_lsn: u64) {
-        let _ = self
-            .stream
-            .set_write_timeout(Some(self.shared.options.idle_timeout));
-        let (catchup, next_lsn, rx) = {
-            let mut guard = match self.shared.writer.lock() {
-                Ok(g) => g,
-                Err(_) => {
-                    let _ = send(&mut self.stream, &Response::Error(poisoned_writer()));
-                    return;
-                }
-            };
-            let Some(db) = guard.as_mut() else {
-                let _ = send(&mut self.stream, &Response::Error(closed_writer()));
-                return;
-            };
-            // Flush anything still in the shipping tail to the *existing*
-            // subscribers, so our registration point is exactly the
-            // storage state the catch-up reads.
-            ship(&self.shared, db);
-            match db.catchup_from(from_lsn) {
-                Ok(c) => {
-                    let (tx, rx) = mpsc::channel();
-                    self.shared
-                        .subscribers
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .push(tx);
-                    (c, db.next_lsn(), rx)
-                }
-                Err(e) => {
-                    drop(guard);
-                    let _ = send(&mut self.stream, &Response::Error(wire_error(&e)));
-                    return;
-                }
-            }
-        };
-        let (snapshot, backlog) = match catchup {
-            Catchup::Suffix(entries) => (None, entries),
-            Catchup::Snapshot(snap, entries) => (Some(*snap), entries),
-        };
-        // A snapshot too large for one frame streams as CatchupChunk
-        // frames after a `chunked: true` announcement.
-        let opening = match catchup_frames(snapshot, next_lsn) {
-            Ok(frames) => frames,
-            Err(_) => {
-                let _ = send(
-                    &mut self.stream,
-                    &Response::Error(WireError {
-                        kind: ErrorKindWire::Internal,
-                        message: "catch-up snapshot serialization failed".into(),
-                    }),
-                );
-                return;
-            }
-        };
-        for frame in &opening {
-            if send(&mut self.stream, frame).is_err() {
-                return;
-            }
-        }
-        for chunk in chunk_entries(backlog) {
-            if send(
-                &mut self.stream,
-                &Response::WalBatch(WalBatchReply { entries: chunk }),
-            )
-            .is_err()
-            {
-                return;
-            }
-        }
-        loop {
-            match rx.recv_timeout(HEARTBEAT_INTERVAL) {
-                Ok(entries) => {
-                    for chunk in chunk_entries(entries) {
-                        if send(
-                            &mut self.stream,
-                            &Response::WalBatch(WalBatchReply { entries: chunk }),
-                        )
-                        .is_err()
-                        {
-                            return;
-                        }
-                    }
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    if self.shared.shutdown.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    // Heartbeat: liveness, and how a dead peer is noticed.
-                    if send(
-                        &mut self.stream,
-                        &Response::WalBatch(WalBatchReply {
-                            entries: Vec::new(),
-                        }),
-                    )
-                    .is_err()
-                    {
-                        return;
-                    }
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => return,
-            }
-        }
-    }
-
-    /// One write request: refused during drain (aborting any open
-    /// transaction, so its locks cannot outlive the drain), routed into
-    /// the connection's open transaction if one exists, else to the
-    /// batching queue or the classic direct path.
-    fn write(&mut self, op: WriteOp) -> Response {
-        if self.shared.shutdown.load(Ordering::SeqCst) {
-            if let Some(txn) = self.txn.take() {
-                txn_rollback_shared(&self.shared, txn);
-                return Response::Error(drain_abort());
-            }
-            return Response::Error(WireError {
-                kind: ErrorKindWire::ShuttingDown,
-                message: "server is draining; write refused".into(),
-            });
-        }
-        if let Some(txn) = self.txn {
-            return self.txn_statement(txn, op);
-        }
-        if self.shared.options.batch_writes {
-            self.enqueue_write(op)
-        } else {
-            self.write_direct(op)
-        }
-    }
-
-    /// One statement inside this connection's open transaction: acquire
-    /// the statement's footprint locks first (blocking, bounded by
-    /// `lock_timeout`), then journal the intent and grow the private
-    /// workspace under the writer lock. The order matters — waiting
-    /// while holding the writer lock would block every other
-    /// connection's commit, including the one that would release the
-    /// very locks we wait for.
-    fn txn_statement(&mut self, txn: u64, op: WriteOp) -> Response {
-        let requests = lock_requests_for(&op);
-        // Checked before acquisition: locks taken for *this* statement
-        // must not count as "already held" (workspace refresh skip).
-        let covered = self.shared.locks.holds_all(txn, &requests);
-        if let Err(e) =
-            self.shared
-                .locks
-                .lock_wait(txn, &requests, self.shared.options.lock_timeout)
-        {
-            // Deadlock avoidance: past the deadline the transaction dies
-            // so the locks it already holds cannot wedge the system.
-            self.txn = None;
-            txn_rollback_shared(&self.shared, txn);
-            return Response::Error(wire_error(&e));
-        }
-        txn_apply(&self.shared, txn, &op, covered)
-    }
-
-    /// `Begin`: opens a transaction and binds it to this connection.
-    fn begin(&mut self) -> Response {
-        if self.shared.shutdown.load(Ordering::SeqCst) {
-            return Response::Error(WireError {
-                kind: ErrorKindWire::ShuttingDown,
-                message: "server is draining; transaction refused".into(),
-            });
-        }
-        if self.txn.is_some() {
-            return Response::Error(WireError {
-                kind: ErrorKindWire::BadRequest,
-                message: "a transaction is already open on this connection".into(),
-            });
-        }
-        let resp = txn_begin_shared(&self.shared);
-        if let Response::TxnBegun(reply) = &resp {
-            self.txn = Some(reply.txn);
-        }
-        resp
-    }
-
-    /// `Commit`. During a drain the commit is refused and the
-    /// transaction aborted — commits are writes, and the drain
-    /// discipline is that no new write lands after the flag.
-    fn commit(&mut self) -> Response {
-        let Some(txn) = self.txn.take() else {
-            return Response::Error(no_open_txn());
-        };
-        if self.shared.shutdown.load(Ordering::SeqCst) {
-            txn_rollback_shared(&self.shared, txn);
-            return Response::Error(drain_abort());
-        }
-        txn_commit_shared(&self.shared, txn)
-    }
-
-    /// `Rollback`: always honored — it only releases state.
-    fn rollback(&mut self) -> Response {
-        let Some(txn) = self.txn.take() else {
-            return Response::Error(no_open_txn());
-        };
-        txn_rollback_shared(&self.shared, txn)
-    }
-
-    /// The unbatched path: one journaled write under the writer lock, one
-    /// snapshot publication, ack.
-    fn write_direct(&mut self, op: WriteOp) -> Response {
-        let mut guard = match self.shared.writer.lock() {
-            Ok(g) => g,
-            Err(_) => return Response::Error(poisoned_writer()),
-        };
-        let Some(db) = guard.as_mut() else {
-            return Response::Error(closed_writer());
-        };
-        write_one(&self.shared, db, &op)
-    }
-
-    /// The batched path: enqueue the job, then either win the writer lock
-    /// and drain the queue as leader (serving everyone, ourselves
-    /// included) or wait as follower for a leader to fill our slot. A
-    /// follower re-arms with a short timeout so the one race — a leader
-    /// finishing its drain just before our job landed — resolves by us
-    /// becoming the next leader instead of waiting forever.
-    fn enqueue_write(&mut self, op: WriteOp) -> Response {
-        let slot = Arc::new(ReplySlot::default());
-        {
-            let mut q = self
-                .shared
-                .queue
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            q.push_back(WriteJob {
-                op,
-                done: WriteDone::Slot(Arc::clone(&slot)),
-            });
-        }
-        loop {
-            if let Some(r) = slot.try_take() {
-                return r;
-            }
-            match self.shared.writer.try_lock() {
-                Ok(mut guard) => {
-                    if let Some(r) = slot.try_take() {
-                        return r; // served between the check and the lock
-                    }
-                    match guard.as_mut() {
-                        Some(db) => drain_writes(&self.shared, db),
-                        None => fail_pending(&self.shared, &closed_writer()),
-                    }
-                }
-                Err(TryLockError::WouldBlock) => {
-                    if let Some(r) = slot.wait(Duration::from_millis(2)) {
-                        return r;
-                    }
-                }
-                Err(TryLockError::Poisoned(_)) => {
-                    // No leader can ever serve the queue again: fail every
-                    // pending job (ours included) rather than strand them.
-                    fail_pending(&self.shared, &poisoned_writer());
-                }
-            }
-        }
-    }
-
-    /// Runs `f` against the connection's current read session: the pinned
-    /// snapshot if one is held, else a follow-the-latest reader rebuilt
-    /// only when the published generation has moved.
-    fn read(
-        &mut self,
-        f: impl FnOnce(&mut SnapshotReader) -> Result<Response, DbError>,
-    ) -> Response {
-        self.shared.stats.reads.fetch_add(1, Ordering::Relaxed);
-        let reader = if let Some(pinned) = self.pinned.as_mut() {
-            pinned
-        } else {
-            let published = read_published(&self.shared);
-            let current = published.snapshot.generation();
-            let session = match self.latest.take() {
-                Some(r) if r.generation() == current => r,
-                _ => published.snapshot.reader(),
-            };
-            self.latest.insert(session)
-        };
-        match f(reader) {
-            Ok(resp) => resp,
-            Err(e) => Response::Error(wire_error(&e)),
-        }
-    }
-
-    fn stats(&mut self) -> Response {
-        let guard = self.shared.writer.lock().ok();
-        let db = guard.as_ref().and_then(|g| g.as_ref());
-        Response::Stats(Box::new(stats_reply(&self.shared, db)))
-    }
-
-    fn checkpoint(&mut self) -> Response {
-        let mut guard = match self.shared.writer.lock() {
-            Ok(g) => g,
-            Err(_) => return Response::Error(poisoned_writer()),
-        };
-        let Some(db) = guard.as_mut() else {
-            return Response::Error(closed_writer());
-        };
-        match db.checkpoint() {
-            Ok(()) => Response::Checkpointed(CheckpointReply {
-                lsn: db.snapshot_lsn(),
-            }),
-            Err(e) => Response::Error(wire_error(&e)),
-        }
-    }
-}
-
-// ----- the write leader -----------------------------------------------------
+// ----- the write path -------------------------------------------------------
 
 /// Builds the stats reply from the shared counters, plus the durable
 /// figures when the caller could reach the database (pass `None` when the
@@ -1270,10 +576,9 @@ fn apply_op<S: Storage>(db: &mut DurableDatabase<S>, op: &WriteOp) -> Result<(i6
 }
 
 /// Applies one write op under the (held) writer lock — the unbatched
-/// path shared by the thread-per-connection loop and the epoll writer
-/// thread. One journaled write, one snapshot publication, one shipped
-/// batch; no group sync and no batch accounting (the `write_batches`
-/// counter is a batched-path metric).
+/// path (`batch_writes` off). One journaled write, one snapshot
+/// publication, one shipped batch; no group sync and no batch accounting
+/// (the `write_batches` counter is a batched-path metric).
 fn write_one<S: Storage>(
     shared: &Shared<S>,
     db: &mut DurableDatabase<S>,
@@ -1313,8 +618,8 @@ fn write_one<S: Storage>(
     response
 }
 
-/// The leader loop: repeatedly empties the queue, slicing it into batches
-/// of consecutive pairwise-independent `Execute` statements. Statements
+/// Slices one accumulated run of writes into batches of consecutive
+/// pairwise-independent `Execute` statements and flushes each. Statements
 /// are *never reordered* — the footprint analysis only decides where one
 /// batch ends and the next begins, so coalescing is always semantically
 /// invisible; independence additionally guarantees that the intermediate
@@ -1322,25 +627,9 @@ fn write_one<S: Storage>(
 /// distinguish from a reordering of independent writes. Anything the
 /// analyzer cannot parse (or any non-`Execute` op, which changes the
 /// language itself) is a barrier that runs in a batch of its own.
-fn drain_writes<S: Storage>(shared: &Shared<S>, db: &mut DurableDatabase<S>) {
-    loop {
-        let jobs: Vec<WriteJob> = {
-            let mut q = shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
-            q.drain(..).collect()
-        };
-        if jobs.is_empty() {
-            return;
-        }
-        apply_batched(shared, db, jobs);
-    }
-}
-
-/// Slices one drained job list into conflict-free batches and flushes
-/// each — the shared core of the connection-thread leader above and the
-/// epoll writer thread.
 fn apply_batched<S: Storage>(shared: &Shared<S>, db: &mut DurableDatabase<S>, jobs: Vec<WriteJob>) {
-    // Fresh per drain: footprints only need to be comparable within
-    // one drain, and a long-lived analyzer would intern atoms forever.
+    // Fresh per run: footprints only need to be comparable within one
+    // run, and a long-lived analyzer would intern atoms forever.
     let mut analyzer = ConflictAnalyzer::default();
     let mut batch: Vec<WriteJob> = Vec::new();
     let mut feet: Vec<AccessSet> = Vec::new();
@@ -1414,10 +703,13 @@ fn flush_batch<S: Storage>(shared: &Shared<S>, db: &mut DurableDatabase<S>, batc
         if let Err(e) = db.sync() {
             let failure = wire_error(&e);
             for (done, result) in results {
-                done.fill(Response::Error(match result {
-                    Ok(_) => failure.clone(),
-                    Err(own) => wire_error(&own),
-                }));
+                done.fill(
+                    shared,
+                    Response::Error(match result {
+                        Ok(_) => failure.clone(),
+                        Err(own) => wire_error(&own),
+                    }),
+                );
             }
             // The records are still the writer's live (and WAL-appended)
             // state; followers track the live primary.
@@ -1444,10 +736,13 @@ fn flush_batch<S: Storage>(shared: &Shared<S>, db: &mut DurableDatabase<S>, batc
             .fetch_add(size as u64, Ordering::Relaxed);
     }
     for (done, result) in results {
-        done.fill(match result {
-            Ok(reply) => Response::Executed(reply),
-            Err(e) => Response::Error(wire_error(&e)),
-        });
+        done.fill(
+            shared,
+            match result {
+                Ok(reply) => Response::Executed(reply),
+                Err(e) => Response::Error(wire_error(&e)),
+            },
+        );
     }
     // One shipped batch per flushed batch, in commit order (the writer
     // lock is still held).
@@ -1478,18 +773,9 @@ fn ship<S: Storage>(shared: &Shared<S>, db: &mut DurableDatabase<S>) {
         .stats
         .records_shipped
         .fetch_add(shipped, Ordering::Relaxed);
-    // Under the reactor the subscriber channels are drained by the event
-    // loop, not by per-connection threads: poke it awake.
-    notify_shipped(shared);
-}
-
-/// Wakes the epoll reactor (if one is serving) so it pumps freshly
-/// shipped entries out to streaming connections.
-fn notify_shipped<S: Storage>(shared: &Shared<S>) {
-    let notify = shared.notify.lock().unwrap_or_else(PoisonError::into_inner);
-    if let Some(completions) = notify.as_ref() {
-        completions.post(TOKEN_NONE, 0, Done::Shipped);
-    }
+    // The subscriber channels are drained by the event loop: poke it
+    // awake so it pumps the entries out to streaming connections.
+    shared.completions.post(TOKEN_NONE, 0, Done::Shipped);
 }
 
 /// Splits a shipped batch into frame-sized chunks: entries are packed
@@ -1518,18 +804,6 @@ pub(crate) fn chunk_entries(entries: Vec<WalEntry>) -> Vec<Vec<WalEntry>> {
         chunks.push(chunk);
     }
     chunks
-}
-
-/// Fails every queued job with `err` — used when no leader can ever run
-/// again (database closed or writer state poisoned).
-fn fail_pending<S: Storage>(shared: &Shared<S>, err: &WireError) {
-    let jobs: Vec<WriteJob> = {
-        let mut q = shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
-        q.drain(..).collect()
-    };
-    for job in jobs {
-        job.done.fill(Response::Error(err.clone()));
-    }
 }
 
 // ----- transactions ----------------------------------------------------------
@@ -1567,9 +841,8 @@ fn lock_requests_for(op: &WriteOp) -> Vec<LockRequest> {
 
 /// Refuses a plain (non-transactional) write that would collide with
 /// locks held by an open transaction. Waiting is not an option here:
-/// plain writes are applied by whichever thread holds the writer lock,
-/// and on the epoll path that is the same thread that processes the
-/// commits that would release the locks.
+/// plain writes are applied by the writer thread, the same thread that
+/// processes the commits that would release the locks.
 fn plain_write_conflict<S: Storage>(shared: &Shared<S>, op: &WriteOp) -> Option<DbError> {
     if shared.locks.holders() == 0 {
         return None; // fast path: no transaction holds anything
@@ -1782,9 +1055,9 @@ fn rollback_orphans<S: Storage>(shared: &Shared<S>) {
     }
 }
 
-// ----- the epoll writer thread -----------------------------------------------
+// ----- the writer thread -----------------------------------------------------
 
-/// One unit of work for the epoll server's single writer thread.
+/// One unit of work for the server's single writer thread.
 enum WriterWork {
     /// A write bound for the conflict-aware batcher.
     Write(WriteJob),
@@ -1800,7 +1073,7 @@ enum WriterWork {
     /// reserved `txn_by_token` slot.
     TxnBegin { token: u64, seq: u64 },
     /// A statement inside an open transaction. The writer thread must
-    /// never condvar-wait on locks (it is the only thread that releases
+    /// never block on locks (it is the only thread that releases
     /// them), so a contended statement parks and retries until
     /// `deadline`, then aborts the transaction with a typed timeout.
     TxnStatement {
@@ -1882,16 +1155,13 @@ impl WriterChan {
     }
 }
 
-/// The epoll server's writer thread: consumes [`WriterWork`] runs,
+/// The server's writer thread: consumes [`WriterWork`] runs,
 /// flushing accumulated writes through the conflict-aware batcher and
 /// treating control ops as barriers. A panic while applying fails every
 /// sink in the run with a typed `Internal` error instead of wedging the
 /// connections awaiting completions.
-fn run_writer<S: Storage>(
-    shared: &Arc<Shared<S>>,
-    chan: &WriterChan,
-    completions: &Arc<Completions>,
-) {
+fn run_writer<S: Storage>(shared: &Arc<Shared<S>>, chan: &WriterChan) {
+    let completions = &shared.completions;
     // Contended transactional statements waiting for another
     // transaction's commit/rollback (processed by this same thread) to
     // release their locks.
@@ -1913,11 +1183,11 @@ fn run_writer<S: Storage>(
         // Retry parked statements first (their locks may have been
         // released by work in the previous run), then the new arrivals.
         let work: Vec<WriterWork> = parked.drain(..).chain(run).collect();
-        // Sinks pre-cloned so the panic path can still reach them.
+        // Sinks copied out so the panic path can still reach them.
         let sinks: Vec<WriteDone> = work
             .iter()
             .filter_map(|w| match w {
-                WriterWork::Write(job) => Some(job.done.clone()),
+                WriterWork::Write(job) => Some(job.done),
                 WriterWork::TxnAbandon { .. } => None,
                 WriterWork::Stats { token, seq }
                 | WriterWork::Checkpoint { token, seq }
@@ -1925,10 +1195,9 @@ fn run_writer<S: Storage>(
                 | WriterWork::TxnBegin { token, seq }
                 | WriterWork::TxnStatement { token, seq, .. }
                 | WriterWork::TxnCommit { token, seq, .. }
-                | WriterWork::TxnRollback { token, seq, .. } => Some(WriteDone::Reactor {
+                | WriterWork::TxnRollback { token, seq, .. } => Some(WriteDone {
                     token: *token,
                     seq: *seq,
-                    completions: Arc::clone(completions),
                 }),
             })
             .collect();
@@ -1948,11 +1217,11 @@ fn run_writer<S: Storage>(
                         // conflict gate sees the lock table the client
                         // observed when it pipelined the requests.
                         flush_writes(shared, std::mem::take(&mut pending));
-                        run_txn_work(shared, completions, txn, &mut still_parked);
+                        run_txn_work(shared, txn, &mut still_parked);
                     }
                     control => {
                         flush_writes(shared, std::mem::take(&mut pending));
-                        run_control(shared, completions, control);
+                        run_control(shared, control);
                     }
                 }
             }
@@ -1963,7 +1232,7 @@ fn run_writer<S: Storage>(
             Ok(still_parked) => parked = still_parked,
             Err(_) => {
                 for sink in sinks {
-                    sink.fill(Response::Error(poisoned_writer()));
+                    sink.fill(shared, Response::Error(poisoned_writer()));
                 }
             }
         }
@@ -1977,14 +1246,14 @@ fn run_writer<S: Storage>(
 }
 
 /// One transactional op on the writer thread. This thread is the only
-/// one that releases reactor-side locks, so acquisition here is strictly
+/// one that releases locks, so acquisition here is strictly
 /// non-blocking: contended statements go back to `parked`.
 fn run_txn_work<S: Storage>(
     shared: &Arc<Shared<S>>,
-    completions: &Arc<Completions>,
     work: WriterWork,
     parked: &mut Vec<WriterWork>,
 ) {
+    let completions = &shared.completions;
     match work {
         WriterWork::TxnBegin { token, seq } => {
             let resp = txn_begin_shared(shared);
@@ -2133,7 +1402,7 @@ fn flush_writes<S: Storage>(shared: &Arc<Shared<S>>, jobs: Vec<WriteJob>) {
         Ok(g) => g,
         Err(_) => {
             for job in jobs {
-                job.done.fill(Response::Error(poisoned_writer()));
+                job.done.fill(shared, Response::Error(poisoned_writer()));
             }
             return;
         }
@@ -2141,7 +1410,7 @@ fn flush_writes<S: Storage>(shared: &Arc<Shared<S>>, jobs: Vec<WriteJob>) {
     let Some(db) = guard.as_mut() else {
         drop(guard);
         for job in jobs {
-            job.done.fill(Response::Error(closed_writer()));
+            job.done.fill(shared, Response::Error(closed_writer()));
         }
         return;
     };
@@ -2150,18 +1419,15 @@ fn flush_writes<S: Storage>(shared: &Arc<Shared<S>>, jobs: Vec<WriteJob>) {
     } else {
         for job in jobs {
             let resp = write_one(shared, db, &job.op);
-            job.done.fill(resp);
+            job.done.fill(shared, resp);
         }
     }
 }
 
 /// One control op on the writer thread; the reply goes back to the
 /// reactor as a completion.
-fn run_control<S: Storage>(
-    shared: &Arc<Shared<S>>,
-    completions: &Arc<Completions>,
-    work: WriterWork,
-) {
+fn run_control<S: Storage>(shared: &Arc<Shared<S>>, work: WriterWork) {
+    let completions = &shared.completions;
     match work {
         // Writes and transaction work are routed by the caller.
         WriterWork::Write(_)
@@ -2254,7 +1520,6 @@ fn subscription_start<S: Storage>(
 struct PrimaryRole<S: Storage> {
     shared: Arc<Shared<S>>,
     chan: Arc<WriterChan>,
-    completions: Arc<Completions>,
 }
 
 impl<S: Storage> PrimaryRole<S> {
@@ -2285,11 +1550,7 @@ impl<S: Storage> PrimaryRole<S> {
         }
         self.chan.push(WriterWork::Write(WriteJob {
             op,
-            done: WriteDone::Reactor {
-                token,
-                seq,
-                completions: Arc::clone(&self.completions),
-            },
+            done: WriteDone { token, seq },
         }));
         RoleAction::Deferred
     }
@@ -2599,7 +1860,7 @@ mod tests {
     use winslett_core::wal::MemStorage;
 
     /// A `Shared` with an open in-memory database, no listener attached —
-    /// enough to drive the leader's drain loop directly.
+    /// enough to drive the writer thread's flush path directly.
     fn shared_with_db(relations: &[(&str, usize)]) -> Arc<Shared<MemStorage>> {
         let (mut db, _report) = DurableDatabase::open(
             MemStorage::new(),
@@ -2619,33 +1880,46 @@ mod tests {
                 updates_applied: 0,
                 last_lsn,
             })),
-            queue: Mutex::new(VecDeque::new()),
             subscribers: Mutex::new(Vec::new()),
             stats: Arc::new(ServerStats::default()),
             shutdown: Arc::new(AtomicBool::new(false)),
             active: Arc::new(AtomicUsize::new(0)),
             options: ServerOptions::default(),
             addr: "127.0.0.1:0".parse().expect("addr"),
-            notify: Mutex::new(None),
+            completions: Completions::new().expect("completions"),
             retained: Mutex::new(Vec::new()),
             locks: LockTable::new(),
             txn_by_token: Mutex::new(HashMap::new()),
         })
     }
 
-    fn enqueue(shared: &Shared<MemStorage>, op: WriteOp) -> Arc<ReplySlot> {
-        let slot = Arc::new(ReplySlot::default());
-        shared.queue.lock().expect("queue").push_back(WriteJob {
-            op,
-            done: WriteDone::Slot(Arc::clone(&slot)),
-        });
-        slot
+    /// Runs `ops` through the writer thread's flush path as one
+    /// accumulated run (one connection token per op) and returns the
+    /// replies in op order, read back from the completion queue.
+    fn flush(shared: &Arc<Shared<MemStorage>>, ops: Vec<WriteOp>) -> Vec<Response> {
+        let jobs = (1..)
+            .zip(ops)
+            .map(|(token, op)| WriteJob {
+                op,
+                done: WriteDone { token, seq: 0 },
+            })
+            .collect();
+        flush_writes(shared, jobs);
+        let mut replies: Vec<(u64, Response)> = shared
+            .completions
+            .drain()
+            .into_iter()
+            .filter_map(|c| match c.done {
+                Done::Resp(r) => Some((c.token, r)),
+                _ => None, // shipping wake-ups
+            })
+            .collect();
+        replies.sort_by_key(|(token, _)| *token);
+        replies.into_iter().map(|(_, r)| r).collect()
     }
 
-    fn drain(shared: &Shared<MemStorage>) {
-        let mut guard = shared.writer.lock().expect("writer");
-        let db = guard.as_mut().expect("db");
-        drain_writes(shared, db);
+    fn execute(src: &str) -> WriteOp {
+        WriteOp::Execute(src.into())
     }
 
     #[test]
@@ -2660,11 +1934,9 @@ mod tests {
 
         // Two separate publications: the middle generation has no holder
         // and must be released the moment it is superseded.
-        enqueue(&shared, WriteOp::Execute("INSERT R(a) WHERE T".into()));
-        drain(&shared);
+        flush(&shared, vec![execute("INSERT R(a) WHERE T")]);
         let weak_mid = read_published(&shared).snapshot.theory_weak();
-        enqueue(&shared, WriteOp::Execute("INSERT R(b) WHERE T".into()));
-        drain(&shared);
+        flush(&shared, vec![execute("INSERT R(b) WHERE T")]);
 
         assert_eq!(
             weak_mid.strong_count(),
@@ -2684,17 +1956,13 @@ mod tests {
     #[test]
     fn compactor_round_swaps_invisibly_and_republishes() {
         let shared = shared_with_db(&[("R", 1), ("S", 1)]);
-        let slots: Vec<_> = (0..6)
-            .map(|i| {
-                enqueue(
-                    &shared,
-                    WriteOp::Execute(format!("INSERT R(a{i}) | S(b{i}) WHERE T")),
-                )
-            })
+        let ops = (0..6)
+            .map(|i| execute(&format!("INSERT R(a{i}) | S(b{i}) WHERE T")))
             .collect();
-        drain(&shared);
-        for slot in &slots {
-            assert!(matches!(slot.try_take(), Some(Response::Executed(_))));
+        let replies = flush(&shared, ops);
+        assert_eq!(replies.len(), 6);
+        for reply in &replies {
+            assert!(matches!(reply, Response::Executed(_)), "{reply:?}");
         }
         let before = read_published(&shared);
         let before_gen = before.snapshot.generation();
@@ -2732,16 +2000,14 @@ mod tests {
     #[test]
     fn independent_writes_coalesce_into_one_publication() {
         let shared = shared_with_db(&[("R", 1)]);
-        let slots: Vec<_> = ["a", "b", "c"]
+        let ops = ["a", "b", "c"]
             .iter()
-            .map(|c| enqueue(&shared, WriteOp::Execute(format!("INSERT R({c}) WHERE T"))))
+            .map(|c| execute(&format!("INSERT R({c}) WHERE T")))
             .collect();
-        drain(&shared);
-        for slot in &slots {
-            match slot.try_take() {
-                Some(Response::Executed(_)) => {}
-                other => panic!("expected Executed, got {other:?}"),
-            }
+        let replies = flush(&shared, ops);
+        assert_eq!(replies.len(), 3);
+        for reply in &replies {
+            assert!(matches!(reply, Response::Executed(_)), "{reply:?}");
         }
         let stats = &shared.stats;
         assert_eq!(stats.write_batches.load(Ordering::Relaxed), 1);
@@ -2761,13 +2027,19 @@ mod tests {
     #[test]
     fn conflicting_writes_split_batches() {
         let shared = shared_with_db(&[("R", 1)]);
-        // s2 reads R(a), which s1 writes: order-sensitive pair, so the
-        // leader must publish between them.
-        let s1 = enqueue(&shared, WriteOp::Execute("INSERT R(a) WHERE T".into()));
-        let s2 = enqueue(&shared, WriteOp::Execute("INSERT R(b) WHERE R(a)".into()));
-        drain(&shared);
-        assert!(matches!(s1.try_take(), Some(Response::Executed(_))));
-        assert!(matches!(s2.try_take(), Some(Response::Executed(_))));
+        // The second statement reads R(a), which the first writes:
+        // order-sensitive pair, so the writer must publish between them.
+        let replies = flush(
+            &shared,
+            vec![
+                execute("INSERT R(a) WHERE T"),
+                execute("INSERT R(b) WHERE R(a)"),
+            ],
+        );
+        assert!(matches!(
+            replies[..],
+            [Response::Executed(_), Response::Executed(_)]
+        ));
         let stats = &shared.stats;
         assert_eq!(stats.write_batches.load(Ordering::Relaxed), 2);
         assert_eq!(stats.coalesced_writes.load(Ordering::Relaxed), 0);
@@ -2778,18 +2050,22 @@ mod tests {
     fn barriers_and_errors_flush_correctly() {
         let shared = shared_with_db(&[("R", 1)]);
         // Independent, barrier (declare), independent again, one bad op.
-        let w1 = enqueue(&shared, WriteOp::Execute("INSERT R(a) WHERE T".into()));
-        let w2 = enqueue(&shared, WriteOp::Execute("INSERT R(b) WHERE T".into()));
-        let barrier = enqueue(&shared, WriteOp::DeclareRelation("S".into(), 1));
-        let w3 = enqueue(&shared, WriteOp::Execute("INSERT S(x) WHERE T".into()));
-        let bad = enqueue(&shared, WriteOp::Execute("INSERT nonsense((".into()));
-        drain(&shared);
-        assert!(matches!(w1.try_take(), Some(Response::Executed(_))));
-        assert!(matches!(w2.try_take(), Some(Response::Executed(_))));
-        assert!(matches!(barrier.try_take(), Some(Response::Executed(_))));
-        assert!(matches!(w3.try_take(), Some(Response::Executed(_))));
-        match bad.try_take() {
-            Some(Response::Error(e)) => assert_eq!(e.kind, ErrorKindWire::Parse),
+        let replies = flush(
+            &shared,
+            vec![
+                execute("INSERT R(a) WHERE T"),
+                execute("INSERT R(b) WHERE T"),
+                WriteOp::DeclareRelation("S".into(), 1),
+                execute("INSERT S(x) WHERE T"),
+                execute("INSERT nonsense(("),
+            ],
+        );
+        assert_eq!(replies.len(), 5);
+        for reply in &replies[..4] {
+            assert!(matches!(reply, Response::Executed(_)), "{reply:?}");
+        }
+        match &replies[4] {
+            Response::Error(e) => assert_eq!(e.kind, ErrorKindWire::Parse),
             other => panic!("expected parse error, got {other:?}"),
         }
         // Batches: [w1, w2], [declare], [w3], [bad]. The bad batch
@@ -2813,10 +2089,11 @@ mod tests {
         drop(dead_rx);
         shared.subscribers.lock().unwrap().push(tx);
         shared.subscribers.lock().unwrap().push(dead_tx);
-        for c in ["a", "b"] {
-            enqueue(&shared, WriteOp::Execute(format!("INSERT R({c}) WHERE T")));
-        }
-        drain(&shared);
+        let ops = ["a", "b"]
+            .iter()
+            .map(|c| execute(&format!("INSERT R({c}) WHERE T")))
+            .collect();
+        flush(&shared, ops);
         let batch = rx.try_recv().expect("one shipped batch");
         assert_eq!(batch.len(), 2, "both applies ship in one batch");
         assert!(
@@ -2828,16 +2105,14 @@ mod tests {
         // Both entries went to both subscribers before the prune.
         assert_eq!(shared.stats.records_shipped.load(Ordering::Relaxed), 4);
         // A refused op leaves nothing in the shipping tail.
-        enqueue(&shared, WriteOp::Execute("INSERT nonsense((".into()));
-        drain(&shared);
+        flush(&shared, vec![execute("INSERT nonsense((")]);
         assert!(rx.try_recv().is_err(), "refused op ships nothing");
     }
 
     #[test]
     fn shutdown_between_compaction_phases_abandons_the_swap() {
         let shared = shared_with_db(&[("R", 1)]);
-        enqueue(&shared, WriteOp::Execute("INSERT R(a) WHERE T".into()));
-        drain(&shared);
+        flush(&shared, vec![execute("INSERT R(a) WHERE T")]);
         let before = read_published(&shared).snapshot.generation();
         // Shutdown lands while phase 2 runs off-lock; the gate in phase 3
         // must abandon the round instead of installing over the drain.
@@ -2853,9 +2128,8 @@ mod tests {
         );
         // The live database is untouched and still writable.
         shared.shutdown.store(false, Ordering::SeqCst);
-        let slot = enqueue(&shared, WriteOp::Execute("INSERT R(b) WHERE T".into()));
-        drain(&shared);
-        assert!(matches!(slot.try_take(), Some(Response::Executed(_))));
+        let replies = flush(&shared, vec![execute("INSERT R(b) WHERE T")]);
+        assert!(matches!(replies[..], [Response::Executed(_)]));
     }
 
     #[test]

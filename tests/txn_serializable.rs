@@ -49,7 +49,7 @@ const POOL: &[&str] = &[
 /// writer asks to commit (it may still abort on a lock timeout).
 type TxnScript = (Vec<usize>, bool);
 
-fn boot(threaded: bool) -> (JoinHandle<Result<MemStorage, DbError>>, SocketAddr) {
+fn boot() -> (JoinHandle<Result<MemStorage, DbError>>, SocketAddr) {
     let (server, _report) = Server::bind(
         ("127.0.0.1", 0),
         MemStorage::new(),
@@ -61,7 +61,6 @@ fn boot(threaded: bool) -> (JoinHandle<Result<MemStorage, DbError>>, SocketAddr)
         ServerOptions {
             max_connections: 32,
             idle_timeout: Duration::from_secs(10),
-            threaded,
             // Short enough that adversarial interleavings (mutual waits)
             // resolve quickly; timed-out transactions simply abort.
             lock_timeout: Duration::from_millis(500),
@@ -130,8 +129,8 @@ fn run_writer(addr: SocketAddr, scripts: Vec<TxnScript>) -> Vec<(u64, Vec<usize>
 /// The serializability check: interleave the scripts from concurrent
 /// connections, then compare the reopened post-shutdown database against
 /// the §4 replay of exactly the committed transactions in commit order.
-fn run_scenario(writer_scripts: Vec<Vec<TxnScript>>, threaded: bool) {
-    let (running, addr) = boot(threaded);
+fn run_scenario(writer_scripts: Vec<Vec<TxnScript>>) {
+    let (running, addr) = boot();
     let mut setup = Client::connect(addr).expect("connect setup");
     setup.declare_relation("R", 1).expect("declare R");
     setup.declare_relation("S", 1).expect("declare S");
@@ -178,25 +177,11 @@ fn run_scenario(writer_scripts: Vec<Vec<TxnScript>>, threaded: bool) {
 fn interleaved_txns_serialize_in_commit_order() {
     // A deterministic adversarial scenario: heavy overlap on R(1)/S(1)
     // footprints plus a rollback and an uncontended transaction.
-    run_scenario(
-        vec![
-            vec![(vec![0, 4], true), (vec![2], true)],
-            vec![(vec![1, 3], true), (vec![0, 6], false)],
-            vec![(vec![5], true), (vec![4, 2], true)],
-        ],
-        false,
-    );
-}
-
-#[test]
-fn interleaved_txns_serialize_in_commit_order_threaded() {
-    run_scenario(
-        vec![
-            vec![(vec![0, 4], true), (vec![1], false)],
-            vec![(vec![3, 5], true), (vec![2, 6], true)],
-        ],
-        true,
-    );
+    run_scenario(vec![
+        vec![(vec![0, 4], true), (vec![2], true)],
+        vec![(vec![1, 3], true), (vec![0, 6], false)],
+        vec![(vec![5], true), (vec![4, 2], true)],
+    ]);
 }
 
 proptest! {
@@ -215,7 +200,7 @@ proptest! {
             2..4,
         ),
     ) {
-        run_scenario(scripts, false);
+        run_scenario(scripts);
     }
 }
 

@@ -7,17 +7,14 @@
 //! §2 update footprints (Theorem 4: commutative) run concurrently;
 //! conflicting ones block on the lock table and give up with a typed
 //! `TxnTimeout` at the deadlock-avoidance deadline. Every scenario runs
-//! against both I/O cores — the epoll reactor and the classic blocking
-//! thread-per-connection loop — which route transactions through
-//! different concurrency machinery (parked writer retries vs blocking
-//! condvar waits).
+//! against the epoll reactor, whose writer thread parks contended
+//! statements and retries them until their deadline.
 
 use std::time::Duration;
 use winslett_core::{DbOptions, DurableDatabase, MemStorage, SyncPolicy, WalOptions};
 use winslett_serve::{Client, ClientError, ErrorKindWire, Server, ServerHandle, ServerOptions};
 
 fn boot(
-    threaded: bool,
     lock_timeout: Duration,
 ) -> (
     std::thread::JoinHandle<Result<MemStorage, winslett_core::DbError>>,
@@ -36,7 +33,6 @@ fn boot(
             max_connections: 16,
             idle_timeout: Duration::from_secs(10),
             compaction: None,
-            threaded,
             lock_timeout,
             ..ServerOptions::default()
         },
@@ -67,8 +63,8 @@ fn assert_never_seen(client: &mut Client, wff: &str) {
 
 // ----- atomicity and isolation ----------------------------------------------
 
-fn atomic_commit_and_rollback(threaded: bool) {
-    let (running, _handle, addr) = boot(threaded, Duration::from_secs(2));
+fn atomic_commit_and_rollback() {
+    let (running, _handle, addr) = boot(Duration::from_secs(2));
     let mut txn_conn = Client::connect(addr).expect("connect");
     let mut observer = Client::connect(addr).expect("connect observer");
     txn_conn.declare_relation("R", 1).expect("declare R");
@@ -143,18 +139,13 @@ fn atomic_commit_and_rollback(threaded: bool) {
 
 #[test]
 fn txn_atomic_commit_and_rollback_reactor() {
-    atomic_commit_and_rollback(false);
-}
-
-#[test]
-fn txn_atomic_commit_and_rollback_threaded() {
-    atomic_commit_and_rollback(true);
+    atomic_commit_and_rollback();
 }
 
 // ----- concurrency control ---------------------------------------------------
 
-fn conflicting_txns_time_out(threaded: bool) {
-    let (running, _handle, addr) = boot(threaded, Duration::from_millis(150));
+fn conflicting_txns_time_out() {
+    let (running, _handle, addr) = boot(Duration::from_millis(150));
     let mut a = Client::connect(addr).expect("connect a");
     let mut b = Client::connect(addr).expect("connect b");
     let mut plain = Client::connect(addr).expect("connect plain");
@@ -211,16 +202,11 @@ fn conflicting_txns_time_out(threaded: bool) {
 
 #[test]
 fn conflicting_txns_time_out_reactor() {
-    conflicting_txns_time_out(false);
+    conflicting_txns_time_out();
 }
 
-#[test]
-fn conflicting_txns_time_out_threaded() {
-    conflicting_txns_time_out(true);
-}
-
-fn disjoint_txns_run_concurrently(threaded: bool) {
-    let (running, _handle, addr) = boot(threaded, Duration::from_secs(2));
+fn disjoint_txns_run_concurrently() {
+    let (running, _handle, addr) = boot(Duration::from_secs(2));
     let mut setup = Client::connect(addr).expect("connect setup");
     setup.declare_relation("R", 1).expect("declare R");
     setup.declare_relation("S", 1).expect("declare S");
@@ -249,12 +235,7 @@ fn disjoint_txns_run_concurrently(threaded: bool) {
 
 #[test]
 fn disjoint_txns_run_concurrently_reactor() {
-    disjoint_txns_run_concurrently(false);
-}
-
-#[test]
-fn disjoint_txns_run_concurrently_threaded() {
-    disjoint_txns_run_concurrently(true);
+    disjoint_txns_run_concurrently();
 }
 
 // ----- abort paths -----------------------------------------------------------
@@ -262,8 +243,8 @@ fn disjoint_txns_run_concurrently_threaded() {
 /// A connection that disappears mid-transaction (client crash) must not
 /// leave its locks behind: the teardown rolls the transaction back and a
 /// new transaction on the same footprint proceeds immediately.
-fn dropped_connection_releases_locks(threaded: bool) {
-    let (running, _handle, addr) = boot(threaded, Duration::from_secs(5));
+fn dropped_connection_releases_locks() {
+    let (running, _handle, addr) = boot(Duration::from_secs(5));
     let mut setup = Client::connect(addr).expect("connect setup");
     setup.declare_relation("R", 1).expect("declare R");
 
@@ -314,20 +295,15 @@ fn dropped_connection_releases_locks(threaded: bool) {
 
 #[test]
 fn dropped_connection_releases_locks_reactor() {
-    dropped_connection_releases_locks(false);
-}
-
-#[test]
-fn dropped_connection_releases_locks_threaded() {
-    dropped_connection_releases_locks(true);
+    dropped_connection_releases_locks();
 }
 
 /// Satellite regression: the drain (protocol `Shutdown` or SIGTERM →
 /// `request_shutdown`) aborts in-flight transactions with a typed
 /// refusal, releases their locks, and the WAL the server leaves behind
 /// carries the compensating abort — recovery resurrects nothing.
-fn drain_aborts_open_transactions(threaded: bool) {
-    let (running, handle, addr) = boot(threaded, Duration::from_secs(2));
+fn drain_aborts_open_transactions() {
+    let (running, handle, addr) = boot(Duration::from_secs(2));
     let mut txn_conn = Client::connect(addr).expect("connect");
     txn_conn.declare_relation("R", 1).expect("declare R");
     txn_conn.execute("INSERT R(7) WHERE T").expect("seed");
@@ -379,10 +355,5 @@ fn drain_aborts_open_transactions(threaded: bool) {
 
 #[test]
 fn drain_aborts_open_transactions_reactor() {
-    drain_aborts_open_transactions(false);
-}
-
-#[test]
-fn drain_aborts_open_transactions_threaded() {
-    drain_aborts_open_transactions(true);
+    drain_aborts_open_transactions();
 }
