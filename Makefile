@@ -1,16 +1,16 @@
 # Development pipeline. `make ci` is the gate: format check, clippy with
-# warnings denied, a release build, the test suite (plus the unit tests
-# of the core and server crates), the WAL
-# fault-injection suite, the ldml-lint self-check over the example
+# warnings denied, a release build, a release build of the end-to-end
+# benchmark, every workspace crate's tests except the bench crate's, the
+# WAL fault-injection suite, the ldml-lint self-check over the example
 # scripts, the bench smoke run (which validates the BENCH_*.json
 # shapes), and the server smoke run (a scripted client session against
 # an in-process winslett-serve instance).
 
 CARGO ?= cargo
 
-.PHONY: ci fmt fmt-check clippy build test faults lint lint-conflicts bench-smoke serve-smoke compaction-smoke replication-smoke connections-smoke txn-smoke
+.PHONY: ci fmt fmt-check clippy build perfbench-build test faults lint lint-conflicts bench-smoke serve-smoke compaction-smoke replication-smoke connections-smoke txn-smoke
 
-ci: fmt-check clippy build test faults lint lint-conflicts bench-smoke compaction-smoke replication-smoke connections-smoke txn-smoke serve-smoke
+ci: fmt-check clippy build perfbench-build test faults lint lint-conflicts bench-smoke compaction-smoke replication-smoke connections-smoke txn-smoke serve-smoke
 	@echo "ci: all checks passed"
 
 fmt:
@@ -29,12 +29,18 @@ clippy:
 build:
 	$(CARGO) build --release
 
-# `cargo test` alone runs only the root package; the second line runs
-# the unit tests inside crates/core (WAL, transactions) and
-# crates/server (writer thread, reactor, replica).
+# The end-to-end benchmark (BENCHMARK.json) is a package of its own,
+# outside the workspace, built from the core and server crates' source:
+# building it here makes an API change that breaks it fail CI.
+perfbench-build:
+	$(CARGO) build --release --offline --manifest-path perfbench/Cargo.toml
+
+# `cargo test` alone runs only the root package; this runs the unit,
+# integration and doc tests of every workspace crate and vendor shim.
+# The bench crate stays out: its txn_bench round-trip test asserts a
+# throughput ratio that is flaky on 2-vCPU hosts.
 test:
-	$(CARGO) test -q
-	$(CARGO) test -q -p winslett-core -p winslett-serve
+	$(CARGO) test -q --workspace --exclude winslett-bench
 
 # Exhaustive crash sweep: kills WAL writes at every byte boundary and
 # checks recovery lands on a legal prefix state. Release mode — the

@@ -31,7 +31,7 @@ use std::time::{Duration, Instant};
 use winslett_core::wal::{SNAPSHOT_FILE, WAL_FILE};
 use winslett_core::{
     replay_record, restore_theory, Catchup, DbError, DbOptions, DurableDatabase, FailpointStorage,
-    LogicalDatabase, MemStorage, Storage, SyncPolicy, WalOptions,
+    LogicalDatabase, MemStorage, Settled, Storage, SyncPolicy, TxnSettle, WalOptions,
 };
 use winslett_serve::{Client, Replica, ReplicaOptions, Server, ServerOptions};
 
@@ -389,7 +389,8 @@ fn world_set(db: &LogicalDatabase) -> std::collections::BTreeSet<Vec<String>> {
     db.world_names().expect("worlds").into_iter().collect()
 }
 
-/// Rebuilds a follower database from a primary's catch-up material.
+/// Rebuilds a follower database from a primary's catch-up material,
+/// replaying what the settle rule releases.
 fn follower_from_catchup(catchup: Catchup) -> LogicalDatabase {
     let (mut db, entries) = match catchup {
         Catchup::Suffix(entries) => (LogicalDatabase::new(), entries),
@@ -401,8 +402,13 @@ fn follower_from_catchup(catchup: Catchup) -> LogicalDatabase {
             )
         }
     };
+    let mut settle = TxnSettle::default();
     for entry in entries {
-        replay_record(&mut db, &entry.record).expect("catch-up record replays");
+        if let Settled::Release(records) = settle.feed(entry) {
+            for e in records {
+                replay_record(&mut db, &e.record).expect("catch-up record replays");
+            }
+        }
     }
     db
 }

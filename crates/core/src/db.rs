@@ -114,6 +114,14 @@ impl LogicalDatabase {
         self.options
     }
 
+    /// Changes the simplification level in place, without rebuilding the
+    /// GUA engine (recovery replays at `None`, then switches to the live
+    /// level).
+    pub(crate) fn set_simplify_level(&mut self, level: SimplifyLevel) {
+        self.options.simplify = level;
+        self.engine.set_simplify_level(level);
+    }
+
     /// The update log so far.
     pub fn log(&self) -> &[Update] {
         &self.log

@@ -42,7 +42,7 @@ pub use txn::{LockMode, LockRequest, LockTable, GLOBAL_KEY};
 pub use vars::{PatternWff, VarAtom, VarStatement, VarTerm, VarUpdate};
 pub use wal::{
     replay_record, Catchup, CompactionOutcome, DirStorage, DurableDatabase, FailpointStorage,
-    MemStorage, RecoveryReport, Storage, SyncPolicy, WalEntry, WalOptions, WalRecord, WalSnapshot,
-    WalStats, MAX_RECORD_LEN,
+    MemStorage, RecoveryReport, Settled, Storage, SyncPolicy, TxnSettle, WalEntry, WalOptions,
+    WalRecord, WalSnapshot, WalStats, MAX_RECORD_LEN,
 };
 pub use workload::Workload;

@@ -7,13 +7,14 @@
 //! change) is journaled — length-prefixed, CRC32-checksummed, versioned —
 //! **before** GUA applies it, so that after a crash the database state can
 //! be reconstructed by loading the latest [`TheoryDump`] snapshot and
-//! replaying the WAL suffix through the same replay path
-//! [`ReplayDatabase`](crate::ReplayDatabase) uses
-//! ([`replay_updates`]). Recovery truncates at the first torn or corrupt
-//! record, which gives the atomicity guarantee the fault-injection tests
-//! enforce: whatever byte a crash lands on, the recovered theory's
-//! alternative-world set equals the world set after some *prefix* of the
-//! acknowledged operations — never a third state.
+//! replaying the WAL suffix. [`TxnSettle`] decides which records take
+//! effect and in what order, and [`replay_record`] applies each one in
+//! place; recovery, the compaction swap, transaction workspaces and
+//! replicas all replay through this pair. Recovery truncates at the first
+//! torn or corrupt record, which gives the atomicity guarantee the
+//! fault-injection tests enforce: whatever byte a crash lands on, the
+//! recovered theory's alternative-world set equals the world set after
+//! some *prefix* of the acknowledged operations — never a third state.
 //!
 //! Layout on storage (two named files behind the [`Storage`] trait):
 //!
@@ -36,13 +37,12 @@
 use crate::db::{DbOptions, LogicalDatabase};
 use crate::error::DbError;
 use crate::persist::{self, DependencyDump, TheoryDump};
-use crate::replay::replay_updates;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 use std::collections::HashMap;
 use std::collections::HashSet;
 use std::collections::VecDeque;
-use winslett_gua::{SimplifyReport, UpdateReport};
+use winslett_gua::{SimplifyLevel, SimplifyReport, UpdateReport};
 use winslett_ldml::Update;
 use winslett_logic::{display_wff, parse_wff, AtomId, Formula, ParseContext, PredId, Wff};
 use winslett_theory::{Dependency, Theory};
@@ -430,13 +430,13 @@ pub enum WalRecord {
     /// for a transaction left unfinished by a crash.
     TxnAbort(u64),
     /// One operation journaled inside an open transaction, as
-    /// `(owning txn id, operation)` — an intent that recovery and
-    /// followers must buffer until the transaction's commit marker
-    /// arrives. Replaying a committed transaction's ops at their journal
-    /// positions (rather than at the commit point) is correct because
-    /// the lock table guarantees everything interleaved between them is
-    /// footprint-disjoint, hence commutative with them (Theorems 3/4).
-    /// The inner record is never itself a txn record.
+    /// `(owning txn id, operation)` — an intent that replay holds until
+    /// the transaction's commit marker and then applies, in journal
+    /// order, at the commit point ([`TxnSettle`]). That is where the live
+    /// database installs the transaction; the lock table makes everything
+    /// journaled between an intent and its commit footprint-disjoint from
+    /// it, hence commutative with it (Theorems 3/4). The inner record is
+    /// never itself a txn record.
     TxnOp(u64, Box<WalRecord>),
 }
 
@@ -492,80 +492,72 @@ fn effective_entries(entries: Vec<WalEntry>) -> Vec<WalEntry> {
         .collect()
 }
 
-/// How the outcome markers in a run of WAL entries settle each record —
-/// the one rule recovery and the compaction swap replay by. An
-/// [`WalRecord::Abort`] annuls the record at its target LSN, and a
-/// transaction's [`WalRecord::TxnOp`] intents take effect only if its
-/// [`WalRecord::TxnCommit`] marker is in the run.
-struct Outcomes {
-    /// LSNs annulled by an `Abort` record.
-    annulled: HashSet<u64>,
-    /// Transactions whose commit marker is in the run.
-    committed: HashSet<u64>,
-    /// Transactions whose abort marker is in the run.
-    aborted: HashSet<u64>,
-    /// Transactions with a begin marker or an intent in the run.
-    begun: BTreeSet<u64>,
+/// The one rule for which records of an effective log take effect, and
+/// in what order — shared by recovery, the compaction swap, replicas and
+/// catch-up followers. Fed the entries of an effective log
+/// ([`effective_entries`]: no `Abort` records, nothing they annul) in
+/// log order, it releases a plain record at once and holds a
+/// transaction's [`WalRecord::TxnOp`] intents until its
+/// [`WalRecord::TxnCommit`], where it releases them in journal order
+/// under their own LSNs — the point where the live database installs
+/// the transaction. A [`WalRecord::TxnAbort`] drops them. A streaming
+/// consumer keeps one instance across batches.
+#[derive(Debug, Default)]
+pub struct TxnSettle {
+    /// Unsettled transactions by id (= begin LSN), with their held
+    /// intents. `None` marks a transaction known only from intents whose
+    /// begin was never fed: its commit is reported, never released, so
+    /// those intents are not kept.
+    open: BTreeMap<u64, Option<Vec<WalEntry>>>,
 }
 
-impl Outcomes {
-    fn resolve(entries: &[WalEntry]) -> Self {
-        let mut outcomes = Outcomes {
-            annulled: HashSet::new(),
-            committed: HashSet::new(),
-            aborted: HashSet::new(),
-            begun: BTreeSet::new(),
-        };
-        for entry in entries {
-            match &entry.record {
-                WalRecord::Abort(lsn) => {
-                    outcomes.annulled.insert(*lsn);
-                }
-                WalRecord::TxnBegin(t) | WalRecord::TxnOp(t, _) => {
-                    outcomes.begun.insert(*t);
-                }
-                WalRecord::TxnCommit(t) => {
-                    outcomes.committed.insert(*t);
-                }
-                WalRecord::TxnAbort(t) => {
-                    outcomes.aborted.insert(*t);
-                }
-                _ => {}
+/// What feeding one entry to a [`TxnSettle`] settled.
+#[derive(Debug, PartialEq)]
+pub enum Settled {
+    /// Records that take effect now, in replay order, each under its own
+    /// LSN: a plain record alone, or a committed transaction's intents
+    /// (their inner operations).
+    Release(Vec<WalEntry>),
+    /// Nothing takes effect: a begin marker, a held intent, or an abort.
+    Hold,
+    /// A commit marker for a transaction whose begin was never fed. Its
+    /// intents are dropped; the caller decides whether that is an error.
+    OrphanCommit(u64),
+}
+
+impl TxnSettle {
+    /// Settles one entry.
+    pub fn feed(&mut self, entry: WalEntry) -> Settled {
+        match entry.record {
+            WalRecord::TxnBegin(t) => {
+                self.open.insert(t, Some(Vec::new()));
+                Settled::Hold
             }
-        }
-        outcomes
-    }
-
-    /// What `entry` replays as: its own operation, or a committed
-    /// intent's inner operation. `None` for records before `from_lsn`
-    /// (already folded into the base the replay starts from), annulled
-    /// records, uncommitted intents, and the markers themselves.
-    /// Committed intents replay at their journal position: the lock
-    /// table made everything interleaved with them footprint-disjoint,
-    /// so this equals replaying them at the commit point (Theorems 3/4).
-    fn effective<'e>(&self, entry: &'e WalEntry, from_lsn: u64) -> Option<&'e WalRecord> {
-        if entry.lsn < from_lsn || self.annulled.contains(&entry.lsn) {
-            return None;
-        }
-        match &entry.record {
-            WalRecord::TxnOp(txn, op) if self.committed.contains(txn) => Some(op),
-            WalRecord::Abort(_)
-            | WalRecord::TxnOp(..)
-            | WalRecord::TxnBegin(_)
-            | WalRecord::TxnCommit(_)
-            | WalRecord::TxnAbort(_) => None,
-            other => Some(other),
+            WalRecord::TxnOp(t, op) => {
+                if let Some(intents) = self.open.entry(t).or_insert(None) {
+                    intents.push(WalEntry {
+                        lsn: entry.lsn,
+                        record: *op,
+                    });
+                }
+                Settled::Hold
+            }
+            WalRecord::TxnCommit(t) => match self.open.remove(&t) {
+                Some(Some(intents)) => Settled::Release(intents),
+                _ => Settled::OrphanCommit(t),
+            },
+            WalRecord::TxnAbort(t) => {
+                self.open.remove(&t);
+                Settled::Hold
+            }
+            _ => Settled::Release(vec![entry]),
         }
     }
 
-    /// Transactions begun in the run that reached neither marker, in id
-    /// order.
-    fn unfinished(&self) -> Vec<u64> {
-        self.begun
-            .iter()
-            .copied()
-            .filter(|t| !self.committed.contains(t) && !self.aborted.contains(t))
-            .collect()
+    /// Transactions begun (or seen through an intent) but not yet
+    /// settled, in id order.
+    pub fn open(&self) -> impl Iterator<Item = u64> + '_ {
+        self.open.keys().copied()
     }
 }
 
@@ -711,6 +703,34 @@ fn parse_wal(bytes: &[u8]) -> Result<ParsedWal, DbError> {
     Ok(ParsedWal { entries, truncated })
 }
 
+/// Reads and decodes the WAL file (an absent file is an empty log), and
+/// enforces the boundary contract: the log must *meet* the checkpoint
+/// current through `snapshot_lsn`. `parse_wal` enforces LSN contiguity
+/// only within the file, so a log whose first surviving record skips past
+/// the checkpoint (a spliced or mis-rotated log) would otherwise replay a
+/// wrong-state suffix silently; it is a typed [`DbError::LsnGap`]. A
+/// first LSN at or below the checkpoint's is fine — that is the normal
+/// old-WAL-beside-new-snapshot window, whose covered records replay
+/// skips.
+fn read_log<S: Storage>(storage: &S, snapshot_lsn: u64) -> Result<ParsedWal, DbError> {
+    let parsed = match storage.read(WAL_FILE)? {
+        Some(bytes) => parse_wal(&bytes)?,
+        None => ParsedWal {
+            entries: Vec::new(),
+            truncated: None,
+        },
+    };
+    if let Some(first) = parsed.entries.first() {
+        if first.lsn > snapshot_lsn {
+            return Err(DbError::LsnGap {
+                expected: snapshot_lsn,
+                found: first.lsn,
+            });
+        }
+    }
+    Ok(parsed)
+}
+
 // ----- update rendering -----------------------------------------------------
 
 fn dump_update(u: &Update, t: &Theory) -> UpdateDump {
@@ -825,8 +845,11 @@ pub struct RecoveryReport {
     pub records_seen: usize,
     /// Records replayed into the recovered state.
     pub replayed: usize,
-    /// Records skipped: already covered by the snapshot, annulled by an
-    /// abort record, or the abort records themselves.
+    /// Records seen but not replayed (`records_seen - replayed`): already
+    /// covered by the snapshot, annulled by an abort record, the abort
+    /// records themselves, transaction markers, intents of transactions
+    /// that did not commit, and — after a replay error — every record the
+    /// replay did not reach.
     pub skipped: usize,
     /// `Some(reason)` if a torn/corrupt tail was dropped.
     pub truncated: Option<String>,
@@ -1045,42 +1068,30 @@ impl<S: Storage> DurableDatabase<S> {
         Ok((me, report))
     }
 
-    /// Loads the snapshot (if any) and replays the WAL suffix through the
-    /// §4 replay path, stopping at the first failing record.
+    /// Loads the snapshot (if any) and replays the settled WAL suffix,
+    /// stopping at the first failing record.
     #[allow(clippy::type_complexity)]
     fn recover(
         storage: &S,
         db_options: DbOptions,
     ) -> Result<(LogicalDatabase, u64, u64, RecoveryReport, Vec<u64>), DbError> {
+        // Replay runs unsimplified (the §4 configuration) and folds once
+        // at the end.
+        let replay_options = DbOptions {
+            simplify: SimplifyLevel::None,
+            ..db_options
+        };
         let (mut db, snapshot_lsn) = match read_snapshot(storage)? {
             Some(snap) => {
                 let theory = persist::restore_theory(&snap.theory)?;
-                (LogicalDatabase::from_theory(theory, db_options), snap.lsn)
+                (
+                    LogicalDatabase::from_theory(theory, replay_options),
+                    snap.lsn,
+                )
             }
-            None => (LogicalDatabase::with_options(db_options), 0),
+            None => (LogicalDatabase::with_options(replay_options), 0),
         };
-        let parsed = match storage.read(WAL_FILE)? {
-            Some(bytes) => parse_wal(&bytes)?,
-            None => ParsedWal {
-                entries: Vec::new(),
-                truncated: None,
-            },
-        };
-        // The boundary contract: the suffix must *meet* the checkpoint.
-        // `parse_wal` enforces LSN contiguity only within the file, so a
-        // log whose first surviving record skips past the snapshot's LSN
-        // (a spliced or mis-rotated log) would otherwise replay a
-        // wrong-state suffix silently. A first LSN at or below the
-        // snapshot's is fine — that is the normal old-WAL-beside-new-
-        // snapshot window, and covered records are skipped below.
-        if let Some(first) = parsed.entries.first() {
-            if first.lsn > snapshot_lsn {
-                return Err(DbError::LsnGap {
-                    expected: snapshot_lsn,
-                    found: first.lsn,
-                });
-            }
-        }
+        let parsed = read_log(storage, snapshot_lsn)?;
         let mut report = RecoveryReport {
             snapshot_lsn,
             records_seen: parsed.entries.len(),
@@ -1093,43 +1104,52 @@ impl<S: Storage> DurableDatabase<S> {
             .map(|e| e.lsn + 1)
             .unwrap_or(0)
             .max(snapshot_lsn);
-        // Anything begun but neither committed nor aborted is an
-        // in-flight transaction the crash interrupted — its intents are
-        // skipped here and `open` appends the compensating abort marker.
-        let outcomes = Outcomes::resolve(&parsed.entries);
-        let unfinished = outcomes.unfinished();
-        for entry in &parsed.entries {
-            let Some(record) = outcomes.effective(entry, snapshot_lsn) else {
-                report.skipped += 1;
+        let mut settle = TxnSettle::default();
+        for entry in effective_entries(parsed.entries) {
+            if entry.lsn < snapshot_lsn {
+                continue; // already folded into the snapshot
+            }
+            let Settled::Release(records) = settle.feed(entry) else {
                 continue;
             };
-            match Self::replay_entry(&mut db, record) {
-                Ok(()) => report.replayed += 1,
-                Err(e) => {
-                    report.replay_error = Some(e.to_string());
+            // After a replay error the rest of the log is still settled,
+            // so every unfinished transaction is found.
+            if report.replay_error.is_some() {
+                continue;
+            }
+            for e in records {
+                if let Err(err) = replay_record(&mut db, &e.record) {
+                    report.replay_error = Some(err.to_string());
                     break;
                 }
+                report.replayed += 1;
             }
         }
-        // Replay ran unsimplified (the §4 configuration); fold the store
-        // back down to what the live database would carry. `simplify` is
-        // infallible (it returns a report, not a Result), so the only
-        // thing to lose here is the report itself — surface it.
+        report.skipped = report.records_seen - report.replayed;
+        // Anything begun but neither committed nor aborted is an
+        // in-flight transaction the crash interrupted — its intents were
+        // never released, and `open` appends the compensating abort.
+        let unfinished = settle.open().collect();
+        // Fold the store back down to what the live database would carry
+        // and surface that pass's report, then switch to the live level
+        // in place so the engine's Step-5 record of materialized axiom
+        // instances survives.
         report.simplify = db.simplify(db_options.simplify);
+        db.set_simplify_level(db_options.simplify);
         Ok((db, next_lsn, snapshot_lsn, report, unfinished))
-    }
-
-    fn replay_entry(db: &mut LogicalDatabase, record: &WalRecord) -> Result<(), DbError> {
-        replay_record(db, record)
     }
 }
 
-/// Applies one journaled operation to `db` through the §4 replay path —
-/// the exact function crash recovery uses, exported so a replication
-/// follower replays shipped WAL records with the same semantics. `Apply`
-/// records go through [`replay_updates`] (unsimplified GUA); callers that
-/// replay long suffixes should fold the store down afterwards with
-/// [`LogicalDatabase::simplify`], as recovery does.
+/// Applies one journaled operation to `db` in place — the only code that
+/// applies a [`WalRecord`]. Recovery, the compaction swap, transaction
+/// workspaces, replicas and catch-up followers all replay through it,
+/// feeding it what [`TxnSettle`] releases. An `Apply` runs GUA at `db`'s
+/// own simplification level: recovery and replicas replay at
+/// [`SimplifyLevel::None`] and fold once with
+/// [`LogicalDatabase::simplify`], while workspaces and the compaction
+/// swap replay at the live level. Markers and intents carry no state
+/// transition here: a committed intent arrives as the inner record
+/// [`TxnSettle`] releases.
 pub fn replay_record(db: &mut LogicalDatabase, record: &WalRecord) -> Result<(), DbError> {
     match record {
         WalRecord::DeclareAttribute(name) => {
@@ -1167,20 +1187,13 @@ pub fn replay_record(db: &mut LogicalDatabase, record: &WalRecord) -> Result<(),
         }
         WalRecord::Apply(ud) => {
             let u = restore_update(ud, db.theory_mut())?;
-            let theory = replay_updates(db.theory(), std::slice::from_ref(&u))?;
-            let options = db.options();
-            let mut log = std::mem::take(&mut db.log);
-            log.push(u);
-            *db = LogicalDatabase::from_theory(theory, options);
-            db.log = log;
+            db.apply_effective(&u)?;
         }
-        WalRecord::Abort(_) => {}
-        // Transaction markers carry no state transition of their own. A
-        // `TxnOp` applies its inner operation — callers (recovery, the
-        // replica's tailer) gate on the commit marker *before* handing
-        // the op here, buffering or dropping uncommitted intents.
-        WalRecord::TxnBegin(_) | WalRecord::TxnCommit(_) | WalRecord::TxnAbort(_) => {}
-        WalRecord::TxnOp(_, op) => replay_record(db, op)?,
+        WalRecord::Abort(_)
+        | WalRecord::TxnBegin(_)
+        | WalRecord::TxnCommit(_)
+        | WalRecord::TxnAbort(_)
+        | WalRecord::TxnOp(..) => {}
     }
     Ok(())
 }
@@ -1409,18 +1422,6 @@ impl<S: Storage> DurableDatabase<S> {
         self.txns.get(&txn).map(|s| &s.workspace)
     }
 
-    /// Re-applies one journaled op to `db` the way the live writer would
-    /// (inline simplify), rather than through the unsimplified §4 replay.
-    fn reapply(db: &mut LogicalDatabase, op: &WalRecord) -> Result<(), DbError> {
-        if let WalRecord::Apply(ud) = op {
-            let u = restore_update(ud, db.theory_mut())?;
-            db.apply_effective(&u)?;
-            Ok(())
-        } else {
-            replay_record(db, op)
-        }
-    }
-
     /// Retains one live-mutation record for delta refreshes, evicting
     /// whole version groups (a transaction commit lands several records
     /// under one version; covering a version partially is useless) and
@@ -1467,7 +1468,7 @@ impl<S: Storage> DurableDatabase<S> {
                 if *v <= state.basis_version {
                     continue;
                 }
-                if Self::reapply(&mut state.workspace, r).is_err() {
+                if replay_record(&mut state.workspace, r).is_err() {
                     ok = false;
                     break;
                 }
@@ -1481,7 +1482,7 @@ impl<S: Storage> DurableDatabase<S> {
         }
         let mut ws = self.db.clone();
         for op in &state.ops {
-            Self::reapply(&mut ws, op)?;
+            replay_record(&mut ws, op)?;
         }
         state.workspace = ws;
         state.basis_version = self.applied_version;
@@ -1522,7 +1523,7 @@ impl<S: Storage> DurableDatabase<S> {
                 }
                 let mut ws = self.db.clone();
                 for op in &state.ops {
-                    if let Err(re) = Self::reapply(&mut ws, op) {
+                    if let Err(re) = replay_record(&mut ws, op) {
                         return Err(TxnJournalErr::Broken(re));
                     }
                 }
@@ -1828,27 +1829,13 @@ impl<S: Storage> DurableDatabase<S> {
                 found: from_lsn,
             });
         }
-        let parsed = match self.storage().read(WAL_FILE)? {
-            Some(bytes) => parse_wal(&bytes)?,
-            None => ParsedWal {
-                entries: Vec::new(),
-                truncated: None,
-            },
-        };
+        let parsed = read_log(self.storage(), self.snapshot_lsn)?;
         if let Some(reason) = parsed.truncated {
             // A live, recovered primary has no torn tail; finding one
             // mid-flight means the storage under us is damaged.
             return Err(DbError::Corrupt {
                 message: format!("wal tail unreadable during catch-up: {reason}"),
             });
-        }
-        if let Some(first) = parsed.entries.first() {
-            if first.lsn > self.snapshot_lsn {
-                return Err(DbError::LsnGap {
-                    expected: self.snapshot_lsn,
-                    found: first.lsn,
-                });
-            }
         }
         let entries = effective_entries(parsed.entries);
         if from_lsn >= self.snapshot_lsn {
@@ -1934,39 +1921,38 @@ impl<S: Storage> DurableDatabase<S> {
                 ),
             });
         }
-        // Records annulled by a compensating abort, and intents whose
-        // commit marker is not in the tail, never reached the live theory;
-        // skip them exactly as recovery does.
-        let outcomes = Outcomes::resolve(&tail);
-        // Transaction ids are begin LSNs. One that began before the
-        // capture and committed inside the window had its pre-capture
-        // intents applied to the live theory at commit, but those intents
-        // are not in the tail, so the replay would silently drop them.
-        if let Some(txn) = outcomes.committed.iter().filter(|&&t| t < from_lsn).min() {
-            return Err(DbError::Compaction {
-                message: format!(
-                    "transaction {txn} began before the capture at lsn {from_lsn} and \
-                     committed inside the compaction window"
-                ),
-            });
-        }
         let generation_before = self.db.theory().generation();
         let nodes_before = self.db.theory().store_nodes();
+        // Unlike crash recovery, replay at the live level (inline
+        // simplify), so the installed theory is never bulkier than the
+        // one it replaces.
         let mut scratch = LogicalDatabase::from_theory(compacted, self.db.options());
+        let mut settle = TxnSettle::default();
         let mut replayed = 0usize;
-        for record in tail.iter().filter_map(|e| outcomes.effective(e, from_lsn)) {
-            // Unlike crash recovery (which replays through the §4
-            // unsimplified path and folds once at the end), replay the
-            // suffix exactly as the live writer applied it — inline
-            // simplify at the configured level — so the installed theory
-            // is never bulkier than the one it replaces.
-            if let WalRecord::Apply(ud) = record {
-                let u = restore_update(ud, scratch.theory_mut())?;
-                scratch.apply_effective(&u)?;
-            } else {
-                Self::replay_entry(&mut scratch, record)?;
+        for entry in effective_entries(tail) {
+            match settle.feed(entry) {
+                Settled::Release(records) => {
+                    for e in records {
+                        replay_record(&mut scratch, &e.record)?;
+                        replayed += 1;
+                    }
+                }
+                Settled::Hold => {}
+                // Transaction ids are begin LSNs, and the tail starts at
+                // the capture. A commit whose begin is not in it belongs
+                // to a transaction that began before the capture: its
+                // pre-capture intents reached the live theory at commit
+                // but are not in the tail, so the replay would silently
+                // drop them.
+                Settled::OrphanCommit(txn) => {
+                    return Err(DbError::Compaction {
+                        message: format!(
+                            "transaction {txn} began before the capture at lsn {from_lsn} and \
+                             committed inside the compaction window"
+                        ),
+                    });
+                }
             }
-            replayed += 1;
         }
         // The live log already contains the suffix ops (they were applied
         // live); carry it over whole for provenance rather than keeping
@@ -3087,5 +3073,129 @@ mod tests {
         for wff in ["Orders(10,1,1)", "Orders(11,1,1)", "InStock(20,2)"] {
             assert!(recovered.db_mut().is_certain(wff).unwrap(), "{wff}");
         }
+    }
+
+    // ----- replay fidelity and the settle rule ------------------------------
+
+    /// `Price/2` under a functional dependency, then four branching
+    /// inserts: every insert instantiates the dependency (GUA Step 6).
+    fn priced(db_options: DbOptions) -> DurableDatabase<MemStorage> {
+        let (mut ddb, _) =
+            DurableDatabase::open(MemStorage::new(), db_options, opts_nocompact()).unwrap();
+        let p = ddb.declare_relation("Price", 2).unwrap();
+        ddb.add_dependency(Dependency::functional("price-fd", p, 2, &[0]).unwrap())
+            .unwrap();
+        for i in 0..4 {
+            ddb.execute(&format!("INSERT Price(w{i},10) | Price(w{i},12) WHERE T"))
+                .unwrap();
+        }
+        ddb
+    }
+
+    fn reprice<S: Storage>(ddb: &mut DurableDatabase<S>) {
+        for i in 0..4 {
+            ddb.execute(&format!(
+                "MODIFY Price(w{i},10) TO BE Price(w{i},11) WHERE T"
+            ))
+            .unwrap();
+        }
+    }
+
+    #[test]
+    fn recovery_keeps_the_live_record_of_axiom_instances() {
+        // Unsimplified on both sides, replay must rebuild exactly the
+        // live store: no dependency instance the live engine already
+        // materialized may be inserted twice.
+        let none = DbOptions {
+            simplify: SimplifyLevel::None,
+            ..DbOptions::default()
+        };
+        let mut ddb = priced(none);
+        reprice(&mut ddb);
+        let live_nodes = ddb.db().theory().store_nodes();
+        let (_, report) =
+            DurableDatabase::open(ddb.into_storage(), none, opts_nocompact()).unwrap();
+        assert_eq!(report.simplify.nodes_before, live_nodes);
+
+        // At the default level, a restart between the inserts and the
+        // modifies must not leave the store bigger than never restarting.
+        let mut straight = priced(DbOptions::default());
+        reprice(&mut straight);
+        let (mut restarted, _) = reopen(priced(DbOptions::default()).into_storage());
+        reprice(&mut restarted);
+        let size = |d: &DurableDatabase<MemStorage>| {
+            (d.db().theory().store_nodes(), d.db().theory().store.len())
+        };
+        assert_eq!(size(&restarted), size(&straight));
+        assert_eq!(world_set(restarted.db()), world_set(straight.db()));
+    }
+
+    fn at(lsn: u64, record: WalRecord) -> WalEntry {
+        WalEntry { lsn, record }
+    }
+
+    fn relation(name: &str) -> WalRecord {
+        WalRecord::DeclareRelation(name.into(), 1)
+    }
+
+    fn intent(txn: u64, name: &str) -> WalRecord {
+        WalRecord::TxnOp(txn, Box::new(relation(name)))
+    }
+
+    #[test]
+    fn settle_releases_intents_at_commit_after_interleaved_plain_records() {
+        let mut settle = TxnSettle::default();
+        assert_eq!(settle.feed(at(0, WalRecord::TxnBegin(0))), Settled::Hold);
+        assert_eq!(settle.feed(at(1, intent(0, "A"))), Settled::Hold);
+        // A plain record journaled inside the transaction's window takes
+        // effect at once, before the transaction's intents.
+        assert_eq!(
+            settle.feed(at(2, relation("P"))),
+            Settled::Release(vec![at(2, relation("P"))])
+        );
+        assert_eq!(settle.feed(at(3, intent(0, "B"))), Settled::Hold);
+        assert_eq!(
+            settle.feed(at(4, WalRecord::TxnCommit(0))),
+            Settled::Release(vec![at(1, relation("A")), at(3, relation("B"))])
+        );
+        assert_eq!(settle.open().count(), 0);
+    }
+
+    #[test]
+    fn settle_drops_aborted_intents() {
+        let mut settle = TxnSettle::default();
+        settle.feed(at(0, WalRecord::TxnBegin(0)));
+        settle.feed(at(1, intent(0, "A")));
+        assert_eq!(settle.feed(at(2, WalRecord::TxnAbort(0))), Settled::Hold);
+        assert_eq!(settle.open().count(), 0);
+        // A commit after the abort has nothing left to release.
+        assert_eq!(
+            settle.feed(at(3, WalRecord::TxnCommit(0))),
+            Settled::OrphanCommit(0)
+        );
+    }
+
+    #[test]
+    fn settle_reports_a_commit_whose_begin_it_never_saw() {
+        let mut settle = TxnSettle::default();
+        // Transaction 5 began before the first fed entry.
+        assert_eq!(settle.feed(at(7, intent(5, "A"))), Settled::Hold);
+        assert_eq!(settle.open().collect::<Vec<_>>(), vec![5]);
+        assert_eq!(
+            settle.feed(at(8, WalRecord::TxnCommit(5))),
+            Settled::OrphanCommit(5)
+        );
+        assert_eq!(settle.open().count(), 0);
+    }
+
+    #[test]
+    fn settle_lists_begun_but_unsettled_transactions() {
+        let mut settle = TxnSettle::default();
+        for t in [0, 1, 2] {
+            settle.feed(at(t, WalRecord::TxnBegin(t)));
+        }
+        settle.feed(at(3, intent(2, "A")));
+        settle.feed(at(4, WalRecord::TxnCommit(1)));
+        assert_eq!(settle.open().collect::<Vec<_>>(), vec![0, 2]);
     }
 }

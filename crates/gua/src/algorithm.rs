@@ -201,6 +201,13 @@ impl GuaEngine {
         self.options
     }
 
+    /// Changes the simplification level applied after later updates,
+    /// keeping the theory and the Step-5 record of materialized axiom
+    /// instances that rebuilding the engine would discard.
+    pub fn set_simplify_level(&mut self, level: SimplifyLevel) {
+        self.options.simplify = level;
+    }
+
     /// Parses an LDML statement against the theory's vocabulary (strict:
     /// unknown predicates are errors, predicate constants rejected;
     /// constants may be new — inserting fresh tuples is the point).

@@ -1,8 +1,9 @@
 //! WAL-shipping read replicas.
 //!
 //! A replica connects to a primary `winslett-serve`, subscribes to its
-//! WAL stream, and rebuilds the logical database by replaying shipped
-//! records through the same §4 path recovery uses. It then serves the
+//! WAL stream, and rebuilds the logical database by settling shipped
+//! records with [`TxnSettle`] and replaying what it releases through
+//! [`replay_record`] — the pair recovery uses. It then serves the
 //! read half of the protocol (query / check / explain / pin) from its own
 //! snapshot chain; every write-shaped request is refused with a typed
 //! `ReadOnly` error.
@@ -41,14 +42,17 @@ use crate::reactor::{
     Completions, NetCounters, PublishedView, Reactor, ReactorConfig, Role, RoleAction,
 };
 use crate::server::HEARTBEAT_INTERVAL;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
 use std::time::Duration;
 use winslett_core::snapshot::TheorySnapshot;
 use winslett_core::wal::WalRecord;
-use winslett_core::{replay_record, restore_theory, DbError, DbOptions, LogicalDatabase};
+use winslett_core::{
+    replay_record, restore_theory, DbError, DbOptions, LogicalDatabase, Settled, TxnSettle,
+};
+use winslett_gua::SimplifyLevel;
 
 /// Replica tunables.
 #[derive(Clone, Debug)]
@@ -319,40 +323,30 @@ impl Role for ReplicaRole {
 
 // ----- the tailer -----------------------------------------------------------
 
-/// Transaction intents held back until their outcome marker arrives, plus
-/// the bookkeeping that keeps the replication cursor honest while they
-/// are held. Carried across reconnects by the tailer.
-///
-/// A follower must never expose effects the primary has not committed:
-/// shipped [`WalRecord::TxnOp`] intents are buffered here and applied,
-/// in order, only when the `TxnCommit` marker lands (dropped on
-/// `TxnAbort`). While any transaction is open, the subscription cursor
-/// is pinned at the oldest open transaction's begin LSN — a reconnect
-/// then replays the held intents from the primary's log — and `applied`
-/// remembers which LSNs past that pin are already folded in so the
-/// resubscription overlap is not applied twice.
-#[derive(Default)]
-struct TxnBuffer {
-    /// Ops of still-open transactions, keyed by txn id (= begin LSN),
-    /// each tagged with the shipped LSN it arrived under.
-    pending: HashMap<u64, Vec<(u64, WalRecord)>>,
-    /// LSNs at or past the pinned cursor whose effects already reached
-    /// the replica's database.
-    applied: HashSet<u64>,
-}
-
 /// The WAL tailer: subscribe, catch up, apply, republish; reconnect from
 /// the current cursor on any stream failure until shutdown.
+///
+/// A follower must never expose effects the primary has not committed:
+/// each subscription settles the shipped records with a fresh
+/// [`TxnSettle`], which holds a transaction's intents until its commit
+/// marker. While any transaction is open, the subscription cursor is
+/// pinned at the oldest open transaction's begin LSN — a reconnect then
+/// re-ships the held intents from the primary's log — and `applied`,
+/// carried across reconnects, remembers which LSNs past that pin are
+/// already settled so the resubscription overlap is not applied twice.
 fn run_tailer(shared: &ReplicaShared, db_options: DbOptions) {
-    let mut db = LogicalDatabase::with_options(db_options);
+    // Replay runs unsimplified (the §4 configuration, as in recovery);
+    // each batch folds once at the configured level.
+    let replay_options = DbOptions {
+        simplify: SimplifyLevel::None,
+        ..db_options
+    };
+    let mut db = LogicalDatabase::with_options(replay_options);
     let mut next_lsn: u64 = 0;
-    let mut buffer = TxnBuffer::default();
+    let mut applied = HashSet::new();
     let mut ever_connected = false;
     while !shared.shutdown.load(Ordering::SeqCst) {
-        // The held intents will be re-shipped from the pinned cursor on
-        // the next subscription; a stale copy must not double-buffer.
-        buffer.pending.clear();
-        match tail_once(shared, &db_options, &mut db, &mut next_lsn, &mut buffer) {
+        match tail_once(shared, &db_options, &mut db, &mut next_lsn, &mut applied) {
             TailExit::Shutdown => return,
             TailExit::StreamLost => {
                 if ever_connected {
@@ -393,7 +387,7 @@ fn tail_once(
     db_options: &DbOptions,
     db: &mut LogicalDatabase,
     next_lsn: &mut u64,
-    buffer: &mut TxnBuffer,
+    applied: &mut HashSet<u64>,
 ) -> TailExit {
     // The primary heartbeats every HEARTBEAT_INTERVAL while idle; four
     // missed beats means the stream (or the primary) is gone — the
@@ -441,15 +435,17 @@ fn tail_once(
         // checkpoint image, exactly as recovery would.
         match restore_theory(&snap.theory) {
             Ok(theory) => {
+                // The restored theory's generation counters start over;
+                // readers cache sessions by generation, so force it past
+                // the published one.
                 let generation = published(shared).snapshot.generation();
-                *db = LogicalDatabase::from_theory(theory, *db_options);
+                *db = LogicalDatabase::from_theory(theory, db.options());
                 db.theory_mut().advance_generation_past(generation);
                 *next_lsn = snap.lsn;
                 // Checkpoints refuse while transactions are open, so the
                 // snapshot boundary is transaction-clean: nothing held
                 // back before it can still matter.
-                buffer.pending.clear();
-                buffer.applied.clear();
+                applied.clear();
                 shared
                     .stats
                     .replica_snapshots_loaded
@@ -459,6 +455,7 @@ fn tail_once(
             Err(_) => return TailExit::NeverConnected,
         }
     }
+    let mut settle = TxnSettle::default();
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
             return TailExit::Shutdown;
@@ -478,74 +475,54 @@ fn tail_once(
         if batch.entries.is_empty() {
             continue; // heartbeat
         }
-        let mut applied = 0u64;
-        let mut apply = |db: &mut LogicalDatabase, record: &WalRecord| {
-            // The stream is the effective log: holes at abort sites are
-            // expected. A record that still refuses mirrors recovery's
-            // deterministic-refusal accounting — it was journaled but
-            // deterministically refused, so skipping keeps us aligned
-            // with the primary.
-            if replay_record(db, record).is_err() {
-                shared
-                    .stats
-                    .replica_apply_errors
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            applied += 1;
-        };
+        let mut replayed = 0u64;
         let mut hi = *next_lsn;
-        for entry in &batch.entries {
-            if entry.lsn < *next_lsn || buffer.applied.contains(&entry.lsn) {
+        for entry in batch.entries {
+            if entry.lsn < *next_lsn || applied.contains(&entry.lsn) {
                 continue; // resubscription overlap, already applied
             }
             hi = hi.max(entry.lsn + 1);
-            match &entry.record {
-                // Transaction intents are held back, never applied on
-                // sight: a reader on this replica must not observe
-                // effects the primary has not committed.
-                WalRecord::TxnBegin(t) => {
-                    buffer.pending.insert(*t, Vec::new());
+            let lsn = entry.lsn;
+            let begin = match entry.record {
+                WalRecord::TxnCommit(t) => Some(t),
+                _ => None,
+            };
+            let Settled::Release(records) = settle.feed(entry) else {
+                continue;
+            };
+            // A settled commit's begin LSN counts as applied too, so a
+            // resubscription from below cannot reopen the transaction.
+            applied.insert(lsn);
+            applied.extend(begin);
+            for e in records {
+                // The stream is the effective log: holes at abort sites
+                // are expected. A record that still refuses mirrors
+                // recovery's deterministic-refusal accounting — it was
+                // journaled but deterministically refused, so skipping
+                // keeps us aligned with the primary.
+                if replay_record(db, &e.record).is_err() {
+                    shared
+                        .stats
+                        .replica_apply_errors
+                        .fetch_add(1, Ordering::Relaxed);
                 }
-                WalRecord::TxnOp(t, op) => {
-                    buffer
-                        .pending
-                        .entry(*t)
-                        .or_default()
-                        .push((entry.lsn, (**op).clone()));
-                }
-                WalRecord::TxnAbort(t) => {
-                    buffer.pending.remove(t);
-                }
-                WalRecord::TxnCommit(t) => {
-                    let Some(ops) = buffer.pending.remove(t) else {
-                        continue; // overlap replay of an already-applied commit
-                    };
-                    buffer.applied.insert(*t);
-                    buffer.applied.insert(entry.lsn);
-                    for (lsn, op) in ops {
-                        apply(db, &op);
-                        buffer.applied.insert(lsn);
-                    }
-                }
-                record => {
-                    apply(db, record);
-                    buffer.applied.insert(entry.lsn);
-                }
+                applied.insert(e.lsn);
+                replayed += 1;
             }
         }
         // Advance the cursor — but never past an open transaction's begin
         // LSN, so a reconnect re-ships its held intents.
-        *next_lsn = buffer.pending.keys().min().copied().unwrap_or(hi);
+        *next_lsn = settle.open().next().unwrap_or(hi);
         let cursor = *next_lsn;
-        buffer.applied.retain(|l| *l >= cursor);
-        if applied == 0 {
+        applied.retain(|l| *l >= cursor);
+        if replayed == 0 {
             continue;
         }
         db.simplify(db_options.simplify);
         shared
             .stats
             .replica_records
-            .fetch_add(applied, Ordering::Relaxed);
+            .fetch_add(replayed, Ordering::Relaxed);
         shared.stats.replica_batches.fetch_add(1, Ordering::Relaxed);
         // `last_lsn` advances through every *processed* entry, held-back
         // intents included: the published state agrees with the
@@ -567,16 +544,13 @@ fn published(shared: &ReplicaShared) -> Arc<ReplicaPublished> {
     )
 }
 
-/// Publishes the tailer's current state. The generation is forced past
-/// the previous publication's: connection read sessions are cached by
-/// generation, and `replay_record` rebuilds the database through
-/// `from_theory` on `Apply` records, which would otherwise reset it.
-/// `cursor` is the resubscription point (pinned at the oldest open
-/// transaction while intents are held); `last_lsn` is the highest
-/// shipped LSN the published state agrees with.
-fn republish(shared: &ReplicaShared, db: &mut LogicalDatabase, cursor: u64, last_lsn: u64) {
-    let previous = published(shared).snapshot.generation();
-    db.theory_mut().advance_generation_past(previous);
+/// Publishes the tailer's current state. Replay mutates the database in
+/// place, so its generation only grows between publications (a snapshot
+/// bootstrap forces it past the published one). `cursor` is the
+/// resubscription point (pinned at the oldest open transaction while
+/// intents are held); `last_lsn` is the highest shipped LSN the published
+/// state agrees with.
+fn republish(shared: &ReplicaShared, db: &LogicalDatabase, cursor: u64, last_lsn: u64) {
     let snapshot = TheorySnapshot::capture(db.theory());
     shared.stats.next_lsn.store(cursor, Ordering::Relaxed);
     *shared
