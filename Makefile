@@ -4,13 +4,14 @@
 # WAL fault-injection suite, the ldml-lint self-check over the example
 # scripts, the bench smoke run (which validates the BENCH_*.json
 # shapes), and the server smoke run (a scripted client session against
-# an in-process winslett-serve instance).
+# an in-process winslett-serve instance). It also builds the API docs
+# with rustdoc warnings denied (`make doc`).
 
 CARGO ?= cargo
 
-.PHONY: ci fmt fmt-check clippy build perfbench-build test faults lint lint-conflicts bench-smoke serve-smoke compaction-smoke replication-smoke connections-smoke txn-smoke
+.PHONY: ci fmt fmt-check clippy doc build perfbench-build test faults lint lint-conflicts bench-smoke serve-smoke compaction-smoke replication-smoke connections-smoke txn-smoke
 
-ci: fmt-check clippy build perfbench-build test faults lint lint-conflicts bench-smoke compaction-smoke replication-smoke connections-smoke txn-smoke serve-smoke
+ci: fmt-check clippy doc build perfbench-build test faults lint lint-conflicts bench-smoke compaction-smoke replication-smoke connections-smoke txn-smoke serve-smoke
 	@echo "ci: all checks passed"
 
 fmt:
@@ -25,6 +26,11 @@ clippy:
 	# `#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]`,
 	# so this lib/bin pass (no cfg(test)) promotes any hit to an error.
 	$(CARGO) clippy -p winslett-analyze -p winslett-serve --lib --bins -- -D warnings
+
+# Rustdoc with warnings denied: deleting or privatizing a public item
+# must not leave a broken intra-doc link behind.
+doc:
+	RUSTDOCFLAGS="-D warnings" $(CARGO) doc --workspace --no-deps
 
 build:
 	$(CARGO) build --release

@@ -7,9 +7,10 @@
 //! the §4 "journal everything" discipline taken literally) and once with
 //! [`SyncPolicy::GroupCommit`] (fsync every `group` records plus one at
 //! the trailing `sync`). Both runs land in fresh temp directories. The
-//! result records wall times, the WAL's own [`WalStats`] counters, and a
-//! recovery check: the `EveryRecord` directory is reopened and its
-//! recovered alternative-world set must equal the live run's.
+//! result records wall times, the WAL's own
+//! [`WalStats`](winslett_core::wal::WalStats) counters, and a recovery
+//! check: the `EveryRecord` directory is reopened and its recovered
+//! alternative-world set must equal the live run's.
 //!
 //! Everything is (de)serializable, so the harness validates the emitted
 //! JSON by re-parsing it into [`WalBench`] — the shape check behind

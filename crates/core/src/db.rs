@@ -40,6 +40,12 @@ impl Default for DbOptions {
 
 /// A logical database with incomplete information.
 ///
+/// Its only state is the extended relational theory GUA maintains, plus
+/// the options: no update history is kept beside it. The durable log is
+/// the WAL of [`DurableDatabase`](crate::wal::DurableDatabase), and
+/// [`ReplayDatabase`](crate::ReplayDatabase) is the §4 strawman that
+/// keeps updates to replay them.
+///
 /// ```
 /// use winslett_core::LogicalDatabase;
 ///
@@ -65,8 +71,6 @@ impl Default for DbOptions {
 pub struct LogicalDatabase {
     pub(crate) engine: GuaEngine,
     options: DbOptions,
-    /// The update log (for provenance and the replay baseline).
-    pub(crate) log: Vec<Update>,
 }
 
 impl Default for LogicalDatabase {
@@ -86,7 +90,6 @@ impl LogicalDatabase {
         LogicalDatabase {
             engine: GuaEngine::new(Theory::new(), GuaOptions::simplify_always(options.simplify)),
             options,
-            log: Vec::new(),
         }
     }
 
@@ -95,7 +98,6 @@ impl LogicalDatabase {
         LogicalDatabase {
             engine: GuaEngine::new(theory, GuaOptions::simplify_always(options.simplify)),
             options,
-            log: Vec::new(),
         }
     }
 
@@ -112,19 +114,6 @@ impl LogicalDatabase {
     /// The options in force.
     pub fn options(&self) -> DbOptions {
         self.options
-    }
-
-    /// Changes the simplification level in place, without rebuilding the
-    /// GUA engine (recovery replays at `None`, then switches to the live
-    /// level).
-    pub(crate) fn set_simplify_level(&mut self, level: SimplifyLevel) {
-        self.options.simplify = level;
-        self.engine.set_simplify_level(level);
-    }
-
-    /// The update log so far.
-    pub fn log(&self) -> &[Update] {
-        &self.log
     }
 
     // ----- schema -----------------------------------------------------------
@@ -182,23 +171,8 @@ impl LogicalDatabase {
     /// (initial state — e.g. disjunctive information), parsed permissively
     /// for constants but strictly for predicates.
     pub fn load_wff(&mut self, src: &str) -> Result<(), DbError> {
-        let theory = &mut self.engine.theory;
-        let before_preds = theory.vocab.num_predicates();
-        let wff = {
-            let mut ctx = ParseContext {
-                vocab: &mut theory.vocab,
-                atoms: &mut theory.atoms,
-                declare: true,
-                allow_predicate_constants: false,
-            };
-            parse_wff(src, &mut ctx)?
-        };
-        if theory.vocab.num_predicates() != before_preds {
-            return Err(DbError::Query {
-                message: format!("unknown predicate in wff `{src}`"),
-            });
-        }
-        theory.assert_wff(&wff);
+        let wff = self.engine.parse_wff(src)?;
+        self.engine.theory.assert_wff(&wff);
         Ok(())
     }
 
@@ -218,9 +192,7 @@ impl LogicalDatabase {
             } else {
                 update.clone()
             };
-        let report = self.engine.apply(&effective)?;
-        self.log.push(effective);
-        Ok(report)
+        Ok(self.engine.apply(&effective)?)
     }
 
     /// Parses and executes an LDML statement **with variables** (§4): the
@@ -242,9 +214,7 @@ impl LogicalDatabase {
                 ground
             };
         let report = self.engine.apply_simultaneous(&effective)?;
-        let n = effective.len();
-        self.log.extend(effective);
-        Ok((n, report))
+        Ok((effective.len(), report))
     }
 
     /// Executes one LDML statement **atomically with respect to
@@ -258,49 +228,17 @@ impl LogicalDatabase {
     /// (which is faithful to the paper), but an application usually
     /// prefers refusal over a wiped database.
     pub fn execute_atomic(&mut self, src: &str) -> Result<UpdateReport, DbError> {
-        let snapshot = self.clone();
-        match self.execute(src) {
-            Ok(report) => {
-                if self.is_consistent() {
-                    Ok(report)
-                } else {
-                    *self = snapshot;
-                    Err(DbError::Query {
-                        message: format!(
-                            "update `{src}` would leave no possible world; rolled back"
-                        ),
-                    })
-                }
-            }
-            Err(e) => {
-                *self = snapshot;
-                Err(e)
-            }
-        }
+        self.all_or_nothing(
+            &format!("update `{src}` would leave no possible world; rolled back"),
+            |db| db.execute(src),
+        )
     }
 
     /// Runs several statements as one all-or-nothing transaction: if any
     /// statement fails, or the final state is inconsistent, everything is
     /// rolled back. Returns the per-statement reports on success.
     pub fn transaction(&mut self, statements: &[&str]) -> Result<Vec<UpdateReport>, DbError> {
-        let snapshot = self.clone();
-        let mut reports = Vec::with_capacity(statements.len());
-        for src in statements {
-            match self.execute(src) {
-                Ok(r) => reports.push(r),
-                Err(e) => {
-                    *self = snapshot;
-                    return Err(e);
-                }
-            }
-        }
-        if !self.is_consistent() {
-            *self = snapshot;
-            return Err(DbError::Query {
-                message: "transaction would leave no possible world; rolled back".into(),
-            });
-        }
-        Ok(reports)
+        self.with_transaction(|db| statements.iter().map(|src| db.execute(src)).collect())
     }
 
     /// Runs an arbitrary closure against the database transactionally: on
@@ -310,20 +248,31 @@ impl LogicalDatabase {
         &mut self,
         f: impl FnOnce(&mut Self) -> Result<T, DbError>,
     ) -> Result<T, DbError> {
+        self.all_or_nothing("transaction would leave no possible world; rolled back", f)
+    }
+
+    /// The one rollback rule: runs `f` on the database and restores its
+    /// state at entry when `f` fails or leaves no possible world, in
+    /// which case the error carries `wiped`.
+    fn all_or_nothing<T>(
+        &mut self,
+        wiped: &str,
+        f: impl FnOnce(&mut Self) -> Result<T, DbError>,
+    ) -> Result<T, DbError> {
         let snapshot = self.clone();
-        match f(self) {
-            Ok(v) if self.is_consistent() => Ok(v),
-            Ok(_) => {
-                *self = snapshot;
+        let result = f(self).and_then(|v| {
+            if self.is_consistent() {
+                Ok(v)
+            } else {
                 Err(DbError::Query {
-                    message: "transaction would leave no possible world; rolled back".into(),
+                    message: wiped.to_string(),
                 })
             }
-            Err(e) => {
-                *self = snapshot;
-                Err(e)
-            }
+        });
+        if result.is_err() {
+            *self = snapshot;
         }
+        result
     }
 
     /// Parses one LDML statement against this database's language without
@@ -348,9 +297,7 @@ impl LogicalDatabase {
     /// widening) — the WAL replay/execute path, which journals the
     /// effective update and must not widen twice.
     pub(crate) fn apply_effective(&mut self, effective: &Update) -> Result<UpdateReport, DbError> {
-        let report = self.engine.apply(effective)?;
-        self.log.push(effective.clone());
-        Ok(report)
+        Ok(self.engine.apply(effective)?)
     }
 
     /// The §3.5 widening layer: conjoin attribute atoms for positively
@@ -600,14 +547,6 @@ mod tests {
     }
 
     #[test]
-    fn update_log_recorded() {
-        let mut db = orders_db();
-        db.execute("DELETE Orders(700,32,9) WHERE T").unwrap();
-        db.execute("INSERT InStock(33,2) WHERE T").unwrap();
-        assert_eq!(db.log().len(), 2);
-    }
-
-    #[test]
     fn execute_atomic_rolls_back_world_wipes() {
         use winslett_theory::Dependency;
         let mut db = LogicalDatabase::new();
@@ -621,11 +560,29 @@ mod tests {
         assert!(r.is_err());
         assert!(db.is_consistent());
         assert_eq!(db.world_names().unwrap(), before);
-        assert_eq!(db.log().len(), 0); // the rejected update is not logged
-                                       // The legal atomic replacement goes through.
+        // The legal atomic replacement goes through.
         db.execute_atomic("INSERT Price(widget,12) & !Price(widget,10) WHERE T")
             .unwrap();
         assert!(db.is_certain("Price(widget,12)").unwrap());
+    }
+
+    #[test]
+    fn dependency_axioms_hold_across_updates() {
+        // Theorem 5 over a sequence: the second insert must instantiate
+        // the FD again, although the first one already instantiated it.
+        use winslett_theory::Dependency;
+        let mut db = LogicalDatabase::new();
+        let p = db.declare_relation("Price", 2).unwrap();
+        db.add_dependency(Dependency::functional("fd", p, 2, &[0]).unwrap());
+        db.execute("INSERT Price(a,10) | Price(a,12) WHERE T")
+            .unwrap();
+        db.execute("INSERT Price(a,12) WHERE T").unwrap();
+        // Per world: {Price(a,10)} cannot take Price(a,12) under the FD
+        // and drops out; {Price(a,12)} is unchanged.
+        assert_eq!(
+            db.world_names().unwrap(),
+            vec![vec!["Price(a,12)".to_string()]]
+        );
     }
 
     #[test]
@@ -636,7 +593,6 @@ mod tests {
         let r = db.transaction(&["DELETE Orders(700,32,9) WHERE T", "INSERT Nope(1) WHERE T"]);
         assert!(r.is_err());
         assert_eq!(db.world_names().unwrap(), before);
-        assert_eq!(db.log().len(), 0);
         // A consistent pair commits.
         let reports = db
             .transaction(&[
@@ -645,7 +601,6 @@ mod tests {
             ])
             .unwrap();
         assert_eq!(reports.len(), 2);
-        assert_eq!(db.log().len(), 2);
         assert!(db.is_certain("Orders(800,32,5)").unwrap());
     }
 

@@ -59,7 +59,7 @@ pub const WAL_VERSION: u32 = 1;
 pub const SNAPSHOT_VERSION: u32 = 1;
 /// Upper bound on a single record's payload, enforced when the record is
 /// minted (a typed [`DbError::RecordTooLarge`] refusal, before anything is
-/// journaled) and used by [`parse_wal`] as the corruption bound (a larger
+/// journaled) and used by `parse_wal` as the corruption bound (a larger
 /// length prefix is treated as tail corruption, not an allocation
 /// request). Deliberately held 1 KiB under the server's 4 MiB wire-frame
 /// cap so any single record — JSON-wrapped into a replication batch —
@@ -495,7 +495,7 @@ fn effective_entries(entries: Vec<WalEntry>) -> Vec<WalEntry> {
 /// The one rule for which records of an effective log take effect, and
 /// in what order — shared by recovery, the compaction swap, replicas and
 /// catch-up followers. Fed the entries of an effective log
-/// ([`effective_entries`]: no `Abort` records, nothing they annul) in
+/// (`effective_entries`: no `Abort` records, nothing they annul) in
 /// log order, it releases a plain record at once and holds a
 /// transaction's [`WalRecord::TxnOp`] intents until its
 /// [`WalRecord::TxnCommit`], where it releases them in journal order
@@ -1131,11 +1131,11 @@ impl<S: Storage> DurableDatabase<S> {
         // never released, and `open` appends the compensating abort.
         let unfinished = settle.open().collect();
         // Fold the store back down to what the live database would carry
-        // and surface that pass's report, then switch to the live level
-        // in place so the engine's Step-5 record of materialized axiom
-        // instances survives.
+        // and surface that pass's report, then serve at the live level.
+        // The theory is the database's whole state, so rebuilding around
+        // it loses nothing.
         report.simplify = db.simplify(db_options.simplify);
-        db.set_simplify_level(db_options.simplify);
+        let db = LogicalDatabase::from_theory(db.engine.theory, db_options);
         Ok((db, next_lsn, snapshot_lsn, report, unfinished))
     }
 }
@@ -1954,10 +1954,6 @@ impl<S: Storage> DurableDatabase<S> {
                 }
             }
         }
-        // The live log already contains the suffix ops (they were applied
-        // live); carry it over whole for provenance rather than keeping
-        // only the replayed tail.
-        scratch.log = std::mem::take(&mut self.db.log);
         scratch
             .theory_mut()
             .advance_generation_past(generation_before);
@@ -3101,11 +3097,16 @@ mod tests {
         }
     }
 
+    /// The live record of which axiom instances GUA inserted is the
+    /// theory itself: Step 5 asks whether an instance is present in the
+    /// store as it stands, and the engine remembers nothing across
+    /// updates. So replaying the journaled updates must rebuild the live
+    /// store exactly, and a restart mid-stream must leave later updates
+    /// no bigger than a straight run.
     #[test]
     fn recovery_keeps_the_live_record_of_axiom_instances() {
         // Unsimplified on both sides, replay must rebuild exactly the
-        // live store: no dependency instance the live engine already
-        // materialized may be inserted twice.
+        // live store, dependency instances included.
         let none = DbOptions {
             simplify: SimplifyLevel::None,
             ..DbOptions::default()

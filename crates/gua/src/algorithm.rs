@@ -16,7 +16,8 @@
 //!    `ω`; following §3.6 these are fused into one implication
 //!    `¬(φ)σ_p → ⋀_f (f ↔ p_f)`.
 //! 5. **Instantiate the type axioms** for tuples whose attribute membership
-//!    the update may violate.
+//!    the update may violate, each instance "if it is not already present"
+//!    in the theory as it stands.
 //! 6. **Instantiate the dependency axioms** for instances that unify with
 //!    an updated atom (in body — or head, for deletions that can invalidate
 //!    old instances).
@@ -29,8 +30,10 @@
 use crate::error::GuaError;
 use crate::simplify::{simplify, SimplifyLevel, SimplifyReport};
 use rustc_hash::{FxHashMap, FxHashSet};
-use winslett_ldml::{parse_update, Update};
-use winslett_logic::{AtomId, GroundAtom, ParseContext, Wff};
+use winslett_ldml::{parse_update, LdmlError, Update};
+use winslett_logic::{
+    parse_wff, AtomId, AtomTable, GroundAtom, LogicError, ParseContext, Vocabulary, Wff,
+};
 use winslett_theory::{Theory, TheoryError};
 
 /// Options controlling a [`GuaEngine`].
@@ -143,9 +146,6 @@ pub struct GuaEngine {
     /// The theory being maintained.
     pub theory: Theory,
     options: GuaOptions,
-    /// Axiom instances already materialized (Step 5's "if it is not
-    /// already present").
-    instantiated: FxHashSet<Wff>,
     /// When tracing is on, a human-readable narration of each GUA step.
     trace: Option<Vec<String>>,
     /// Store size (nodes) right after the last simplification pass — the
@@ -160,7 +160,6 @@ impl GuaEngine {
         GuaEngine {
             theory,
             options,
-            instantiated: FxHashSet::default(),
             trace: None,
             last_simplified_nodes,
         }
@@ -201,54 +200,56 @@ impl GuaEngine {
         self.options
     }
 
-    /// Changes the simplification level applied after later updates,
-    /// keeping the theory and the Step-5 record of materialized axiom
-    /// instances that rebuilding the engine would discard.
-    pub fn set_simplify_level(&mut self, level: SimplifyLevel) {
-        self.options.simplify = level;
+    /// Parses an LDML statement against the theory's vocabulary, strict
+    /// on predicates (unknown ones are errors, predicate constants
+    /// rejected) and permissive on constants — inserting fresh tuples is
+    /// the point.
+    pub fn parse(&mut self, src: &str) -> Result<Update, GuaError> {
+        self.parse_with(|ctx| parse_update(src, ctx))
     }
 
-    /// Parses an LDML statement against the theory's vocabulary (strict:
-    /// unknown predicates are errors, predicate constants rejected;
-    /// constants may be new — inserting fresh tuples is the point).
-    pub fn parse(&mut self, src: &str) -> Result<Update, GuaError> {
-        let mut ctx = ParseContext {
-            vocab: &mut self.theory.vocab,
-            atoms: &mut self.theory.atoms,
-            declare: false,
-            allow_predicate_constants: false,
-        };
-        // Strict mode rejects unknown constants too; new constants are
-        // legitimate in updates (new order numbers, quantities, …), so we
-        // pre-intern them by reparsing permissively on failure would be
-        // wrong for predicates. Instead: strict on predicates, permissive
-        // on constants.
-        ctx.declare = false;
-        match parse_update(src, &mut ctx) {
-            Ok(u) => Ok(u),
-            Err(winslett_ldml::LdmlError::Logic(winslett_logic::LogicError::UnknownSymbol {
-                kind: "constant",
-                ..
-            })) => {
-                // Re-parse allowing new constants but still checking that
-                // predicates exist (manually validated below).
-                let mut ctx = ParseContext {
-                    vocab: &mut self.theory.vocab,
-                    atoms: &mut self.theory.atoms,
-                    declare: true,
-                    allow_predicate_constants: false,
-                };
-                let before_preds = ctx.vocab.num_predicates();
-                let u = parse_update(src, &mut ctx).map_err(GuaError::from)?;
-                if self.theory.vocab.num_predicates() != before_preds {
-                    return Err(GuaError::Theory(TheoryError::UnknownPredicate {
-                        name: "<declared on the fly>".into(),
-                    }));
-                }
-                Ok(u)
-            }
-            Err(e) => Err(GuaError::from(e)),
+    /// Parses a ground wff the way [`GuaEngine::parse`] parses a
+    /// statement: new constants are interned, unknown predicates refused.
+    pub fn parse_wff(&mut self, src: &str) -> Result<Wff, GuaError> {
+        self.parse_with(|ctx| parse_wff(src, ctx).map_err(LdmlError::from))
+    }
+
+    /// Runs `parse` strictly against the theory's vocabulary, admitting
+    /// new constants. When the strict parse meets an unknown constant,
+    /// `parse` runs once more over a fresh, empty vocabulary to collect
+    /// every symbol the text names; an unknown predicate among them is
+    /// refused before anything is declared, and otherwise the constants
+    /// are interned and the strict parse repeated.
+    fn parse_with<T>(
+        &mut self,
+        parse: impl Fn(&mut ParseContext<'_>) -> Result<T, LdmlError>,
+    ) -> Result<T, GuaError> {
+        let vocab = &mut self.theory.vocab;
+        let atoms = &mut self.theory.atoms;
+        match parse(&mut ParseContext::strict(vocab, atoms)) {
+            Err(LdmlError::Logic(LogicError::UnknownSymbol {
+                kind: "constant", ..
+            })) => {}
+            result => return result.map_err(GuaError::from),
         }
+        let mut named = Vocabulary::new();
+        parse(&mut ParseContext::permissive(
+            &mut named,
+            &mut AtomTable::new(),
+        ))?;
+        if let Some((_, p)) = named
+            .predicates()
+            .find(|(_, p)| vocab.find_predicate(&p.name).is_none())
+        {
+            return Err(TheoryError::UnknownPredicate {
+                name: p.name.clone(),
+            }
+            .into());
+        }
+        for (_, c) in named.constants() {
+            vocab.constant(c);
+        }
+        parse(&mut ParseContext::strict(vocab, atoms)).map_err(GuaError::from)
     }
 
     /// Parses and applies an LDML statement.
@@ -411,22 +412,17 @@ impl GuaEngine {
         }
 
         // ---- Steps 5–7: type and dependency axioms -----------------------
-        let mut step567_atoms: Vec<AtomId> = Vec::new();
+        let mut instances = Instances::default();
         if self.theory.schema.has_type_axioms() {
             for form in &forms {
                 let this_omega_atoms: Vec<AtomId> = form.omega.atom_set().into_iter().collect();
-                self.step5(
-                    &form.omega,
-                    &this_omega_atoms,
-                    &mut report,
-                    &mut step567_atoms,
-                )?;
+                self.step5(&form.omega, &this_omega_atoms, &mut report, &mut instances)?;
             }
         }
         if !self.theory.deps.is_empty() {
-            self.step6(&omega_atoms, &mut report, &mut step567_atoms)?;
+            self.step6(&omega_atoms, &mut report, &mut instances)?;
         }
-        self.step7(&step567_atoms, &mut report)?;
+        self.step7(&instances.atoms, &mut report)?;
 
         // ---- §4: simplification (amortized via growth threshold) ----------
         if self.options.simplify != SimplifyLevel::None {
@@ -450,13 +446,15 @@ impl GuaEngine {
 
     /// Step 5: instantiate type axioms. Following the §3.6 optimization,
     /// "the testing of logical implications is reduced to a test of whether
-    /// `A_i(c_i)` is a conjunct of ω".
+    /// `A_i(c_i)` is a conjunct of ω". An instance is added "if it is not
+    /// already present"; see [`Instances`] for why that asks only about
+    /// this update.
     fn step5(
         &mut self,
         omega: &Wff,
         omega_atoms: &[AtomId],
         report: &mut UpdateReport,
-        new_atoms: &mut Vec<AtomId>,
+        instances: &mut Instances,
     ) -> Result<(), GuaError> {
         let omega_conjuncts = positive_conjuncts(omega);
 
@@ -476,7 +474,7 @@ impl GuaEngine {
             });
             if !all_guaranteed {
                 if let Some(inst) = self.theory.type_axiom_instance(f) {
-                    self.add_axiom_instance(inst, new_atoms, &mut report.type_instances)?;
+                    self.add_axiom_instance(inst, instances, &mut report.type_instances)?;
                 }
             }
         }
@@ -503,7 +501,7 @@ impl GuaEngine {
                     .any(|(&attr, &arg)| attr == ga.pred && arg == c);
                 if uses_attr_at_c {
                     if let Some(inst) = self.theory.type_axiom_instance(tuple) {
-                        self.add_axiom_instance(inst, new_atoms, &mut report.type_instances)?;
+                        self.add_axiom_instance(inst, instances, &mut report.type_instances)?;
                     }
                 }
             }
@@ -516,14 +514,14 @@ impl GuaEngine {
         &mut self,
         omega_atoms: &[AtomId],
         report: &mut UpdateReport,
-        new_atoms: &mut Vec<AtomId>,
+        instances: &mut Instances,
     ) -> Result<(), GuaError> {
         let deps = self.theory.deps.clone();
         for dep in &deps {
             for &f in omega_atoms {
                 let insts = dep.instantiate(&self.theory.registry, &mut self.theory.atoms, Some(f));
                 for inst in insts {
-                    self.add_axiom_instance(inst, new_atoms, &mut report.dep_instances)?;
+                    self.add_axiom_instance(inst, instances, &mut report.dep_instances)?;
                 }
             }
         }
@@ -559,11 +557,11 @@ impl GuaEngine {
     fn add_axiom_instance(
         &mut self,
         inst: Wff,
-        new_atoms: &mut Vec<AtomId>,
+        instances: &mut Instances,
         counter: &mut usize,
     ) -> Result<(), GuaError> {
-        if self.instantiated.insert(inst.clone()) {
-            new_atoms.extend(inst.atom_set());
+        if instances.seen.insert(inst.clone()) {
+            instances.atoms.extend(inst.atom_set());
             self.theory.store.try_insert(&inst)?;
             *counter += 1;
             self.note(|t| {
@@ -583,6 +581,21 @@ impl GuaEngine {
         self.last_simplified_nodes = r.nodes_after;
         r
     }
+}
+
+/// The axiom instances one update's Steps 5–6 insert, and the atoms they
+/// mention (Step 7's input). Step 5 adds an instance "if it is not
+/// already present" in the theory as it stands. Every instance these
+/// steps generate mentions an atom of the current ω, and Step 2 has
+/// already renamed those atoms in every stored formula, so no instance
+/// an earlier update inserted can match: only this update's own
+/// instances can repeat. The set therefore lives for one
+/// [`GuaEngine::apply_simultaneous`] call; an engine that remembered
+/// instances across updates would skip ones the new state needs.
+#[derive(Default)]
+struct Instances {
+    seen: FxHashSet<Wff>,
+    atoms: Vec<AtomId>,
 }
 
 /// The positive top-level atom conjuncts of ω — the syntactic entailment

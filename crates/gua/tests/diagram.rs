@@ -226,10 +226,51 @@ fn disjoint_simultaneous_equals_sequential_any_order() {
     }
 }
 
+/// Theorem 5 over update sequences: builds a legal start state with
+/// `setup`, applies 1–4 random updates to it one after another, and
+/// checks the diagram and Theorem 5's legality clause after the whole
+/// sequence. Every axiom instance GUA generates mentions an atom of the
+/// current ω, so a sequence is what exercises Step 5's "if it is not
+/// already present" against instances earlier updates renamed.
+fn run_axiom_sequences(seed: u64, trials: usize, setup: impl Fn() -> (Theory, Vec<AtomId>)) {
+    let mut rng = Rng(seed);
+    for trial in 0..trials {
+        let (mut t, ids) = setup();
+        assert!(t.check_axioms_redundant().is_ok(), "start state legal");
+        let before = t.clone();
+        let mut engine = GuaEngine::new(
+            t,
+            GuaOptions::simplify_always(if trial % 2 == 0 {
+                SimplifyLevel::None
+            } else {
+                SimplifyLevel::Fast
+            }),
+        );
+        let updates: Vec<Update> = (0..1 + rng.below(4))
+            .map(|_| random_update(&mut rng, &ids))
+            .collect();
+        for u in &updates {
+            engine.apply(u).expect("update applies");
+        }
+        let report = check_commutes(&before, &updates, &engine.theory, ModelLimit::default())
+            .expect("diagram check runs");
+        assert!(
+            report.commutes,
+            "trial {trial}: {}\nupdates: {updates:?}",
+            report.describe(&engine.theory)
+        );
+        // Theorem 5's legality clause: the output is a legal extended
+        // relational theory — in particular the type and dependency
+        // axioms remain redundant (removable without changing models).
+        engine.theory.check_axioms_redundant().unwrap_or_else(|e| {
+            panic!("trial {trial}: output theory illegal: {e}\nupdates: {updates:?}")
+        });
+    }
+}
+
 #[test]
 fn diagram_commutes_with_dependencies() {
-    let mut rng = Rng(0xBEEF_0001);
-    for trial in 0..60 {
+    run_axiom_sequences(0xBEEF_0001, 1_000, || {
         let mut t = Theory::new();
         let p = t.declare_relation("P", 2).unwrap();
         let q = t.declare_relation("Q", 1).unwrap();
@@ -258,44 +299,13 @@ fn diagram_commutes_with_dependencies() {
         for &other in &[ids[1], ids[3], ids[4], ids[5]] {
             t.assert_not_atom(other);
         }
-        assert!(t.check_axioms_redundant().is_ok(), "start state legal");
-        let before = t.clone();
-        let mut engine = GuaEngine::new(
-            t,
-            GuaOptions::simplify_always(if trial % 2 == 0 {
-                SimplifyLevel::None
-            } else {
-                SimplifyLevel::Fast
-            }),
-        );
-        let u = random_update(&mut rng, &ids);
-        engine.apply(&u).expect("update applies");
-        let report = check_commutes(
-            &before,
-            std::slice::from_ref(&u),
-            &engine.theory,
-            ModelLimit::default(),
-        )
-        .expect("diagram check runs");
-        assert!(
-            report.commutes,
-            "trial {trial}: {}\nupdate: {u:?}",
-            report.describe(&engine.theory)
-        );
-        // Theorem 5's legality clause: the output is a legal extended
-        // relational theory — in particular the dependency axioms remain
-        // redundant (removable without changing models).
-        engine
-            .theory
-            .check_axioms_redundant()
-            .unwrap_or_else(|e| panic!("trial {trial}: output theory illegal: {e}\nupdate: {u:?}"));
-    }
+        (t, ids)
+    });
 }
 
 #[test]
 fn diagram_commutes_with_type_axioms() {
-    let mut rng = Rng(0xBEEF_0002);
-    for trial in 0..60 {
+    run_axiom_sequences(0xBEEF_0002, 1_000, || {
         let mut t = Theory::new();
         let part = t.declare_attribute("PartNo").unwrap();
         let quan = t.declare_attribute("Quan").unwrap();
@@ -314,35 +324,6 @@ fn diagram_commutes_with_type_axioms() {
         t.assert_atom(a5);
         t.assert_not_atom(tup2);
         t.assert_not_atom(a9);
-        assert!(t.check_axioms_redundant().is_ok());
-        let ids = vec![tup1, tup2, a32, a5, a9];
-        let before = t.clone();
-        let mut engine = GuaEngine::new(
-            t,
-            GuaOptions::simplify_always(if trial % 2 == 0 {
-                SimplifyLevel::None
-            } else {
-                SimplifyLevel::Fast
-            }),
-        );
-        let u = random_update(&mut rng, &ids);
-        engine.apply(&u).expect("update applies");
-        let report = check_commutes(
-            &before,
-            std::slice::from_ref(&u),
-            &engine.theory,
-            ModelLimit::default(),
-        )
-        .expect("diagram check runs");
-        assert!(
-            report.commutes,
-            "trial {trial}: {}\nupdate: {u:?}",
-            report.describe(&engine.theory)
-        );
-        // Theorem 5's legality clause for type axioms.
-        engine
-            .theory
-            .check_axioms_redundant()
-            .unwrap_or_else(|e| panic!("trial {trial}: output theory illegal: {e}\nupdate: {u:?}"));
-    }
+        (t, vec![tup1, tup2, a32, a5, a9])
+    });
 }

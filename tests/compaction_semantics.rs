@@ -3,7 +3,9 @@
 //! `install_compacted`) mid-stream — with writes racing the capture
 //! window — must be observationally indistinguishable from one that ran
 //! the same statements with no compaction at all. Randomized over LDML
-//! scripts, compaction points, and racing-write counts.
+//! scripts, compaction points, and racing-write counts. The vocabulary
+//! includes a relation typed by attributes and under a functional
+//! dependency, so the replayed tail runs GUA's axiom steps (§3.5).
 //!
 //! "Indistinguishable" is checked three ways per case: identical
 //! alternative-world sets (name-based), identical certain/possible
@@ -17,12 +19,16 @@ use std::collections::BTreeSet;
 use winslett::db::wal::{DurableDatabase, MemStorage, SyncPolicy, WalOptions};
 use winslett::db::DbOptions;
 use winslett::gua::{simplify, SimplifyLevel};
+use winslett::theory::Dependency;
 
 const ITEMS: usize = 4;
 const FLAGS: usize = 2;
+/// Keys and costs of the typed `Price(Part, Cost)` relation, whose key
+/// determines its cost.
+const PRICES: usize = 2;
 
 /// One statement of the random script, realized against the fixed
-/// Item/Flag vocabulary.
+/// Item/Flag/Price vocabulary.
 #[derive(Clone, Debug)]
 enum Op {
     InsertWhere(usize, usize),
@@ -31,6 +37,9 @@ enum Op {
     Modify(usize, usize, usize),
     Assert(usize),
     Reopen(usize, usize),
+    PriceWhere(usize, usize, usize),
+    PriceEither(usize, usize, usize),
+    Uncost(usize, usize),
 }
 
 impl Op {
@@ -42,6 +51,9 @@ impl Op {
             Op::Modify(k, k2, f) => format!("MODIFY Item({k}) TO BE Item({k2}) WHERE Flag({f})"),
             Op::Assert(f) => format!("ASSERT Flag({f})"),
             Op::Reopen(f, f2) => format!("INSERT Flag({f}) | !Flag({f2}) WHERE T"),
+            Op::PriceWhere(k, c, f) => format!("INSERT Price({k},{c}) WHERE Flag({f})"),
+            Op::PriceEither(k, c, c2) => format!("INSERT Price({k},{c}) | Price({k},{c2}) WHERE T"),
+            Op::Uncost(c, f) => format!("DELETE Cost({c}) WHERE Flag({f})"),
         }
     }
 }
@@ -54,6 +66,9 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (0..ITEMS, 0..ITEMS, 0..FLAGS).prop_map(|(k, k2, f)| Op::Modify(k, k2, f)),
         (0..FLAGS).prop_map(Op::Assert),
         (0..FLAGS, 0..FLAGS).prop_map(|(f, f2)| Op::Reopen(f, f2)),
+        (0..PRICES, 0..PRICES, 0..FLAGS).prop_map(|(k, c, f)| Op::PriceWhere(k, c, f)),
+        (0..PRICES, 0..PRICES, 0..PRICES).prop_map(|(k, c, c2)| Op::PriceEither(k, c, c2)),
+        (0..PRICES, 0..FLAGS).prop_map(|(c, f)| Op::Uncost(c, f)),
     ]
 }
 
@@ -67,6 +82,11 @@ fn open_db() -> DurableDatabase<MemStorage> {
         DurableDatabase::open(MemStorage::new(), DbOptions::default(), options).unwrap();
     ddb.declare_relation("Item", 1).unwrap();
     ddb.declare_relation("Flag", 1).unwrap();
+    let part = ddb.declare_attribute("Part").unwrap();
+    let cost = ddb.declare_attribute("Cost").unwrap();
+    let price = ddb.declare_typed_relation("Price", &[part, cost]).unwrap();
+    ddb.add_dependency(Dependency::functional("fd", price, 2, &[0]).unwrap())
+        .unwrap();
     for k in 0..ITEMS {
         ddb.db_mut().theory_mut().constant(&k.to_string());
     }
@@ -75,12 +95,15 @@ fn open_db() -> DurableDatabase<MemStorage> {
     ddb
 }
 
-/// Certain/possible verdicts over every Item and Flag atom.
+/// Certain/possible verdicts over every Item, Flag, Price and attribute
+/// atom.
 fn panel_verdicts(ddb: &mut DurableDatabase<MemStorage>) -> Vec<(bool, bool)> {
     let mut out = Vec::new();
     for src in (0..ITEMS)
         .map(|k| format!("Item({k})"))
         .chain((0..FLAGS).map(|f| format!("Flag({f})")))
+        .chain((0..PRICES * PRICES).map(|i| format!("Price({},{})", i / PRICES, i % PRICES)))
+        .chain((0..PRICES).flat_map(|c| [format!("Part({c})"), format!("Cost({c})")]))
     {
         out.push((
             ddb.db_mut().is_certain(&src).unwrap(),

@@ -2,7 +2,10 @@
 //! incomplete information, queries, nulls, dependencies, and the replay
 //! baseline — the workflows a downstream adopter would run.
 
-use winslett::db::{DbOptions, LogicalDatabase, NullCatalog, NullableArg, ReplayDatabase};
+use winslett::db::{
+    DbOptions, DurableDatabase, LogicalDatabase, MemStorage, NullCatalog, NullableArg,
+    ReplayDatabase, WalOptions,
+};
 use winslett::gua::SimplifyLevel;
 use winslett::ldml::Update;
 use winslett::logic::Wff;
@@ -149,10 +152,9 @@ fn replay_database_agrees_with_eager() {
         "INSERT R(a) WHERE R(b)",
     ];
     for s in scripts {
-        db.execute(s).unwrap();
-        replay
-            .update_synced(db.log().last().unwrap().clone(), db.theory())
-            .unwrap();
+        let update = db.parse_update(s).unwrap();
+        db.update(&update).unwrap();
+        replay.update_synced(update, db.theory()).unwrap();
     }
     for probe in ["R(a)", "R(b)", "R(c)", "R(a) & R(b)", "R(c) | R(b)"] {
         let wff = db.parse_wff_strict(probe).unwrap();
@@ -192,11 +194,50 @@ fn inconsistent_database_answers_are_degenerate() {
 #[test]
 fn update_errors_leave_log_clean() {
     let mut db = order_db();
+    let before = db.stats();
     assert!(db.execute("INSERT Nope(1) WHERE T").is_err());
     assert!(db.execute("INSERT Orders(1,2) WHERE T").is_err()); // arity
     assert!(db.execute("FROBNICATE x WHERE T").is_err());
-    assert_eq!(db.log().len(), 0);
+    // Refused statements add nothing to the theory (parsing may still
+    // intern their constants and atoms).
+    let after = db.stats();
+    assert_eq!(after.store_nodes, before.store_nodes);
+    assert_eq!(after.num_formulas, before.num_formulas);
     assert!(db.is_consistent());
+}
+
+#[test]
+fn refused_statements_declare_no_predicate() {
+    // The first statement carries a new constant, the second none: an
+    // unknown predicate must be refused either way, and must not be
+    // declared by the refusal so that a later statement could use it.
+    const UNKNOWN: [&str; 2] = ["INSERT R(newc) WHERE Nope(a)", "INSERT R(a) WHERE Nope(a)"];
+    let mut db = LogicalDatabase::new();
+    db.declare_relation("R", 1).unwrap();
+    db.load_fact("R", &["a"]).unwrap();
+    let preds = db.theory().vocab.num_predicates();
+    for src in UNKNOWN {
+        assert!(db.execute(src).is_err(), "{src} was accepted");
+        assert_eq!(db.theory().vocab.num_predicates(), preds, "{src}");
+    }
+    assert!(db.load_wff("Ghost(a) | R(a)").is_err());
+    assert_eq!(db.theory().vocab.num_predicates(), preds);
+    assert!(db.is_certain("Ghost(a)").is_err(), "Ghost/1 was declared");
+
+    // The same through the journaled write path the server uses.
+    let (mut ddb, _) = DurableDatabase::open(
+        MemStorage::new(),
+        DbOptions::default(),
+        WalOptions::default(),
+    )
+    .unwrap();
+    ddb.declare_relation("R", 1).unwrap();
+    ddb.load_fact("R", &["a"]).unwrap();
+    let preds = ddb.db().theory().vocab.num_predicates();
+    for src in UNKNOWN {
+        assert!(ddb.execute(src).is_err(), "{src} was accepted");
+        assert_eq!(ddb.db().theory().vocab.num_predicates(), preds, "{src}");
+    }
 }
 
 #[test]

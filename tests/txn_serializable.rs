@@ -30,6 +30,8 @@ use winslett::db::{
     replay_updates, DbError, DbOptions, DurableDatabase, LogicalDatabase, MemStorage, Storage,
     SyncPolicy, WalOptions,
 };
+use winslett::logic::PredId;
+use winslett::theory::Dependency;
 use winslett_serve::{Client, ClientError, ErrorKindWire, Server, ServerOptions};
 
 /// The statement pool: consistent-by-construction LDML over a tiny
@@ -210,6 +212,11 @@ proptest! {
 #[derive(Clone, Copy, Debug)]
 enum TOp {
     Declare(&'static str, usize),
+    DeclareAttribute(&'static str),
+    /// A relation typed by the named attributes, one per column.
+    DeclareTyped(&'static str, &'static [&'static str]),
+    /// A functional dependency on the named relation's key columns.
+    AddFd(&'static str, &'static [usize]),
     Load(&'static str, &'static [&'static str]),
     Exec(&'static str),
     Begin(usize),
@@ -222,8 +229,27 @@ fn apply_top<S: Storage>(
     slots: &mut [Option<u64>],
     op: &TOp,
 ) -> Result<(), DbError> {
+    // The script declares a predicate before naming it, and a run stops
+    // at its first failed op, so the lookup cannot miss.
+    let pred = |ddb: &DurableDatabase<S>, name: &str| -> PredId {
+        ddb.db()
+            .theory()
+            .vocab
+            .find_predicate(name)
+            .expect("declared earlier in the script")
+    };
     match op {
         TOp::Declare(name, arity) => ddb.declare_relation(name, *arity).map(|_| ()),
+        TOp::DeclareAttribute(name) => ddb.declare_attribute(name).map(|_| ()),
+        TOp::DeclareTyped(name, attrs) => {
+            let attrs: Vec<PredId> = attrs.iter().map(|a| pred(ddb, a)).collect();
+            ddb.declare_typed_relation(name, &attrs).map(|_| ())
+        }
+        TOp::AddFd(name, key) => {
+            let p = pred(ddb, name);
+            let arity = ddb.db().theory().vocab.predicate(p).arity;
+            ddb.add_dependency(Dependency::functional("fd", p, arity, key)?)
+        }
         TOp::Load(pred, args) => ddb.load_fact(pred, args).map(|_| ()),
         TOp::Exec(src) => ddb.execute(src).map(|_| ()),
         TOp::Begin(slot) => {
@@ -241,20 +267,28 @@ fn apply_top<S: Storage>(
     }
 }
 
-/// Setup, a plain write, a committed two-statement transaction, then a
-/// transaction that is *never* finished — the WAL ends with its begin
-/// and one op, no marker.
+/// Setup (with `Price` typed by two attributes and under a functional
+/// dependency), plain writes, a committed three-statement transaction,
+/// then a transaction that is *never* finished — the WAL ends with its
+/// begin and two ops, no marker.
 const CRASH_SCRIPT: &[TOp] = &[
     TOp::Declare("R", 1),
     TOp::Declare("S", 1),
+    TOp::DeclareAttribute("Part"),
+    TOp::DeclareAttribute("Cost"),
+    TOp::DeclareTyped("Price", &["Part", "Cost"]),
+    TOp::AddFd("Price", &[0]),
     TOp::Load("R", &["9"]),
     TOp::Exec("INSERT S(5) WHERE T"),
+    TOp::Exec("INSERT Price(1,10) | Price(1,12) WHERE T"),
     TOp::Begin(0),
     TOp::TxnExec(0, "INSERT R(1) WHERE T"),
+    TOp::TxnExec(0, "INSERT Price(1,12) WHERE R(1)"),
     TOp::TxnExec(0, "INSERT S(1) WHERE R(1)"),
     TOp::Commit(0),
     TOp::Begin(1),
     TOp::TxnExec(1, "INSERT R(2) WHERE T"),
+    TOp::TxnExec(1, "MODIFY Price(1,12) TO BE Price(1,11) WHERE T"),
 ];
 
 fn crash_wal_options() -> WalOptions {

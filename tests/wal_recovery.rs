@@ -8,7 +8,9 @@
 //! operations: pre-update or post-update for each update, never a third
 //! state. A proptest repeats the check over randomized scripts and kill
 //! points, including with aggressive auto-compaction so crashes land
-//! inside checkpoints too.
+//! inside checkpoints too. The scripts declare a relation typed by
+//! attributes and under a functional dependency, so recovery also
+//! replays GUA's type- and dependency-axiom steps (§3.5).
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -16,13 +18,19 @@ use winslett::db::wal::{
     DurableDatabase, FailpointStorage, MemStorage, Storage, SyncPolicy, WalOptions,
 };
 use winslett::db::{DbOptions, LogicalDatabase};
-use winslett::logic::ModelLimit;
+use winslett::logic::{ModelLimit, PredId};
+use winslett::theory::Dependency;
 use winslett::worlds::WorldsEngine;
 
 /// One scripted operation against a durable database.
 #[derive(Clone, Copy, Debug)]
 enum Op {
     DeclareRelation(&'static str, usize),
+    DeclareAttribute(&'static str),
+    /// A relation typed by the named attributes, one per column.
+    DeclareTypedRelation(&'static str, &'static [&'static str]),
+    /// A functional dependency on the named relation's key columns.
+    AddFd(&'static str, &'static [usize]),
     LoadFact(&'static str, &'static [&'static str]),
     Exec(&'static str),
     Checkpoint,
@@ -32,8 +40,27 @@ fn apply_op<S: Storage>(
     ddb: &mut DurableDatabase<S>,
     op: &Op,
 ) -> Result<(), winslett::db::DbError> {
+    // Scripts declare a predicate before naming it, and a run stops at
+    // its first failed op, so the lookup cannot miss.
+    let pred = |ddb: &DurableDatabase<S>, name: &str| -> PredId {
+        ddb.db()
+            .theory()
+            .vocab
+            .find_predicate(name)
+            .expect("declared earlier in the script")
+    };
     match op {
         Op::DeclareRelation(name, arity) => ddb.declare_relation(name, *arity).map(|_| ()),
+        Op::DeclareAttribute(name) => ddb.declare_attribute(name).map(|_| ()),
+        Op::DeclareTypedRelation(name, attrs) => {
+            let attrs: Vec<PredId> = attrs.iter().map(|a| pred(ddb, a)).collect();
+            ddb.declare_typed_relation(name, &attrs).map(|_| ())
+        }
+        Op::AddFd(name, key) => {
+            let p = pred(ddb, name);
+            let arity = ddb.db().theory().vocab.predicate(p).arity;
+            ddb.add_dependency(Dependency::functional("fd", p, arity, key)?)
+        }
         Op::LoadFact(pred, args) => ddb.load_fact(pred, args).map(|_| ()),
         Op::Exec(src) => ddb.execute(src).map(|_| ()),
         Op::Checkpoint => ddb.checkpoint(),
@@ -103,18 +130,32 @@ fn assert_atomic_at(
     );
 }
 
-/// The fixed multi-update script of the exhaustive sweep: schema, facts,
-/// then updates of all four LDML operators, including a branching insert.
+/// The fixed multi-update script of the exhaustive sweep: schema (with
+/// `Price` typed by two attributes and under a functional dependency),
+/// facts, then updates of all four LDML operators, including branching
+/// inserts and updates that instantiate the type and dependency axioms.
 const SCRIPT: &[Op] = &[
     Op::DeclareRelation("Orders", 3),
     Op::DeclareRelation("InStock", 2),
+    Op::DeclareAttribute("Part"),
+    Op::DeclareAttribute("Cost"),
+    Op::DeclareTypedRelation("Price", &["Part", "Cost"]),
+    Op::AddFd("Price", &[0]),
     Op::LoadFact("Orders", &["700", "32", "9"]),
     Op::LoadFact("InStock", &["32", "1"]),
     Op::Exec("INSERT Orders(100,32,1) | Orders(100,32,7) WHERE T"),
+    Op::Exec("INSERT Price(32,10) | Price(32,12) WHERE T"),
     Op::Exec("MODIFY Orders(700,32,9) TO BE Orders(700,32,1) WHERE InStock(32,1)"),
+    Op::Exec("INSERT Price(32,12) WHERE InStock(32,1)"),
     Op::Exec("ASSERT !Orders(100,32,7)"),
+    Op::Exec("MODIFY Price(32,12) TO BE Price(32,11) WHERE T"),
+    Op::Exec("DELETE Cost(10) WHERE T"),
     Op::Exec("DELETE InStock(32,1) WHERE T"),
 ];
+
+/// The leading ops of [`SCRIPT`] that declare the schema and axioms and
+/// load the facts.
+const SETUP: usize = 8;
 
 fn nocompact() -> WalOptions {
     WalOptions {
@@ -161,10 +202,12 @@ fn kill_points_inside_checkpoints_recover_to_a_prefix_state() {
 
 #[test]
 fn explicit_checkpoint_mid_script_is_crash_safe() {
+    // The checkpoint falls between the two `Price` inserts, so recovery
+    // replays the second one onto the restored snapshot.
     let script: Vec<Op> = {
-        let mut v = SCRIPT[..6].to_vec();
+        let mut v = SCRIPT[..SETUP + 2].to_vec();
         v.push(Op::Checkpoint);
-        v.extend_from_slice(&SCRIPT[6..]);
+        v.extend_from_slice(&SCRIPT[SETUP + 2..]);
         v
     };
     let (legal, total) = probe(&script, nocompact());
@@ -184,6 +227,10 @@ const OP_POOL: &[Op] = &[
     Op::Exec("MODIFY InStock(32,1) TO BE InStock(32,0) WHERE T"),
     Op::Exec("ASSERT Orders(700,32,9) | !Orders(700,32,9)"),
     Op::Exec("INSERT Orders(200,40,2) WHERE InStock(32,1)"),
+    Op::Exec("INSERT Price(32,10) | Price(32,12) WHERE T"),
+    Op::Exec("INSERT Price(32,12) WHERE InStock(32,1)"),
+    Op::Exec("MODIFY Price(32,12) TO BE Price(32,11) WHERE T"),
+    Op::Exec("DELETE Cost(10) WHERE T"),
     Op::Checkpoint,
 ];
 
@@ -199,7 +246,7 @@ proptest! {
         grouped in any::<bool>(),
         compact in any::<bool>(),
     ) {
-        let mut script: Vec<Op> = SCRIPT[..4].to_vec(); // schema + facts
+        let mut script: Vec<Op> = SCRIPT[..SETUP].to_vec(); // schema, axioms, facts
         script.extend(ops.iter().map(|&i| OP_POOL[i]));
         let wal_options = WalOptions {
             policy: if grouped { SyncPolicy::GroupCommit(4) } else { SyncPolicy::EveryRecord },
