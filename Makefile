@@ -1,11 +1,12 @@
 # Development pipeline. `make ci` is the gate: format check, clippy with
 # warnings denied, a release build, a release build of the end-to-end
-# benchmark, every workspace crate's tests except the bench crate's, the
-# WAL fault-injection suite, the ldml-lint self-check over the example
-# scripts, the bench smoke run (which validates the BENCH_*.json
-# shapes), and the server smoke run (a scripted client session against
-# an in-process winslett-serve instance). It also builds the API docs
-# with rustdoc warnings denied (`make doc`).
+# benchmark, every workspace crate's tests (of the bench crate, only the
+# served-bench kernel's), the WAL fault-injection suite, the ldml-lint
+# self-check over the example scripts, the bench smoke run (which
+# validates the BENCH_*.json shapes), and the server smoke run (a
+# scripted client session against an in-process winslett-serve
+# instance). It also builds the API docs with rustdoc warnings denied
+# (`make doc`).
 
 CARGO ?= cargo
 
@@ -43,10 +44,14 @@ perfbench-build:
 
 # `cargo test` alone runs only the root package; this runs the unit,
 # integration and doc tests of every workspace crate and vendor shim.
-# The bench crate stays out: its txn_bench round-trip test asserts a
-# throughput ratio that is flaky on 2-vCPU hosts.
+# Of the bench crate only the served-bench kernel's unit tests run
+# (selected by test path): they assert no timing, and one checks every
+# committed BENCH_*.json against its validator. The rest of the crate
+# stays out: its txn_bench round-trip test asserts a throughput ratio
+# that is flaky on 2-vCPU hosts.
 test:
 	$(CARGO) test -q --workspace --exclude winslett-bench
+	$(CARGO) test -q -p winslett-bench --lib kernel::
 
 # Exhaustive crash sweep: kills WAL writes at every byte boundary and
 # checks recovery lands on a legal prefix state. Release mode — the
@@ -96,8 +101,8 @@ connections-smoke:
 # the harness writes BENCH_txn.json and fails unless the shape
 # validates — in particular, unless disjoint-footprint transactions
 # sustained the plain batched baseline, no disjoint transaction ever
-# hit the lock table, and every side's reopened storage replayed to
-# the server's final verdicts.
+# hit the lock table, and every side's final pinned verdicts equal its
+# reopened storage and the serial replay of its committed units.
 txn-smoke:
 	$(CARGO) run --release -q -p winslett-bench --bin harness -- txn --quick --out target/bench-smoke
 

@@ -9,11 +9,14 @@
 //! cargo run --release -p winslett-bench --bin harness -- --out results/
 //! ```
 
-use winslett_bench::Table;
+use serde::Serialize;
 use winslett_bench::{
     compaction_bench, conflicts_bench, connections_bench, experiments, query_bench,
-    replication_bench, server_bench, txn_bench, wal_bench, worlds_bench,
+    replication_bench, server_bench, txn_bench, wal_bench, worlds_bench, Table, DOCUMENTS,
 };
+
+/// One of E1–E9, run at a size.
+type Experiment = fn(usize) -> Table;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -44,96 +47,43 @@ fn main() {
     let mut tables: Vec<Table> = Vec::new();
     let scale = if quick { 1 } else { 4 };
 
-    if want("e1") {
-        tables.push(experiments::e1(40 * scale));
-    }
-    if want("e2") {
-        tables.push(experiments::e2(150 * scale));
-    }
-    if want("e3") {
-        tables.push(experiments::e3(50 * scale));
-    }
-    if want("e4") {
-        tables.push(experiments::e4(50 * scale));
-    }
-    if want("e5") {
-        tables.push(experiments::e5(5 * scale));
-    }
-    if want("e6") {
-        tables.push(experiments::e6(30 * scale));
-    }
-    if want("e7") {
-        tables.push(experiments::e7(if quick { 5 } else { 8 }));
-    }
-    if want("e8") {
-        tables.push(experiments::e8(if quick { 16 } else { 64 }));
-    }
-    if want("e9") {
-        tables.push(experiments::e9(if quick { 5 } else { 8 }));
+    let runs: [(&str, Experiment, usize); 9] = [
+        ("e1", experiments::e1, 40 * scale),
+        ("e2", experiments::e2, 150 * scale),
+        ("e3", experiments::e3, 50 * scale),
+        ("e4", experiments::e4, 50 * scale),
+        ("e5", experiments::e5, 5 * scale),
+        ("e6", experiments::e6, 30 * scale),
+        ("e7", experiments::e7, if quick { 5 } else { 8 }),
+        ("e8", experiments::e8, if quick { 16 } else { 64 }),
+        ("e9", experiments::e9, if quick { 5 } else { 8 }),
+    ];
+    for (id, run, size) in runs {
+        if want(id) {
+            tables.push(run(size));
+        }
     }
 
     if let Some(dir) = &out_dir {
         std::fs::create_dir_all(dir).expect("create output directory");
     }
+    let out = out_dir.as_deref();
 
     if want("worlds") {
         let bench = worlds_bench::run_worlds_bench(if quick { 5 } else { 8 }, 4);
         tables.push(worlds_bench::worlds_table(&bench));
-        let path = match &out_dir {
-            Some(dir) => format!("{dir}/BENCH_worlds.json"),
-            None => "BENCH_worlds.json".to_owned(),
-        };
-        let text = serde_json::to_string_pretty(&bench).expect("serializable");
-        std::fs::write(&path, &text).expect("write BENCH_worlds.json");
-        // Validate the emitted document by re-reading what actually landed
-        // on disk — the shape gate behind `make bench-smoke`.
-        let reread = std::fs::read_to_string(&path).expect("read back BENCH_worlds.json");
-        match worlds_bench::validate_worlds_bench(&reread) {
-            Ok(_) => eprintln!("{path}: shape OK"),
-            Err(e) => {
-                eprintln!("{path}: shape validation FAILED: {e}");
-                std::process::exit(1);
-            }
-        }
+        emit(out, "worlds", &bench);
     }
     if want("wal") {
         let bench = wal_bench::run_wal_bench(if quick { 64 } else { 256 }, 8);
         tables.push(wal_bench::wal_table(&bench));
-        let path = match &out_dir {
-            Some(dir) => format!("{dir}/BENCH_wal.json"),
-            None => "BENCH_wal.json".to_owned(),
-        };
-        let text = serde_json::to_string_pretty(&bench).expect("serializable");
-        std::fs::write(&path, &text).expect("write BENCH_wal.json");
-        // Same re-read-and-validate gate as BENCH_worlds.json.
-        let reread = std::fs::read_to_string(&path).expect("read back BENCH_wal.json");
-        match wal_bench::validate_wal_bench(&reread) {
-            Ok(_) => eprintln!("{path}: shape OK"),
-            Err(e) => {
-                eprintln!("{path}: shape validation FAILED: {e}");
-                std::process::exit(1);
-            }
-        }
+        emit(out, "wal", &bench);
     }
     if want("query") {
         let bench =
             query_bench::run_query_bench(if quick { 24 } else { 64 }, if quick { 3 } else { 8 });
         tables.push(query_bench::query_table(&bench));
-        let path = match &out_dir {
-            Some(dir) => format!("{dir}/BENCH_query.json"),
-            None => "BENCH_query.json".to_owned(),
-        };
-        let text = serde_json::to_string_pretty(&bench).expect("serializable");
-        std::fs::write(&path, &text).expect("write BENCH_query.json");
-        // Same re-read-and-validate gate as BENCH_worlds.json.
-        let reread = std::fs::read_to_string(&path).expect("read back BENCH_query.json");
-        match query_bench::validate_query_bench(&reread) {
-            Ok(_) => eprintln!("{path}: shape OK"),
-            Err(e) => {
-                eprintln!("{path}: shape validation FAILED: {e}");
-                std::process::exit(1);
-            }
-        }
+        emit(out, "query", &bench);
     }
     if want("server") {
         let bench = server_bench::run_server_bench(
@@ -141,39 +91,12 @@ fn main() {
             if quick { 150 } else { 1000 },
         );
         tables.push(server_bench::server_table(&bench));
-        let path = match &out_dir {
-            Some(dir) => format!("{dir}/BENCH_server.json"),
-            None => "BENCH_server.json".to_owned(),
-        };
-        let text = serde_json::to_string_pretty(&bench).expect("serializable");
-        std::fs::write(&path, &text).expect("write BENCH_server.json");
-        // Same re-read-and-validate gate as BENCH_worlds.json.
-        let reread = std::fs::read_to_string(&path).expect("read back BENCH_server.json");
-        match server_bench::validate_server_bench(&reread) {
-            Ok(_) => eprintln!("{path}: shape OK"),
-            Err(e) => {
-                eprintln!("{path}: shape validation FAILED: {e}");
-                std::process::exit(1);
-            }
-        }
+        emit(out, "server", &bench);
     }
     if want("compaction") {
         let bench = compaction_bench::run_compaction_bench(if quick { 240 } else { 1200 }, 25);
         tables.push(compaction_bench::compaction_table(&bench));
-        let path = match &out_dir {
-            Some(dir) => format!("{dir}/BENCH_compaction.json"),
-            None => "BENCH_compaction.json".to_owned(),
-        };
-        let text = serde_json::to_string_pretty(&bench).expect("serializable");
-        std::fs::write(&path, &text).expect("write BENCH_compaction.json");
-        let reread = std::fs::read_to_string(&path).expect("read back BENCH_compaction.json");
-        match compaction_bench::validate_compaction_bench(&reread) {
-            Ok(_) => eprintln!("{path}: shape OK"),
-            Err(e) => {
-                eprintln!("{path}: shape validation FAILED: {e}");
-                std::process::exit(1);
-            }
-        }
+        emit(out, "compaction", &bench);
     }
     if want("replication") {
         let bench = replication_bench::run_replication_bench(
@@ -181,21 +104,7 @@ fn main() {
             if quick { 150 } else { 1000 },
         );
         tables.push(replication_bench::replication_table(&bench));
-        let path = match &out_dir {
-            Some(dir) => format!("{dir}/BENCH_replication.json"),
-            None => "BENCH_replication.json".to_owned(),
-        };
-        let text = serde_json::to_string_pretty(&bench).expect("serializable");
-        std::fs::write(&path, &text).expect("write BENCH_replication.json");
-        // Same re-read-and-validate gate as BENCH_worlds.json.
-        let reread = std::fs::read_to_string(&path).expect("read back BENCH_replication.json");
-        match replication_bench::validate_replication_bench(&reread) {
-            Ok(_) => eprintln!("{path}: shape OK"),
-            Err(e) => {
-                eprintln!("{path}: shape validation FAILED: {e}");
-                std::process::exit(1);
-            }
-        }
+        emit(out, "replication", &bench);
     }
     if want("connections") {
         let bench = connections_bench::run_connections_bench(
@@ -207,21 +116,7 @@ fn main() {
             if quick { 60 } else { 200 },
         );
         tables.push(connections_bench::connections_table(&bench));
-        let path = match &out_dir {
-            Some(dir) => format!("{dir}/BENCH_connections.json"),
-            None => "BENCH_connections.json".to_owned(),
-        };
-        let text = serde_json::to_string_pretty(&bench).expect("serializable");
-        std::fs::write(&path, &text).expect("write BENCH_connections.json");
-        // Same re-read-and-validate gate as BENCH_worlds.json.
-        let reread = std::fs::read_to_string(&path).expect("read back BENCH_connections.json");
-        match connections_bench::validate_connections_bench(&reread) {
-            Ok(_) => eprintln!("{path}: shape OK"),
-            Err(e) => {
-                eprintln!("{path}: shape validation FAILED: {e}");
-                std::process::exit(1);
-            }
-        }
+        emit(out, "connections", &bench);
     }
     if want("conflicts") {
         // ≥3 writers: each writer has one request in flight, and
@@ -232,41 +127,13 @@ fn main() {
             if quick { 150 } else { 1000 },
         );
         tables.push(conflicts_bench::conflicts_table(&bench));
-        let path = match &out_dir {
-            Some(dir) => format!("{dir}/BENCH_conflicts.json"),
-            None => "BENCH_conflicts.json".to_owned(),
-        };
-        let text = serde_json::to_string_pretty(&bench).expect("serializable");
-        std::fs::write(&path, &text).expect("write BENCH_conflicts.json");
-        // Same re-read-and-validate gate as BENCH_worlds.json.
-        let reread = std::fs::read_to_string(&path).expect("read back BENCH_conflicts.json");
-        match conflicts_bench::validate_conflicts_bench(&reread) {
-            Ok(_) => eprintln!("{path}: shape OK"),
-            Err(e) => {
-                eprintln!("{path}: shape validation FAILED: {e}");
-                std::process::exit(1);
-            }
-        }
+        emit(out, "conflicts", &bench);
     }
     if want("txn") {
         let bench =
             txn_bench::run_txn_bench(if quick { 3 } else { 4 }, if quick { 150 } else { 1000 });
         tables.push(txn_bench::txn_table(&bench));
-        let path = match &out_dir {
-            Some(dir) => format!("{dir}/BENCH_txn.json"),
-            None => "BENCH_txn.json".to_owned(),
-        };
-        let text = serde_json::to_string_pretty(&bench).expect("serializable");
-        std::fs::write(&path, &text).expect("write BENCH_txn.json");
-        // Same re-read-and-validate gate as BENCH_worlds.json.
-        let reread = std::fs::read_to_string(&path).expect("read back BENCH_txn.json");
-        match txn_bench::validate_txn_bench(&reread) {
-            Ok(_) => eprintln!("{path}: shape OK"),
-            Err(e) => {
-                eprintln!("{path}: shape validation FAILED: {e}");
-                std::process::exit(1);
-            }
-        }
+        emit(out, "txn", &bench);
     }
     for t in &tables {
         if json {
@@ -281,6 +148,30 @@ fn main() {
                 serde_json::to_string_pretty(t).expect("serializable"),
             )
             .expect("write result file");
+        }
+    }
+}
+
+/// Writes `bench` as `BENCH_<name>.json` (into `out`, else the working
+/// directory), re-reads what actually landed on disk and validates it:
+/// the shape gate behind the smoke targets. Exits 1 on a failed check.
+fn emit(out: Option<&str>, name: &str, bench: &impl Serialize) {
+    let path = match out {
+        Some(dir) => format!("{dir}/BENCH_{name}.json"),
+        None => format!("BENCH_{name}.json"),
+    };
+    let text = serde_json::to_string_pretty(bench).expect("serializable");
+    std::fs::write(&path, &text).expect("write BENCH document");
+    let reread = std::fs::read_to_string(&path).expect("read back BENCH document");
+    let (_, validate) = DOCUMENTS
+        .iter()
+        .find(|(doc, _)| *doc == name)
+        .expect("every BENCH document has a validator");
+    match validate(&reread) {
+        Ok(()) => eprintln!("{path}: shape OK"),
+        Err(e) => {
+            eprintln!("{path}: shape validation FAILED: {e}");
+            std::process::exit(1);
         }
     }
 }

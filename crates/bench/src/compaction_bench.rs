@@ -19,6 +19,7 @@
 //! compares the final alternative-world sets. Both runs end with a
 //! checkpoint so the on-disk snapshot shrink is measured too.
 
+use crate::kernel;
 use crate::report::Table;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -365,17 +366,7 @@ pub fn run_compaction_bench(steps: usize, period: usize) -> CompactionBench {
 /// Returns the parsed document on success; `make compaction-smoke` fails
 /// on `Err`.
 pub fn validate_compaction_bench(text: &str) -> Result<CompactionBench, String> {
-    let b: CompactionBench = serde_json::from_str(text)
-        .map_err(|e| format!("BENCH_compaction.json does not parse: {e}"))?;
-    if b.version != 1 {
-        return Err(format!("unknown version {}", b.version));
-    }
-    if b.experiment != "compaction" {
-        return Err(format!(
-            "experiment is {:?}, expected \"compaction\"",
-            b.experiment
-        ));
-    }
+    let b: CompactionBench = kernel::parse(text, "compaction", 1)?;
     if b.statements == 0 || b.period == 0 || b.probes == 0 {
         return Err("statements, period, and probes must all be positive".to_owned());
     }
@@ -409,9 +400,7 @@ pub fn validate_compaction_bench(text: &str) -> Result<CompactionBench, String> 
         if run.checkpoint_bytes == 0 {
             return Err(format!("{label} run wrote no checkpoint"));
         }
-        if !(run.probe_mean_us.is_finite() && run.probe_mean_us > 0.0) {
-            return Err(format!("{label} probe_mean_us is not positive finite"));
-        }
+        kernel::positive(run.probe_mean_us, &format!("{label} probe_mean_us"))?;
         if want_compactions && (run.compactions == 0 || run.swap_replayed == 0) {
             return Err("on run performed no compactions or replayed no racing writes".to_owned());
         }
@@ -491,9 +480,7 @@ pub fn compaction_table(b: &CompactionBench) -> Table {
         b.verdicts_identical,
         b.worlds_match
     ));
-    for n in &b.notes {
-        t.note(n.clone());
-    }
+    t.notes.extend(b.notes.iter().cloned());
     t
 }
 

@@ -1,32 +1,32 @@
-//! The `conflicts` experiment behind `BENCH_conflicts.json` (E13):
-//! does the server's conflict-aware write batcher pay off, and does it
+//! The `conflicts` experiment behind `BENCH_conflicts.json` (E13): does
+//! the server's conflict-aware write batcher pay off, and does it
 //! preserve semantics?
 //!
-//! Two identical `winslett-serve` instances run the same workload — `w`
-//! writer connections committing toggling updates over *disjoint* atom
-//! pools (so the statements are pairwise independent by footprint) while
-//! reader connections run pin → check → unpin loops — one instance with
-//! [`winslett_serve::ServerOptions::batch_writes`] on, one with it off.
-//! The writer thread coalesces queued independent writes into group
-//! commits: one sync and one snapshot publication per batch instead of
-//! one per write.
+//! Every plain write takes the one batched write path. Two identical
+//! `winslett-serve` instances run the same seed and the same closed loop
+//! with reader connections running pin → check → unpin throughout; only
+//! the writers' footprints differ:
 //!
-//! After the timed window a deterministic reconciliation phase drives
-//! both databases to the same intended final state, and the bench then
-//! checks **verdict identity** twice per side: the server's final pinned
-//! snapshot must agree with direct library calls on the reopened
-//! post-shutdown storage (recovery *is* the §4 replay of the journaled
-//! update dumps), and the two sides must agree with each other. Batching
+//! * **disjoint** — `w` writer connections toggle atoms of private pools,
+//!   so their statements are pairwise independent by footprint and the
+//!   writer thread may coalesce queued writes into one batch: one
+//!   snapshot publication (and under group commit one sync) per batch
+//!   instead of one per write.
+//! * **hot** — the same writers all toggle one atom, so every write
+//!   conflicts with the one before it and runs in a batch of its own:
+//!   the one-publication-per-write baseline.
+//!
+//! Each side ends with the kernel's final-state check: the server's
+//! final pinned verdicts must equal the reopened storage's and those of
+//! the §4 serial replay of the acknowledged writes in LSN order. Batching
 //! that changed any verdict would fail the shape gate in
 //! `make bench-smoke`.
 
-use crate::report::{percentile, Table};
+use crate::kernel::{self, FinalCheck, Seed};
+use crate::report::Table;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
-use winslett_core::{DbOptions, DurableDatabase, MemStorage, SyncPolicy, WalOptions};
-use winslett_serve::{Client, Server, ServerOptions};
+use std::time::Duration;
+use winslett_serve::ServerOptions;
 
 /// Reader connections per side: enough to keep snapshot reads live
 /// without drowning the writers on small CI hosts.
@@ -44,8 +44,8 @@ const CHECKS_PER_PIN: usize = 8;
 const READER_PACE: Duration = Duration::from_millis(5);
 
 /// Atoms in each writer's private pool (writer `w` touches only
-/// `Pool(w, 0..POOL)` — disjoint footprints across writers).
-const POOL: usize = 4;
+/// `Pool(w, 0..POOL)` on the disjoint side). Shared with the txn bench.
+pub(crate) const POOL: usize = 4;
 
 /// Inert facts seeded up front to give the theory realistic bulk.
 /// Snapshot publication deep-clones the theory, so its cost scales with
@@ -54,11 +54,11 @@ const POOL: usize = 4;
 /// statement). A near-empty theory would understate the payoff.
 const FILLER: usize = 256;
 
-/// One side of the comparison (batching on or off).
+/// One side of the comparison.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct SideResult {
-    /// Whether `batch_writes` was enabled.
-    pub batched: bool,
+    /// `"disjoint"` or `"hot"`.
+    pub workload: String,
     /// Updates acknowledged across all writers in the window.
     pub writer_updates: u64,
     /// Aggregate acknowledged writes per second.
@@ -72,15 +72,14 @@ pub struct SideResult {
     /// Aggregate reads per second.
     pub reads_per_sec: f64,
     /// Snapshots the writer published over the whole run (stats counter;
-    /// includes seeding and reconciliation).
+    /// includes seeding).
     pub snapshots_published: u64,
-    /// Batches the writer thread flushed (0 when batching is off).
+    /// Batches the writer thread flushed.
     pub write_batches: u64,
     /// Writes that shared a batch with at least one other write.
     pub coalesced_writes: u64,
-    /// Whether the server's final pinned verdicts equal direct library
-    /// calls on the reopened storage (WAL recovery = §4 replay).
-    pub replay_matches: bool,
+    /// The kernel's final-state check of this side's server.
+    pub final_state: FinalCheck,
 }
 
 /// The complete `BENCH_conflicts.json` document.
@@ -98,232 +97,132 @@ pub struct ConflictsBench {
     pub writers: u64,
     /// `std::thread::available_parallelism()` on the measuring host.
     pub host_parallelism: u64,
-    /// The classic one-publication-per-write path.
-    pub unbatched: SideResult,
-    /// The conflict-aware group-commit path.
-    pub batched: SideResult,
-    /// Whether the two sides' post-reconciliation probe verdicts are
-    /// identical. Must be `true`: batching may only change *when*
-    /// snapshots appear, never what is true in them.
-    pub verdicts_match: bool,
-    /// `batched.writes_per_sec / unbatched.writes_per_sec`.
+    /// Pairwise-independent writers, free to share batches.
+    pub disjoint: SideResult,
+    /// Writers whose writes all touch one atom: one batch per write.
+    pub hot: SideResult,
+    /// `disjoint.writes_per_sec / hot.writes_per_sec`.
     pub speedup: f64,
     /// Free-form observations.
     pub notes: Vec<String>,
 }
 
-/// The probe checklist: one certain atom per writer pool after
-/// reconciliation, plus the seeded branch (kept uncertain so checks do
-/// real SAT work).
-fn probes(writers: usize) -> Vec<String> {
+/// The seed this bench and the txn bench start from: every writer pool
+/// atom `Pool(w, 0..POOL)` and `atoms` atoms of the one-place relation
+/// `shared`, all true (so every probe constant exists before the readers
+/// start), an uncertain branch, and the filler.
+pub(crate) fn pool_seed(writers: usize, shared: &str, atoms: usize) -> Seed {
+    let mut seed = Seed::default();
+    seed.relation("Pool", 2)
+        .relation(shared, 1)
+        .relation("Branch", 1)
+        .relation("Filler", 1);
+    for i in 0..FILLER {
+        seed.fact("Filler", [1000 + i]);
+    }
+    for w in 0..writers {
+        for k in 0..POOL {
+            seed.fact("Pool", [w, k]);
+        }
+    }
+    for k in 0..atoms {
+        seed.fact(shared, [k]);
+    }
+    seed.statement("INSERT Branch(1) | Branch(2) WHERE T");
+    seed
+}
+
+/// The final-state probes of a [`pool_seed`] run: one atom per writer
+/// pool, the first `shared` atom, and the seeded branch (kept uncertain
+/// so checks do real SAT work).
+pub(crate) fn pool_probes(writers: usize, shared: &str) -> Vec<String> {
     let mut v: Vec<String> = (0..writers).map(|w| format!("Pool({w},0)")).collect();
-    v.push("Branch(1)".to_owned());
-    v.push("Branch(2)".to_owned());
+    v.extend([
+        format!("{shared}(0)"),
+        "Branch(1)".into(),
+        "Branch(2)".into(),
+    ]);
     v
 }
 
-/// Writer `w`'s bounded update script: toggles membership over its
-/// private pool, so concurrent writers' statements have disjoint
-/// footprints and the batcher can legally coalesce them.
-fn writer_statement(w: usize, i: usize) -> String {
-    let k = i % POOL;
+/// The toggle of statement `i`: inserts for `POOL` statements, then
+/// deletes for `POOL`, so a writer's theory stays bounded.
+pub(crate) fn toggle(i: usize) -> &'static str {
     if (i / POOL).is_multiple_of(2) {
-        format!("INSERT Pool({w},{k}) WHERE T")
+        "INSERT"
     } else {
-        format!("DELETE Pool({w},{k}) WHERE T")
+        "DELETE"
     }
 }
 
-/// Runs one side: same seed, same workload, batching on or off.
-fn run_side(batch: bool, writers: usize, window: Duration) -> (SideResult, Vec<(bool, bool)>) {
-    let (server, _report) = Server::bind(
-        ("127.0.0.1", 0),
-        MemStorage::new(),
-        DbOptions::default(),
-        WalOptions {
-            policy: SyncPolicy::GroupCommit(8),
-            ..WalOptions::default()
-        },
-        ServerOptions {
-            max_connections: 64,
-            idle_timeout: Duration::from_secs(30),
-            batch_writes: batch,
-            // This experiment isolates the batching effect; the compactor
-            // would add its own publications to the counts under test.
-            compaction: None,
-            ..ServerOptions::default()
-        },
-    )
-    .expect("bench server bind");
-    let addr = server.local_addr();
-    let running = std::thread::spawn(move || server.run());
+/// Statement `i` of writer `w`: a toggle over its private pool, or over
+/// the one hot atom.
+fn writer_statement(hot: bool, w: usize, i: usize) -> String {
+    if hot {
+        format!("{} Hot(0) WHERE T", toggle(i))
+    } else {
+        format!("{} Pool({w},{}) WHERE T", toggle(i), i % POOL)
+    }
+}
 
-    let mut setup = Client::connect(addr).expect("setup connect");
-    setup.declare_relation("Pool", 2).expect("declare Pool");
-    setup.declare_relation("Branch", 1).expect("declare Branch");
-    setup.declare_relation("Filler", 1).expect("declare Filler");
-    for i in 0..FILLER {
-        setup
-            .load_fact("Filler", &[&(1000 + i).to_string()])
-            .expect("seed filler fact");
-    }
-    // Seed every pool atom true so all probe constants exist before the
-    // readers start checking them.
-    for w in 0..writers {
-        for k in 0..POOL {
-            setup
-                .load_fact("Pool", &[&w.to_string(), &k.to_string()])
-                .expect("seed pool fact");
-        }
-    }
-    setup
-        .execute("INSERT Branch(1) | Branch(2) WHERE T")
-        .expect("seed branch");
-
-    let probe_list = probes(writers);
-    let stop = Arc::new(AtomicBool::new(false));
-    let mut reader_handles = Vec::new();
-    for _ in 0..READERS {
-        let stop = Arc::clone(&stop);
-        let probe_list = probe_list.clone();
-        reader_handles.push(std::thread::spawn(move || {
-            let mut client = Client::connect(addr).expect("reader connect");
-            let mut reads = 0u64;
-            while !stop.load(Ordering::Relaxed) {
-                client.pin().expect("pin");
-                for i in 0..CHECKS_PER_PIN {
-                    client
-                        .check(&probe_list[i % probe_list.len()])
-                        .expect("check");
-                    reads += 1;
-                    if stop.load(Ordering::Relaxed) {
-                        break;
-                    }
-                }
-                client.unpin().expect("unpin");
-                std::thread::sleep(READER_PACE);
-            }
-            reads
-        }));
-    }
-    let mut writer_handles = Vec::new();
-    for w in 0..writers {
-        let stop = Arc::clone(&stop);
-        writer_handles.push(std::thread::spawn(move || {
-            let mut client = Client::connect(addr).expect("writer connect");
-            let mut latencies_us = Vec::new();
-            let mut i = 0usize;
-            while !stop.load(Ordering::Relaxed) {
-                let start = Instant::now();
-                client
-                    .execute(&writer_statement(w, i))
-                    .expect("bench update");
-                latencies_us.push(start.elapsed().as_secs_f64() * 1e6);
-                i += 1;
-            }
-            latencies_us
-        }));
-    }
-
-    let started = Instant::now();
-    std::thread::sleep(window);
-    stop.store(true, Ordering::Relaxed);
-    let mut write_latencies: Vec<f64> = Vec::new();
-    for h in writer_handles {
-        write_latencies.extend(h.join().expect("writer thread"));
-    }
-    let elapsed = started.elapsed().as_secs_f64();
-    let mut total_reads = 0u64;
-    for h in reader_handles {
-        total_reads += h.join().expect("reader thread");
-    }
-
-    // Reconciliation: the writers stopped at arbitrary toggle phases, so
-    // drive every pool atom to a fixed final state. Both sides end at
-    // the same intended theory regardless of how far each writer got.
-    for w in 0..writers {
-        for k in 0..POOL {
-            setup
-                .execute(&format!("INSERT Pool({w},{k}) WHERE T"))
-                .expect("reconcile");
-        }
-    }
-
-    // Final verdicts over a pinned server snapshot, plus the counters.
-    let server_verdicts: Vec<(bool, bool)> = {
-        let mut client = Client::connect(addr).expect("verdict connect");
-        client.pin().expect("pin final");
-        probe_list
-            .iter()
-            .map(|p| {
-                let t = client.check(p).expect("final check");
-                (t.possible, t.certain)
-            })
-            .collect()
+/// Runs one side: same seed, same closed loop, disjoint or hot writers.
+fn run_side(hot: bool, writers: usize, window: Duration) -> SideResult {
+    let seed = pool_seed(writers, "Hot", 1);
+    // The compactor would add its own publications to the counts under
+    // test.
+    let options = ServerOptions {
+        compaction: None,
+        ..ServerOptions::default()
     };
-    let stats = setup.stats().expect("stats");
-
-    setup.shutdown().expect("shutdown");
-    let storage = running.join().expect("server thread").expect("server run");
-
-    // Reopen the flushed storage: recovery replays the journaled §4
-    // update dumps. Direct library verdicts are the ground truth.
-    let (reopened, _) = DurableDatabase::open(storage, DbOptions::default(), WalOptions::default())
-        .expect("bench reopen");
-    let mut direct = reopened;
-    let direct_verdicts: Vec<(bool, bool)> = probe_list
-        .iter()
-        .map(|p| {
-            let possible = direct.db_mut().is_possible(p).expect("direct possible");
-            let certain = direct.db_mut().is_certain(p).expect("direct certain");
-            (possible, certain)
-        })
-        .collect();
-
-    write_latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    let side = SideResult {
-        batched: batch,
-        writer_updates: write_latencies.len() as u64,
-        writes_per_sec: write_latencies.len() as f64 / elapsed,
-        write_p50_us: percentile(&write_latencies, 0.50),
-        write_p95_us: percentile(&write_latencies, 0.95),
-        total_reads,
-        reads_per_sec: total_reads as f64 / elapsed,
-        snapshots_published: stats.snapshots_published,
-        write_batches: stats.write_batches,
-        coalesced_writes: stats.coalesced_writes,
-        replay_matches: server_verdicts == direct_verdicts,
-    };
-    (side, server_verdicts)
+    let served = kernel::boot(options, &seed);
+    let probes = pool_probes(writers, "Hot");
+    let addr = served.addr;
+    let w = kernel::closed_loop(
+        window,
+        (0..READERS)
+            .map(|_| kernel::reader(addr, &probes, CHECKS_PER_PIN, READER_PACE))
+            .collect(),
+        (0..writers)
+            .map(|w| kernel::writer(addr, 0, move |i| writer_statement(hot, w, i)))
+            .collect(),
+    );
+    let finished = kernel::finish(served, &seed, &w.writes.acked, &probes);
+    SideResult {
+        workload: if hot { "hot" } else { "disjoint" }.to_owned(),
+        writer_updates: w.writes.count(),
+        writes_per_sec: w.writes.per_sec(w.elapsed_s),
+        write_p50_us: w.writes.p(0.50),
+        write_p95_us: w.writes.p(0.95),
+        total_reads: w.reads.count(),
+        reads_per_sec: w.reads.per_sec(w.elapsed_s),
+        snapshots_published: finished.stats.snapshots_published,
+        write_batches: finished.stats.write_batches,
+        coalesced_writes: finished.stats.coalesced_writes,
+        final_state: finished.check,
+    }
 }
 
 /// Runs both sides and assembles the `BENCH_conflicts.json` document.
 pub fn run_conflicts_bench(writers: usize, window_ms: u64) -> ConflictsBench {
     let window = Duration::from_millis(window_ms);
-    let (unbatched, verdicts_off) = run_side(false, writers, window);
-    let (batched, verdicts_on) = run_side(true, writers, window);
-    let verdicts_match = verdicts_off == verdicts_on;
-    let speedup = if unbatched.writes_per_sec > 0.0 {
-        batched.writes_per_sec / unbatched.writes_per_sec
+    let hot = run_side(true, writers, window);
+    let disjoint = run_side(false, writers, window);
+    let speedup = if hot.writes_per_sec > 0.0 {
+        disjoint.writes_per_sec / hot.writes_per_sec
     } else {
         0.0
     };
-    let host_parallelism = std::thread::available_parallelism()
-        .map(|n| n.get() as u64)
-        .unwrap_or(1);
     let notes = vec![
         format!(
-            "{writers} writers toggle disjoint Pool(w, 0..{POOL}) atoms — pairwise \
-             independent by footprint, so the batching leader may coalesce them; \
-             {READERS} readers run pin → {CHECKS_PER_PIN} checks → unpin throughout."
+            "{writers} writers toggle atoms flat out: disjoint Pool(w, 0..{POOL}) \
+             pools on one side (pairwise independent by footprint, so queued \
+             writes may share a batch), the single Hot(0) atom on the other \
+             (every write conflicts with the last, one batch each); {READERS} \
+             readers run pin → {CHECKS_PER_PIN} checks → unpin throughout."
         ),
-        "A deterministic reconciliation phase drives both sides to the same \
-         intended theory before verdicts are compared, so the timed window can \
-         stop writers at any phase."
-            .to_owned(),
-        "replay_matches compares each server's final pinned snapshot against \
-         direct library calls on its reopened storage — WAL recovery replays \
-         the journaled §4 update dumps."
+        "final_state compares each server's final pinned snapshot against \
+         direct library calls on its reopened storage and against the §4 \
+         serial replay of the acknowledged writes in LSN order."
             .to_owned(),
         "Coalescing requires writes to actually queue up; on single-core hosts \
          or with few writers, write_batches ≈ writer_updates and the two sides \
@@ -331,19 +230,18 @@ pub fn run_conflicts_bench(writers: usize, window_ms: u64) -> ConflictsBench {
             .to_owned(),
     ];
     ConflictsBench {
-        version: 1,
+        version: 2,
         experiment: "conflicts".to_owned(),
         workload: format!(
-            "{writers} disjoint-pool writers + {READERS} snapshot readers for \
-             {window_ms} ms against winslett-serve (MemStorage, group commit 8), \
-             batch_writes off vs on"
+            "{writers} writers + {READERS} snapshot readers for {window_ms} ms \
+             against winslett-serve (MemStorage, group commit 8), disjoint \
+             pools vs one hot atom"
         ),
         window_ms,
         writers: writers as u64,
-        host_parallelism,
-        unbatched,
-        batched,
-        verdicts_match,
+        host_parallelism: kernel::host_parallelism(),
+        disjoint,
+        hot,
         speedup,
         notes,
     }
@@ -353,74 +251,59 @@ pub fn run_conflicts_bench(writers: usize, window_ms: u64) -> ConflictsBench {
 /// [`ConflictsBench`] and checking the cross-field invariants. Returns
 /// the parsed document on success; `make bench-smoke` fails on `Err`.
 pub fn validate_conflicts_bench(text: &str) -> Result<ConflictsBench, String> {
-    let b: ConflictsBench = serde_json::from_str(text)
-        .map_err(|e| format!("BENCH_conflicts.json does not parse: {e}"))?;
-    if b.version != 1 {
-        return Err(format!("unknown version {}", b.version));
-    }
-    if b.experiment != "conflicts" {
-        return Err(format!(
-            "experiment is {:?}, expected \"conflicts\"",
-            b.experiment
-        ));
-    }
+    let b: ConflictsBench = kernel::parse(text, "conflicts", 2)?;
     if b.window_ms == 0 {
         return Err("window_ms is 0 — nothing was measured".to_owned());
     }
     if b.writers == 0 {
         return Err("no writers recorded".to_owned());
     }
-    for (side, name) in [(&b.unbatched, "unbatched"), (&b.batched, "batched")] {
-        if side.batched != (name == "batched") {
-            return Err(format!("side {name} has batched = {}", side.batched));
+    for (side, name) in [(&b.disjoint, "disjoint"), (&b.hot, "hot")] {
+        if side.workload != name {
+            return Err(format!("side {name} is labeled {:?}", side.workload));
         }
         if side.writer_updates == 0 {
             return Err(format!("{name}: no writes acknowledged"));
         }
-        if !(side.writes_per_sec.is_finite() && side.writes_per_sec > 0.0) {
-            return Err(format!("{name}: writes_per_sec is not positive finite"));
-        }
-        if !(side.write_p50_us > 0.0 && side.write_p95_us >= side.write_p50_us) {
-            return Err(format!(
-                "{name}: write percentiles are not ordered positive"
-            ));
-        }
+        kernel::positive(side.writes_per_sec, &format!("{name}: writes_per_sec"))?;
+        kernel::ordered(
+            &[side.write_p50_us, side.write_p95_us],
+            &format!("{name}: write"),
+        )?;
         if side.total_reads == 0 {
             return Err(format!("{name}: readers were starved"));
         }
         if side.snapshots_published == 0 {
             return Err(format!("{name}: no snapshots published"));
         }
-        if !side.replay_matches {
+        if side.write_batches == 0 {
+            return Err(format!("{name}: flushed no batches"));
+        }
+        // A batch publishes at most one snapshot (plus the one at boot):
+        // coalescing can only reduce publications per write.
+        if side.snapshots_published > side.write_batches + 1 {
             return Err(format!(
-                "{name}: server snapshot verdicts differ from the reopened \
-                 storage — replay identity broken"
+                "{name}: published {} snapshots from {} batches",
+                side.snapshots_published, side.write_batches
             ));
         }
+        kernel::final_state(&side.final_state, name)?;
     }
-    if b.unbatched.write_batches != 0 {
-        return Err("unbatched side reports write batches".to_owned());
-    }
-    if b.batched.write_batches == 0 {
-        return Err("batched side flushed no batches".to_owned());
-    }
-    // A batch publishes at most one snapshot: coalescing can only reduce
-    // publications per acknowledged write, never add them.
-    if b.batched.snapshots_published > b.batched.write_batches + 1 {
+    if b.hot.coalesced_writes != 0 {
         return Err(format!(
-            "batched side published {} snapshots from {} batches",
-            b.batched.snapshots_published, b.batched.write_batches
+            "hot writes conflict pairwise, yet {} shared a batch",
+            b.hot.coalesced_writes
         ));
     }
-    if !b.verdicts_match {
-        return Err("batched and unbatched final verdicts differ".to_owned());
+    if b.disjoint.coalesced_writes == 0 {
+        return Err("no disjoint write shared a batch".to_owned());
     }
     // The payoff claim, with slack for scheduler noise on small CI hosts:
     // batching must not *cost* throughput.
-    if b.batched.writes_per_sec < 0.85 * b.unbatched.writes_per_sec {
+    if b.disjoint.writes_per_sec < 0.85 * b.hot.writes_per_sec {
         return Err(format!(
-            "batched writer throughput regressed: {:.0}/s vs {:.0}/s unbatched",
-            b.batched.writes_per_sec, b.unbatched.writes_per_sec
+            "disjoint writer throughput regressed: {:.0}/s vs {:.0}/s hot",
+            b.disjoint.writes_per_sec, b.hot.writes_per_sec
         ));
     }
     if b.host_parallelism == 0 {
@@ -433,9 +316,9 @@ pub fn validate_conflicts_bench(text: &str) -> Result<ConflictsBench, String> {
 pub fn conflicts_table(b: &ConflictsBench) -> Table {
     let mut t = Table::new(
         "CONFLICTS",
-        "conflict-aware write batching: group-commit of pairwise-independent writes, on vs off",
+        "conflict-aware write batching: pairwise-independent writers vs writers of one hot atom",
         &[
-            "mode",
+            "workload",
             "writes/s",
             "write p50 µs",
             "write p95 µs",
@@ -445,9 +328,9 @@ pub fn conflicts_table(b: &ConflictsBench) -> Table {
             "coalesced",
         ],
     );
-    for side in [&b.unbatched, &b.batched] {
+    for side in [&b.hot, &b.disjoint] {
         t.row(vec![
-            if side.batched { "batched" } else { "unbatched" }.to_owned(),
+            side.workload.clone(),
             format!("{:.0}", side.writes_per_sec),
             format!("{:.1}", side.write_p50_us),
             format!("{:.1}", side.write_p95_us),
@@ -458,18 +341,17 @@ pub fn conflicts_table(b: &ConflictsBench) -> Table {
         ]);
     }
     t.note(format!(
-        "{} writers × {} ms window; speedup {:.2}×; verdicts identical across \
-         sides: {}; replay identity: {} / {}",
+        "{} writers × {} ms window; speedup {:.2}×; final state matches storage \
+         and serial replay: hot {} / {}, disjoint {} / {}",
         b.writers,
         b.window_ms,
         b.speedup,
-        b.verdicts_match,
-        b.unbatched.replay_matches,
-        b.batched.replay_matches
+        b.hot.final_state.matches_storage,
+        b.hot.final_state.matches_replay,
+        b.disjoint.final_state.matches_storage,
+        b.disjoint.final_state.matches_replay
     ));
-    for n in &b.notes {
-        t.note(n.clone());
-    }
+    t.notes.extend(b.notes.iter().cloned());
     t
 }
 
@@ -480,31 +362,44 @@ mod tests {
     #[test]
     fn small_bench_runs_and_round_trips() {
         let b = run_conflicts_bench(3, 80);
-        assert!(b.verdicts_match);
-        assert!(b.unbatched.replay_matches && b.batched.replay_matches);
+        assert!(kernel::final_state(&b.hot.final_state, "hot").is_ok());
+        assert!(kernel::final_state(&b.disjoint.final_state, "disjoint").is_ok());
         let text = serde_json::to_string_pretty(&b).expect("serializes");
         let back = validate_conflicts_bench(&text).expect("validates");
         assert_eq!(back.writers, 3);
-        assert!(back.batched.write_batches > 0);
+        assert!(back.disjoint.coalesced_writes > 0);
+        assert_eq!(back.hot.coalesced_writes, 0);
     }
 
     #[test]
     fn validation_rejects_broken_documents() {
         let b = run_conflicts_bench(3, 60);
         let mut bad = b.clone();
-        bad.verdicts_match = false;
+        bad.hot.final_state.matches_replay = false;
         let text = serde_json::to_string_pretty(&bad).expect("serializes");
         assert!(validate_conflicts_bench(&text)
             .unwrap_err()
-            .contains("differ"));
+            .contains("serial replay"));
         let mut bad = b.clone();
-        bad.batched.replay_matches = false;
+        bad.disjoint.final_state.matches_storage = false;
         let text = serde_json::to_string_pretty(&bad).expect("serializes");
         assert!(validate_conflicts_bench(&text)
             .unwrap_err()
-            .contains("replay identity"));
+            .contains("reopened storage"));
         let mut bad = b.clone();
-        bad.batched.writes_per_sec = 0.1 * bad.unbatched.writes_per_sec;
+        bad.hot.coalesced_writes = 2;
+        let text = serde_json::to_string_pretty(&bad).expect("serializes");
+        assert!(validate_conflicts_bench(&text)
+            .unwrap_err()
+            .contains("shared a batch"));
+        let mut bad = b.clone();
+        bad.disjoint.snapshots_published = bad.disjoint.write_batches + 2;
+        let text = serde_json::to_string_pretty(&bad).expect("serializes");
+        assert!(validate_conflicts_bench(&text)
+            .unwrap_err()
+            .contains("snapshots from"));
+        let mut bad = b.clone();
+        bad.disjoint.writes_per_sec = 0.1 * bad.hot.writes_per_sec;
         let text = serde_json::to_string_pretty(&bad).expect("serializes");
         assert!(validate_conflicts_bench(&text)
             .unwrap_err()

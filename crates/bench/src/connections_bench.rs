@@ -8,7 +8,8 @@
 //! round-trips — then sends entailment-check probes through a stride
 //! sample of the held sockets and records p50/p99 per-check latency.
 //! `accept_per_sec` is the admission rate: one nonblocking accept plus
-//! an epoll registration per socket.
+//! an epoll registration per socket. Each tier's server ends with the
+//! kernel's final-state check.
 //!
 //! File-descriptor budget: `n` held sockets cost `2n` descriptors in
 //! this one process (client end + server end). The bench asks the
@@ -16,11 +17,11 @@
 //! binds, honestly shrinks the tier and says so in `notes` rather than
 //! reporting a tier it could not actually hold.
 
+use crate::kernel::{self, FinalCheck, Seed};
 use crate::report::{percentile, Table};
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
-use winslett_core::{DbOptions, MemStorage, SyncPolicy, WalOptions};
-use winslett_serve::{Client, Server, ServerOptions};
+use winslett_serve::{Client, ServerOptions};
 
 /// The entailment probe every sampled connection asks.
 const PROBE: &str = "R(a)";
@@ -135,6 +136,8 @@ pub struct ConnTier {
     pub read_p50_us: f64,
     /// 99th percentile, µs.
     pub read_p99_us: f64,
+    /// The kernel's final-state check of this tier's server.
+    pub final_state: FinalCheck,
 }
 
 /// The complete `BENCH_connections.json` document.
@@ -155,40 +158,19 @@ pub struct ConnectionsBench {
     pub notes: Vec<String>,
 }
 
-fn boot(
-    target: usize,
-) -> (
-    std::thread::JoinHandle<Result<MemStorage, winslett_core::DbError>>,
-    std::net::SocketAddr,
-) {
-    let (server, _report) = Server::bind(
-        ("127.0.0.1", 0),
-        MemStorage::new(),
-        DbOptions::default(),
-        WalOptions {
-            policy: SyncPolicy::GroupCommit(8),
-            ..WalOptions::default()
-        },
-        ServerOptions {
-            max_connections: target + 64,
-            idle_timeout: Duration::from_secs(120),
-            compaction: None,
-            ..ServerOptions::default()
-        },
-    )
-    .expect("bench server bind");
-    let addr = server.local_addr();
-    (std::thread::spawn(move || server.run()), addr)
-}
-
 /// Runs one tier against a fresh server.
 fn run_tier(target: usize, probe_budget: usize) -> (ConnTier, Vec<String>) {
     let mut notes = Vec::new();
-    let (running, addr) = boot(target);
-
-    let mut setup = Client::connect(addr).expect("setup connect");
-    setup.declare_relation("R", 1).expect("declare");
-    setup.load_fact("R", &["a"]).expect("seed fact");
+    let mut seed = Seed::default();
+    seed.relation("R", 1).fact("R", ["a"]);
+    let options = ServerOptions {
+        max_connections: target + 64,
+        idle_timeout: Duration::from_secs(120),
+        compaction: None,
+        ..ServerOptions::default()
+    };
+    let served = kernel::boot(options, &seed);
+    let addr = served.addr;
 
     // Dial until the tier is full or the host refuses; a connection is
     // held only once its Ping answer arrives.
@@ -227,7 +209,7 @@ fn run_tier(target: usize, probe_budget: usize) -> (ConnTier, Vec<String>) {
             let idx = (i * stride) % held.len();
             let start = Instant::now();
             match held[idx].check(PROBE) {
-                Ok(_) => latencies_us.push(start.elapsed().as_secs_f64() * 1e6),
+                Ok(_) => latencies_us.push(kernel::micros(start)),
                 Err(e) => {
                     notes.push(format!("tier {target}: probe failed: {e}"));
                     break;
@@ -238,37 +220,25 @@ fn run_tier(target: usize, probe_budget: usize) -> (ConnTier, Vec<String>) {
     }
     latencies_us.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
 
-    let tier = ConnTier {
-        target: target as u64,
-        held: held.len() as u64,
-        establish_ms: establish.as_secs_f64() * 1e3,
-        accept_per_sec: held.len() as f64 / establish.as_secs_f64().max(1e-9),
-        probes: latencies_us.len() as u64,
-        read_p50_us: percentile(&latencies_us, 0.50),
-        read_p99_us: percentile(&latencies_us, 0.99),
-    };
-
-    // RST-close the herd (setup included — a lingering connection would
-    // stall the drain until the idle reaper gets it) so back-to-back
-    // tiers do not fight over TIME_WAIT ephemeral ports, then shut down
-    // through a fresh client.
+    // RST-close the herd so back-to-back tiers do not fight over
+    // TIME_WAIT ephemeral ports (and no lingering connection stalls the
+    // drain until the idle reaper gets it), then end through the kernel.
+    let held_count = held.len() as u64;
     for c in &held {
         hardclose::mark(c.stream());
     }
     drop(held);
-    hardclose::mark(setup.stream());
-    drop(setup);
-    match Client::connect(addr) {
-        Ok(mut c) => {
-            if let Err(e) = c.shutdown() {
-                notes.push(format!("tier {target}: shutdown failed: {e}"));
-            }
-        }
-        Err(e) => notes.push(format!("tier {target}: shutdown connect failed: {e}")),
-    }
-    if running.join().is_err() {
-        notes.push(format!("tier {target}: server thread panicked"));
-    }
+    let finished = kernel::finish(served, &seed, &[], &[PROBE.to_owned()]);
+    let tier = ConnTier {
+        target: target as u64,
+        held: held_count,
+        establish_ms: establish.as_secs_f64() * 1e3,
+        accept_per_sec: held_count as f64 / establish.as_secs_f64().max(1e-9),
+        probes: latencies_us.len() as u64,
+        read_p50_us: percentile(&latencies_us, 0.50),
+        read_p99_us: percentile(&latencies_us, 0.99),
+        final_state: finished.check,
+    };
     (tier, notes)
 }
 
@@ -305,12 +275,10 @@ pub fn run_connections_bench(targets: &[usize], probe_budget: usize) -> Connecti
     }
 
     ConnectionsBench {
-        version: 2,
+        version: 3,
         experiment: "connections".to_owned(),
         fd_limit,
-        host_parallelism: std::thread::available_parallelism()
-            .map(|n| n.get() as u64)
-            .unwrap_or(1),
+        host_parallelism: kernel::host_parallelism(),
         tiers,
         notes,
     }
@@ -320,17 +288,7 @@ pub fn run_connections_bench(targets: &[usize], probe_budget: usize) -> Connecti
 /// [`ConnectionsBench`] and checking the cross-field invariants.
 /// `make connections-smoke` fails on `Err`.
 pub fn validate_connections_bench(text: &str) -> Result<ConnectionsBench, String> {
-    let b: ConnectionsBench = serde_json::from_str(text)
-        .map_err(|e| format!("BENCH_connections.json does not parse: {e}"))?;
-    if b.version != 2 {
-        return Err(format!("unknown version {}", b.version));
-    }
-    if b.experiment != "connections" {
-        return Err(format!(
-            "experiment is {:?}, expected \"connections\"",
-            b.experiment
-        ));
-    }
+    let b: ConnectionsBench = kernel::parse(text, "connections", 3)?;
     if b.tiers.is_empty() {
         return Err("no tiers recorded".to_owned());
     }
@@ -349,30 +307,14 @@ pub fn validate_connections_bench(text: &str) -> Result<ConnectionsBench, String
                 tier.target, tier.held
             ));
         }
-        if !(tier.establish_ms.is_finite() && tier.establish_ms > 0.0) {
-            return Err(format!(
-                "tier {} establish_ms is not positive finite",
-                tier.target
-            ));
-        }
-        if !(tier.accept_per_sec.is_finite() && tier.accept_per_sec > 0.0) {
-            return Err(format!(
-                "tier {} accept_per_sec is not positive finite",
-                tier.target
-            ));
-        }
+        let at = format!("tier {}", tier.target);
+        kernel::positive(tier.establish_ms, &format!("{at} establish_ms"))?;
+        kernel::positive(tier.accept_per_sec, &format!("{at} accept_per_sec"))?;
         if tier.probes == 0 {
-            return Err(format!("tier {} recorded no probes", tier.target));
+            return Err(format!("{at} recorded no probes"));
         }
-        let ordered = tier.read_p50_us > 0.0
-            && tier.read_p50_us <= tier.read_p99_us
-            && tier.read_p99_us.is_finite();
-        if !ordered {
-            return Err(format!(
-                "tier {} read percentiles are not ordered positive finite",
-                tier.target
-            ));
-        }
+        kernel::ordered(&[tier.read_p50_us, tier.read_p99_us], &format!("{at} read"))?;
+        kernel::final_state(&tier.final_state, &at)?;
     }
     Ok(b)
 }
@@ -407,9 +349,7 @@ pub fn connections_table(b: &ConnectionsBench) -> Table {
         "RLIMIT_NOFILE {} (each held socket costs two fds in-process); host parallelism {}",
         b.fd_limit, b.host_parallelism
     ));
-    for n in &b.notes {
-        t.note(n.clone());
-    }
+    t.notes.extend(b.notes.iter().cloned());
     t
 }
 
@@ -448,7 +388,13 @@ mod tests {
             .unwrap_err()
             .contains("percentiles"));
         let mut bad = b.clone();
-        bad.version = 1;
+        bad.tiers[0].final_state.matches_replay = false;
+        let text = serde_json::to_string_pretty(&bad).expect("serializes");
+        assert!(validate_connections_bench(&text)
+            .unwrap_err()
+            .contains("serial replay"));
+        let mut bad = b.clone();
+        bad.version = 2;
         let text = serde_json::to_string_pretty(&bad).expect("serializes");
         assert!(validate_connections_bench(&text)
             .unwrap_err()

@@ -10,6 +10,7 @@ pub mod compaction_bench;
 pub mod conflicts_bench;
 pub mod connections_bench;
 pub mod experiments;
+pub mod kernel;
 pub mod query_bench;
 pub mod replication_bench;
 pub mod report;
@@ -36,3 +37,20 @@ pub use server_bench::{run_server_bench, server_table, validate_server_bench, Se
 pub use txn_bench::{run_txn_bench, txn_table, validate_txn_bench, TxnBench};
 pub use wal_bench::{run_wal_bench, validate_wal_bench, wal_table, WalBench};
 pub use worlds_bench::{run_worlds_bench, validate_worlds_bench, worlds_table, WorldsBench};
+
+/// A `BENCH_*.json` shape gate: `Err` names the first failed check.
+pub type Validator = fn(&str) -> Result<(), String>;
+
+/// Every committed `BENCH_<name>.json` document by name, with the
+/// validator that gates it.
+pub const DOCUMENTS: &[(&str, Validator)] = &[
+    ("compaction", |t| validate_compaction_bench(t).map(drop)),
+    ("conflicts", |t| validate_conflicts_bench(t).map(drop)),
+    ("connections", |t| validate_connections_bench(t).map(drop)),
+    ("query", |t| validate_query_bench(t).map(drop)),
+    ("replication", |t| validate_replication_bench(t).map(drop)),
+    ("server", |t| validate_server_bench(t).map(drop)),
+    ("txn", |t| validate_txn_bench(t).map(drop)),
+    ("wal", |t| validate_wal_bench(t).map(drop)),
+    ("worlds", |t| validate_worlds_bench(t).map(drop)),
+];

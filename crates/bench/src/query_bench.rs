@@ -23,6 +23,7 @@
 //! emitted JSON is validated by re-parsing into [`QueryBench`] — the shape
 //! gate behind `make bench-smoke`.
 
+use crate::kernel;
 use crate::report::Table;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -228,9 +229,7 @@ pub fn run_query_bench(r: usize, rounds: usize) -> QueryBench {
         identical_answers &= certain == production.certain && possible == production.possible;
     }
 
-    let host_parallelism = std::thread::available_parallelism()
-        .map(|n| n.get() as u64)
-        .unwrap_or(1);
+    let host_parallelism = kernel::host_parallelism();
     let session_speedup = legacy.total_us / session.total_us;
     let notes = vec![
         format!(
@@ -271,17 +270,7 @@ pub fn run_query_bench(r: usize, rounds: usize) -> QueryBench {
 /// [`QueryBench`] and checking the cross-field invariants. Returns the
 /// parsed document on success; `make bench-smoke` fails on `Err`.
 pub fn validate_query_bench(text: &str) -> Result<QueryBench, String> {
-    let b: QueryBench =
-        serde_json::from_str(text).map_err(|e| format!("BENCH_query.json does not parse: {e}"))?;
-    if b.version != 1 {
-        return Err(format!("unknown version {}", b.version));
-    }
-    if b.experiment != "query" {
-        return Err(format!(
-            "experiment is {:?}, expected \"query\"",
-            b.experiment
-        ));
-    }
+    let b: QueryBench = kernel::parse(text, "query", 1)?;
     if b.rounds == 0 || b.queries == 0 || b.candidate_bindings == 0 {
         return Err(
             "workload collapsed: rounds, queries, and candidate_bindings must be > 0".into(),
@@ -294,9 +283,7 @@ pub fn validate_query_bench(text: &str) -> Result<QueryBench, String> {
         if run.stats.solves == 0 {
             return Err(format!("{label} run performed no solves"));
         }
-        if !(run.total_us.is_finite() && run.total_us > 0.0) {
-            return Err(format!("{label} total_us is not a positive finite number"));
-        }
+        kernel::positive(run.total_us, &format!("{label} total_us"))?;
     }
     if b.legacy.stats.solves != b.session.stats.solves {
         return Err(format!(
@@ -364,9 +351,7 @@ pub fn query_table(b: &QueryBench) -> Table {
         "session speedup ×{:.2}, identical answers: {}",
         b.session_speedup, b.identical_answers
     ));
-    for n in &b.notes {
-        t.note(n.clone());
-    }
+    t.notes.extend(b.notes.iter().cloned());
     t
 }
 

@@ -12,10 +12,11 @@
 //!    replica reads never touch the primary's writer.
 //! 2. **Verdict identity** — readers record the probe verdicts of every
 //!    distinct replica state they pin, tagged with its LSN. After the
-//!    run, each sampled LSN's verdicts are compared against a direct
-//!    library replay of the acknowledged statement prefix through that
+//!    run, each sampled LSN's verdicts are compared against the kernel's
+//!    §4 serial replay of the acknowledged statement prefix through that
 //!    LSN — the same serialization witness the linearizability tests
-//!    use. One mismatch anywhere fails validation.
+//!    use — and the primary ends with the kernel's final-state check.
+//!    One mismatch anywhere fails validation.
 //! 3. **Catch-up sweep** — a scripted history is re-run on
 //!    [`FailpointStorage`] killing the primary at **every** byte
 //!    offset; after each kill the torn storage is recovered and a
@@ -23,27 +24,23 @@
 //!    recovered primary's world set. Spliced logs with an LSN gap at
 //!    the checkpoint boundary must be *refused*, not absorbed.
 
-use crate::report::{percentile, Table};
+use crate::kernel::{self, FinalCheck, Seed, SerialReplay, Tally, Unit, Verdict, Worker};
+use crate::report::Table;
+use crate::server_bench::{orders_seed, probes, writer_statement};
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::SocketAddr;
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use winslett_core::wal::{SNAPSHOT_FILE, WAL_FILE};
 use winslett_core::{
     replay_record, restore_theory, Catchup, DbError, DbOptions, DurableDatabase, FailpointStorage,
-    LogicalDatabase, MemStorage, Settled, Storage, SyncPolicy, TxnSettle, WalOptions,
+    LogicalDatabase, Settled, Storage, TxnSettle, WalOptions,
 };
-use winslett_serve::{Client, Replica, ReplicaOptions, Server, ServerOptions};
-
-/// Probes every reader asks; also the verdict-identity checklist.
-const PROBES: &[&str] = &["Orders(700,32,9)", "Orders(100,32,1)", "InStock(32,1)"];
+use winslett_serve::{Client, ClientError, ErrorKindWire, Replica, ReplicaOptions, ServerOptions};
 
 /// Checks issued per pinned replica snapshot before re-pinning.
 const CHECKS_PER_PIN: usize = 16;
-
-/// Writes acknowledged by the seed (declares, facts, branch) — sampled
-/// LSNs below this predate the probe vocabulary and are not recorded.
-const SEED_WRITES: u64 = 5;
 
 /// Cap on verified verdict samples (evenly spaced over the distinct
 /// sampled LSNs), bounding the ground-truth replay work.
@@ -116,33 +113,12 @@ pub struct ReplicationBench {
     pub verdict_samples: Vec<VerdictSample>,
     /// Whether every sampled replica state matched the serial prefix.
     pub verdicts_match: bool,
+    /// The kernel's final-state check of the primary.
+    pub final_state: FinalCheck,
     /// The kill-byte sweep results.
     pub catchup: CatchupSweep,
     /// Free-form observations.
     pub notes: Vec<String>,
-}
-
-fn boot_primary() -> (
-    std::thread::JoinHandle<Result<MemStorage, DbError>>,
-    std::net::SocketAddr,
-) {
-    let (server, _report) = Server::bind(
-        ("127.0.0.1", 0),
-        MemStorage::new(),
-        DbOptions::default(),
-        WalOptions {
-            policy: SyncPolicy::GroupCommit(8),
-            ..WalOptions::default()
-        },
-        ServerOptions {
-            max_connections: 64,
-            idle_timeout: Duration::from_secs(30),
-            ..ServerOptions::default()
-        },
-    )
-    .expect("bench primary bind");
-    let addr = server.local_addr();
-    (std::thread::spawn(move || server.run()), addr)
 }
 
 fn boot_replica(
@@ -171,198 +147,115 @@ fn boot_replica(
     (handle, thread, addr)
 }
 
-/// Seeds the paper's Orders/InStock schema through the wire (5 writes:
-/// LSNs 0..=4).
-fn seed(client: &mut Client) {
-    client.declare_relation("Orders", 3).expect("declare");
-    client.declare_relation("InStock", 2).expect("declare");
-    client
-        .load_fact("Orders", &["700", "32", "9"])
-        .expect("seed fact");
-    client
-        .load_fact("InStock", &["32", "1"])
-        .expect("seed fact");
-    client
-        .execute("INSERT Orders(100,32,1) | Orders(100,32,7) WHERE T")
-        .expect("seed branch");
-}
+/// One raw sampled replica state: the LSN it had applied through and
+/// its probe verdicts.
+type RawSample = (u64, Vec<Verdict>);
 
-/// The writer's bounded update script (same toggling pool as the server
-/// bench, so the theory stays compact for any window).
-fn writer_statement(i: usize) -> String {
-    let k = i % 6;
-    if (i / 6).is_multiple_of(2) {
-        format!("INSERT InStock({k},{k}) WHERE T")
-    } else {
-        format!("DELETE InStock({k},{k}) WHERE T")
-    }
-}
-
-/// One raw sampled replica state.
-struct RawSample {
-    lsn: u64,
-    truths: Vec<(bool, bool)>,
+/// A replica reader: pin at the seed boundary → checks → unpin, timing
+/// each check and recording every distinct post-seed state it pinned in
+/// `samples`. `LagBehind` refusals count as the tally's refusals.
+fn replica_reader(
+    addr: SocketAddr,
+    seed_writes: u64,
+    samples: Arc<Mutex<Vec<RawSample>>>,
+) -> Worker {
+    let probes = probes();
+    Box::new(move |stop| {
+        let mut client = Client::connect(addr).expect("reader connect");
+        let mut tally = Tally::default();
+        let mut last_sampled = 0u64;
+        while !stop.load(Ordering::Relaxed) {
+            // Pin at the seed boundary: every probe constant is interned
+            // once the seed writes (LSNs 0..seed_writes) have applied, so
+            // checks never hit a younger snapshot's strict-parse refusal.
+            let snap = match client.pin_at(seed_writes - 1) {
+                Ok(snap) => snap,
+                Err(ClientError::Server(e)) if e.kind == ErrorKindWire::LagBehind => {
+                    tally.refusals += 1;
+                    std::thread::sleep(Duration::from_millis(1));
+                    continue;
+                }
+                Err(e) => panic!("replica pin failed: {e}"),
+            };
+            let mut truths = Vec::new();
+            for (i, probe) in probes.iter().cycle().take(CHECKS_PER_PIN).enumerate() {
+                let start = Instant::now();
+                let t = client.check(probe).expect("replica check");
+                tally.latencies_us.push(kernel::micros(start));
+                if i < probes.len() {
+                    truths.push((t.possible, t.certain));
+                }
+            }
+            client.unpin().expect("unpin");
+            // Record each distinct post-seed state once per reader.
+            if snap.last_lsn + 1 > seed_writes && snap.last_lsn != last_sampled {
+                last_sampled = snap.last_lsn;
+                let mut guard = samples.lock().expect("samples lock");
+                guard.push((snap.last_lsn, truths));
+            }
+        }
+        tally
+    })
 }
 
 /// Runs one replica level: `replicas` followers each with one reader,
-/// plus a flat-out writer on the primary. Readers append every distinct
-/// pinned state to `samples`; the writer appends its acked statements
-/// (in LSN order) to `acked`.
+/// plus a flat-out writer on the primary whose script continues where
+/// the previous levels' `acked` statements stopped. Readers append every
+/// distinct pinned state to `samples`; the writer's acknowledged units
+/// are appended to `acked`.
 fn run_level(
-    primary: std::net::SocketAddr,
+    primary: SocketAddr,
+    seed_writes: u64,
     replicas: usize,
     window: Duration,
-    next_statement: &mut usize,
-    acked: &mut Vec<(u64, String)>,
+    acked: &mut Vec<Unit>,
     samples: &Arc<Mutex<Vec<RawSample>>>,
 ) -> ReplicaLevel {
-    let mut fleet = Vec::new();
-    for _ in 0..replicas {
-        fleet.push(boot_replica(primary));
-    }
-
-    let stop = Arc::new(AtomicBool::new(false));
-    let mut reader_handles = Vec::new();
-    for (_, _, replica_addr) in &fleet {
-        let stop = Arc::clone(&stop);
-        let samples = Arc::clone(samples);
-        let replica_addr = *replica_addr;
-        reader_handles.push(std::thread::spawn(move || {
-            let mut client = Client::connect(replica_addr).expect("reader connect");
-            let mut latencies_us = Vec::new();
-            let mut lag_refusals = 0u64;
-            let mut last_sampled = 0u64;
-            while !stop.load(Ordering::Relaxed) {
-                // Pin at the seed boundary: every probe constant is
-                // interned once the seed writes (LSNs 0..SEED_WRITES)
-                // have applied, so checks never hit a younger snapshot's
-                // strict-parse refusal.
-                let snap = match client.pin_at(SEED_WRITES - 1) {
-                    Ok(snap) => snap,
-                    Err(winslett_serve::ClientError::Server(e))
-                        if e.kind == winslett_serve::ErrorKindWire::LagBehind =>
-                    {
-                        lag_refusals += 1;
-                        std::thread::sleep(Duration::from_millis(1));
-                        continue;
-                    }
-                    Err(e) => panic!("replica pin failed: {e}"),
-                };
-                let mut truths = Vec::new();
-                for (i, probe) in PROBES.iter().cycle().take(CHECKS_PER_PIN).enumerate() {
-                    let start = Instant::now();
-                    let t = client.check(probe).expect("replica check");
-                    latencies_us.push(start.elapsed().as_secs_f64() * 1e6);
-                    if i < PROBES.len() {
-                        truths.push((t.possible, t.certain));
-                    }
-                }
-                client.unpin().expect("unpin");
-                // Record each distinct post-seed state once per reader.
-                if snap.last_lsn + 1 > SEED_WRITES && snap.last_lsn != last_sampled {
-                    last_sampled = snap.last_lsn;
-                    let mut guard = samples.lock().expect("samples lock");
-                    guard.push(RawSample {
-                        lsn: snap.last_lsn,
-                        truths,
-                    });
-                }
-            }
-            (latencies_us, lag_refusals)
-        }));
-    }
-
-    let writer_stop = Arc::clone(&stop);
-    let writer_start = *next_statement;
-    let writer = std::thread::spawn(move || {
-        let mut client = Client::connect(primary).expect("writer connect");
-        let mut acked = Vec::new();
-        let mut i = writer_start;
-        while !writer_stop.load(Ordering::Relaxed) {
-            let statement = writer_statement(i);
-            let reply = client.execute(&statement).expect("bench update");
-            acked.push((reply.lsn, statement));
-            i += 1;
-        }
-        (acked, i)
-    });
-
-    let started = Instant::now();
-    std::thread::sleep(window);
-    stop.store(true, Ordering::Relaxed);
-
-    let mut read_latencies: Vec<f64> = Vec::new();
-    let mut lag_refusals = 0u64;
-    for h in reader_handles {
-        let (lat, lags) = h.join().expect("reader thread");
-        read_latencies.extend(lat);
-        lag_refusals += lags;
-    }
-    let (level_acked, next) = writer.join().expect("writer thread");
-    let elapsed = started.elapsed().as_secs_f64();
-    let writer_updates = level_acked.len() as u64;
-    *next_statement = next;
-    acked.extend(level_acked);
-
+    let fleet: Vec<_> = (0..replicas).map(|_| boot_replica(primary)).collect();
+    let readers = fleet
+        .iter()
+        .map(|(_, _, addr)| replica_reader(*addr, seed_writes, Arc::clone(samples)))
+        .collect();
+    let writer = kernel::writer(primary, acked.len(), writer_statement);
+    let mut w = kernel::closed_loop(window, readers, vec![writer]);
     for (handle, thread, _) in fleet {
         handle.request_shutdown();
         thread.join().expect("replica thread");
     }
-
-    read_latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+    acked.append(&mut w.writes.acked);
     ReplicaLevel {
         replicas: replicas as u64,
-        total_reads: read_latencies.len() as u64,
-        reads_per_sec: read_latencies.len() as f64 / elapsed,
-        read_p50_us: percentile(&read_latencies, 0.50),
-        read_p95_us: percentile(&read_latencies, 0.95),
-        read_p99_us: percentile(&read_latencies, 0.99),
-        writer_updates,
-        lag_refusals,
+        total_reads: w.reads.count(),
+        reads_per_sec: w.reads.per_sec(w.elapsed_s),
+        read_p50_us: w.reads.p(0.50),
+        read_p95_us: w.reads.p(0.95),
+        read_p99_us: w.reads.p(0.99),
+        writer_updates: w.writes.count(),
+        lag_refusals: w.reads.refusals,
     }
 }
 
-/// Verifies the sampled replica states against an incremental library
-/// replay of the acknowledged statements, in LSN order.
-fn verify_samples(acked: &[(u64, String)], raw: Vec<RawSample>) -> Vec<VerdictSample> {
+/// Verifies the sampled replica states against the serial replay of the
+/// acknowledged statements, in LSN order.
+fn verify_samples(seed: &Seed, acked: &[Unit], raw: Vec<RawSample>) -> Vec<VerdictSample> {
     // Distinct sampled LSNs, evenly subsampled down to the cap.
-    let mut lsns: Vec<u64> = raw.iter().map(|s| s.lsn).collect();
+    let mut lsns: Vec<u64> = raw.iter().map(|(lsn, _)| *lsn).collect();
     lsns.sort_unstable();
     lsns.dedup();
     let step = lsns.len().div_ceil(MAX_VERIFIED_SAMPLES).max(1);
-    let chosen: Vec<u64> = lsns.iter().copied().step_by(step).collect();
 
     // One representative sample per chosen LSN (readers that pinned the
     // same LSN saw the same snapshot; any representative will do — a
     // divergence between them would already be a consistency bug the
     // comparison below catches against the replay).
-    let mut ground = LogicalDatabase::new();
-    ground.declare_relation("Orders", 3).expect("declare");
-    ground.declare_relation("InStock", 2).expect("declare");
-    ground
-        .load_fact("Orders", &["700", "32", "9"])
-        .expect("fact");
-    ground.load_fact("InStock", &["32", "1"]).expect("fact");
-    ground
-        .execute("INSERT Orders(100,32,1) | Orders(100,32,7) WHERE T")
-        .expect("branch");
-
+    let probes = probes();
+    let mut replay = SerialReplay::new(seed, acked);
     let mut verified = Vec::new();
-    let mut applied = 0usize;
-    for lsn in chosen {
-        // Advance the replay through this LSN (acked is in LSN order).
-        while applied < acked.len() && acked[applied].0 <= lsn {
-            ground.execute(&acked[applied].1).expect("replay");
-            applied += 1;
-        }
-        let Some(sample) = raw.iter().find(|s| s.lsn == lsn) else {
+    for lsn in lsns.into_iter().step_by(step) {
+        let Some((_, truths)) = raw.iter().find(|(at, _)| *at == lsn) else {
             continue;
         };
-        let matches = PROBES.iter().zip(&sample.truths).all(|(probe, &(p, c))| {
-            let want_p = ground.is_possible(probe).expect("replay possible");
-            let want_c = ground.is_certain(probe).expect("replay certain");
-            (p, c) == (want_p, want_c)
-        });
+        let matches = kernel::verdicts(replay.through(lsn), &probes) == *truths;
         verified.push(VerdictSample { lsn, matches });
     }
     verified
@@ -525,14 +418,12 @@ pub fn run_catchup_sweep() -> CatchupSweep {
 pub fn run_replication_bench(replica_levels: &[usize], window_ms: u64) -> ReplicationBench {
     let catchup = run_catchup_sweep();
 
-    let (running, addr) = boot_primary();
-    let mut setup = Client::connect(addr).expect("setup connect");
-    seed(&mut setup);
-
+    let seed = orders_seed();
+    let served = kernel::boot(ServerOptions::default(), &seed);
+    let mut setup = Client::connect(served.addr).expect("setup connect");
     let window = Duration::from_millis(window_ms);
     let samples = Arc::new(Mutex::new(Vec::new()));
-    let mut acked: Vec<(u64, String)> = Vec::new();
-    let mut next_statement = 0usize;
+    let mut acked: Vec<Unit> = Vec::new();
     let mut levels: Vec<ReplicaLevel> = Vec::new();
     for &r in replica_levels {
         // Checkpoint between levels so each level's fresh replicas
@@ -540,38 +431,28 @@ pub fn run_replication_bench(replica_levels: &[usize], window_ms: u64) -> Replic
         // replaying every prior level's full write history.
         setup.checkpoint().expect("checkpoint between levels");
         levels.push(run_level(
-            addr,
+            served.addr,
+            seed.writes(),
             r,
             window,
-            &mut next_statement,
             &mut acked,
             &samples,
         ));
     }
+    drop(setup);
+    let final_state = kernel::finish(served, &seed, &acked, &probes()).check;
 
-    setup.shutdown().expect("shutdown");
-    running
-        .join()
-        .expect("primary thread")
-        .expect("primary run");
-
-    acked.sort_by_key(|&(lsn, _)| lsn);
-    let raw = Arc::try_unwrap(samples)
-        .map(|m| m.into_inner().expect("samples"))
-        .unwrap_or_else(|arc| std::mem::take(&mut arc.lock().expect("samples")));
-    let verdict_samples = verify_samples(&acked, raw);
+    let raw = std::mem::take(&mut *samples.lock().expect("samples"));
+    let verdict_samples = verify_samples(&seed, &acked, raw);
     let verdicts_match = !verdict_samples.is_empty() && verdict_samples.iter().all(|s| s.matches);
 
-    let host_parallelism = std::thread::available_parallelism()
-        .map(|n| n.get() as u64)
-        .unwrap_or(1);
     let notes = vec![
         format!(
             "Each level boots that many replicas of one primary; one reader per \
              replica loops pin_at → {CHECKS_PER_PIN} checks → unpin while one \
              writer commits flat-out on the primary."
         ),
-        "Every sampled replica state is verified against a direct library \
+        "Every sampled replica state is verified against the §4 serial \
          replay of the acknowledged statement prefix through its LSN — \
          replicas only ever expose serial prefixes."
             .to_owned(),
@@ -584,7 +465,7 @@ pub fn run_replication_bench(replica_levels: &[usize], window_ms: u64) -> Replic
             .to_owned(),
     ];
     ReplicationBench {
-        version: 1,
+        version: 2,
         experiment: "replication".to_owned(),
         workload: format!(
             "{} replica levels × {window_ms} ms against one winslett-serve \
@@ -592,10 +473,11 @@ pub fn run_replication_bench(replica_levels: &[usize], window_ms: u64) -> Replic
             replica_levels.len()
         ),
         window_ms,
-        host_parallelism,
+        host_parallelism: kernel::host_parallelism(),
         levels,
         verdict_samples,
         verdicts_match,
+        final_state,
         catchup,
         notes,
     }
@@ -604,64 +486,26 @@ pub fn run_replication_bench(replica_levels: &[usize], window_ms: u64) -> Replic
 /// Shape-validates `BENCH_replication.json` text by re-parsing it into
 /// [`ReplicationBench`] and checking the cross-field invariants.
 pub fn validate_replication_bench(text: &str) -> Result<ReplicationBench, String> {
-    let b: ReplicationBench = serde_json::from_str(text)
-        .map_err(|e| format!("BENCH_replication.json does not parse: {e}"))?;
-    if b.version != 1 {
-        return Err(format!("unknown version {}", b.version));
-    }
-    if b.experiment != "replication" {
-        return Err(format!(
-            "experiment is {:?}, expected \"replication\"",
-            b.experiment
-        ));
-    }
+    let b: ReplicationBench = kernel::parse(text, "replication", 2)?;
     if b.window_ms == 0 {
         return Err("window_ms is 0 — nothing was measured".to_owned());
     }
-    if b.levels.is_empty() {
-        return Err("no replica levels recorded".to_owned());
-    }
-    let mut prev = 0;
+    let rates = b.levels.iter().map(|l| (l.replicas, l.reads_per_sec));
+    kernel::non_collapse(rates, "replica")?;
     for level in &b.levels {
-        if level.replicas <= prev {
-            return Err("replica levels must strictly increase".to_owned());
-        }
-        prev = level.replicas;
+        let at = format!("level {}", level.replicas);
+        let reads = [level.read_p50_us, level.read_p95_us, level.read_p99_us];
         if level.total_reads == 0 {
-            return Err(format!("level {} served no reads", level.replicas));
+            return Err(format!("{at} served no reads"));
         }
-        if !(level.reads_per_sec.is_finite() && level.reads_per_sec > 0.0) {
-            return Err(format!(
-                "level {} reads_per_sec is not positive finite",
-                level.replicas
-            ));
-        }
-        let ordered = level.read_p50_us <= level.read_p95_us
-            && level.read_p95_us <= level.read_p99_us
-            && level.read_p50_us > 0.0
-            && level.read_p99_us.is_finite();
-        if !ordered {
-            return Err(format!(
-                "level {} read percentiles are not ordered positive finite",
-                level.replicas
-            ));
-        }
+        kernel::positive(level.reads_per_sec, &format!("{at} reads_per_sec"))?;
+        kernel::ordered(&reads, &format!("{at} read"))?;
         if level.writer_updates == 0 {
             return Err(format!(
-                "level {} starved the primary's writer — replica reads must \
-                 never touch the writer lock",
-                level.replicas
+                "{at} starved the primary's writer — replica reads must \
+                 never touch the writer lock"
             ));
         }
-    }
-    let first = &b.levels[0];
-    let last = &b.levels[b.levels.len() - 1];
-    if last.reads_per_sec < 0.3 * first.reads_per_sec {
-        return Err(format!(
-            "aggregate replica read throughput collapsed: {:.0}/s at {} replicas \
-             vs {:.0}/s at {}",
-            last.reads_per_sec, last.replicas, first.reads_per_sec, first.replicas
-        ));
     }
     if b.verdict_samples.is_empty() {
         return Err("no verdict samples recorded — nothing proved identity".to_owned());
@@ -675,6 +519,7 @@ pub fn validate_replication_bench(text: &str) -> Result<ReplicationBench, String
     if !b.verdicts_match {
         return Err("verdicts_match is false".to_owned());
     }
+    kernel::final_state(&b.final_state, "primary")?;
     if b.catchup.kill_points == 0 {
         return Err("catch-up sweep exercised no kill points".to_owned());
     }
@@ -730,9 +575,7 @@ pub fn replication_table(b: &ReplicationBench) -> Table {
         b.catchup.all_consistent,
         b.catchup.gap_splices_rejected
     ));
-    for n in &b.notes {
-        t.note(n.clone());
-    }
+    t.notes.extend(b.notes.iter().cloned());
     t
 }
 
@@ -774,6 +617,12 @@ mod tests {
         assert!(validate_replication_bench(&text)
             .unwrap_err()
             .contains("follower diverged"));
+        let mut bad = b.clone();
+        bad.final_state.matches_replay = false;
+        let text = serde_json::to_string_pretty(&bad).expect("serializes");
+        assert!(validate_replication_bench(&text)
+            .unwrap_err()
+            .contains("serial replay"));
         let mut bad = b.clone();
         bad.levels[0].writer_updates = 0;
         let text = serde_json::to_string_pretty(&bad).expect("serializes");

@@ -5,29 +5,26 @@
 //! (each looping pin → 16 entailment checks → unpin, measuring
 //! per-check latency) concurrently with one writer connection that
 //! commits journaled updates as fast as the server acknowledges them,
-//! for a fixed wall-clock window. It records aggregate read throughput,
-//! read and write latency percentiles, and — after the load quiesces —
-//! a **verdict-identity check**: every probe answered through a pinned
-//! server snapshot must answer exactly what direct library calls on the
-//! reopened post-shutdown database say.
+//! for a fixed wall-clock window. It records aggregate read throughput
+//! and read and write latency percentiles. After the load quiesces, the
+//! kernel's final-state check requires every probe answered through a
+//! pinned server snapshot to answer exactly what the reopened
+//! post-shutdown database and the §4 serial replay of the acknowledged
+//! writes say.
 //!
 //! On single-CPU hosts (CI containers) the reader threads time-share one
 //! core, so aggregate throughput cannot scale; the validated invariant
 //! is therefore *non-collapse* (aggregate throughput at the deepest
 //! level stays within a constant factor of the single-reader level) plus
-//! the host-independent `verdicts_match`. `host_parallelism` is recorded
-//! so multi-core results can be read for the scaling claim.
+//! the host-independent final-state check. `host_parallelism` is
+//! recorded so multi-core results can be read for the scaling claim.
 
-use crate::report::{percentile, Table};
+use crate::kernel::{self, FinalCheck, Seed, Unit};
+use crate::report::Table;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
-use winslett_core::{DbOptions, DurableDatabase, MemStorage, SyncPolicy, WalOptions};
-use winslett_serve::{Client, Server, ServerOptions};
-
-/// Probes every reader asks; also the verdict-identity checklist.
-const PROBES: &[&str] = &["Orders(700,32,9)", "Orders(100,32,1)", "InStock(32,1)"];
+use std::net::SocketAddr;
+use std::time::Duration;
+use winslett_serve::ServerOptions;
 
 /// Checks issued per pinned snapshot before re-pinning.
 const CHECKS_PER_PIN: usize = 16;
@@ -73,10 +70,9 @@ pub struct ServerBench {
     pub host_parallelism: u64,
     /// The sweep, in increasing reader count.
     pub levels: Vec<ReaderLevel>,
-    /// Whether every probe's `(possible, certain)` over a pinned server
-    /// snapshot equals direct library calls on the reopened
-    /// post-shutdown database. Must be `true`.
-    pub verdicts_match: bool,
+    /// The kernel's final-state check of the one server all levels ran
+    /// against.
+    pub final_state: FinalCheck,
     /// Per-check latency of the same probes asked directly of the
     /// library (no server, no socket), µs — the protocol-overhead
     /// baseline.
@@ -85,48 +81,31 @@ pub struct ServerBench {
     pub notes: Vec<String>,
 }
 
-fn boot() -> (
-    std::thread::JoinHandle<Result<MemStorage, winslett_core::DbError>>,
-    std::net::SocketAddr,
-) {
-    let (server, _report) = Server::bind(
-        ("127.0.0.1", 0),
-        MemStorage::new(),
-        DbOptions::default(),
-        WalOptions {
-            policy: SyncPolicy::GroupCommit(8),
-            ..WalOptions::default()
-        },
-        ServerOptions {
-            max_connections: 64,
-            idle_timeout: Duration::from_secs(30),
-            ..ServerOptions::default()
-        },
-    )
-    .expect("bench server bind");
-    let addr = server.local_addr();
-    (std::thread::spawn(move || server.run()), addr)
+/// The paper's Orders/InStock schema, branched once so certain and
+/// possible differ and checks do real SAT work (5 writes: LSNs 0..=4).
+/// Shared with the replication bench.
+pub(crate) fn orders_seed() -> Seed {
+    let mut seed = Seed::default();
+    seed.relation("Orders", 3)
+        .relation("InStock", 2)
+        .fact("Orders", [700, 32, 9])
+        .fact("InStock", [32, 1])
+        .statement("INSERT Orders(100,32,1) | Orders(100,32,7) WHERE T");
+    seed
 }
 
-/// Seeds the paper's Orders/InStock schema through the wire.
-fn seed(client: &mut Client) {
-    client.declare_relation("Orders", 3).expect("declare");
-    client.declare_relation("InStock", 2).expect("declare");
-    client
-        .load_fact("Orders", &["700", "32", "9"])
-        .expect("seed fact");
-    client
-        .load_fact("InStock", &["32", "1"])
-        .expect("seed fact");
-    // Branch once so certain/possible differ and checks do real SAT work.
-    client
-        .execute("INSERT Orders(100,32,1) | Orders(100,32,7) WHERE T")
-        .expect("seed branch");
+/// Probes every reader asks; also the final-state checklist. Shared with
+/// the replication bench.
+pub(crate) fn probes() -> Vec<String> {
+    ["Orders(700,32,9)", "Orders(100,32,1)", "InStock(32,1)"]
+        .map(String::from)
+        .to_vec()
 }
 
 /// The writer's bounded update script: toggles membership over a small
 /// atom pool so the theory stays compact however long the window is.
-fn writer_statement(i: usize) -> String {
+/// Shared with the replication bench.
+pub(crate) fn writer_statement(i: usize) -> String {
     let k = i % 6;
     if (i / 6).is_multiple_of(2) {
         format!("INSERT InStock({k},{k}) WHERE T")
@@ -136,120 +115,45 @@ fn writer_statement(i: usize) -> String {
 }
 
 /// Runs one reader level: `readers` pin/check/unpin loops plus one
-/// flat-out writer, for `window`.
-fn run_level(addr: std::net::SocketAddr, readers: usize, window: Duration) -> ReaderLevel {
-    let stop = Arc::new(AtomicBool::new(false));
-    let mut reader_handles = Vec::new();
-    for _ in 0..readers {
-        let stop = Arc::clone(&stop);
-        reader_handles.push(std::thread::spawn(move || {
-            let mut client = Client::connect(addr).expect("reader connect");
-            let mut latencies_us = Vec::new();
-            while !stop.load(Ordering::Relaxed) {
-                client.pin().expect("pin");
-                for i in 0..CHECKS_PER_PIN {
-                    let probe = PROBES[i % PROBES.len()];
-                    let start = Instant::now();
-                    client.check(probe).expect("check");
-                    latencies_us.push(start.elapsed().as_secs_f64() * 1e6);
-                    if stop.load(Ordering::Relaxed) {
-                        break;
-                    }
-                }
-                client.unpin().expect("unpin");
-            }
-            latencies_us
-        }));
-    }
-    let writer_stop = Arc::clone(&stop);
-    let writer = std::thread::spawn(move || {
-        let mut client = Client::connect(addr).expect("writer connect");
-        let mut latencies_us = Vec::new();
-        let mut i = 0usize;
-        while !writer_stop.load(Ordering::Relaxed) {
-            let start = Instant::now();
-            client.execute(&writer_statement(i)).expect("bench update");
-            latencies_us.push(start.elapsed().as_secs_f64() * 1e6);
-            i += 1;
-        }
-        latencies_us
-    });
-
-    let started = Instant::now();
-    std::thread::sleep(window);
-    stop.store(true, Ordering::Relaxed);
-    let mut read_latencies: Vec<f64> = Vec::new();
-    for h in reader_handles {
-        read_latencies.extend(h.join().expect("reader thread"));
-    }
-    let mut write_latencies = writer.join().expect("writer thread");
-    let elapsed = started.elapsed().as_secs_f64();
-
-    read_latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    write_latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    ReaderLevel {
+/// flat-out writer, for `window`. Returns the level and the writer's
+/// acknowledged units.
+fn run_level(addr: SocketAddr, readers: usize, window: Duration) -> (ReaderLevel, Vec<Unit>) {
+    let probes = probes();
+    let w = kernel::closed_loop(
+        window,
+        (0..readers)
+            .map(|_| kernel::reader(addr, &probes, CHECKS_PER_PIN, Duration::ZERO))
+            .collect(),
+        vec![kernel::writer(addr, 0, writer_statement)],
+    );
+    let level = ReaderLevel {
         readers: readers as u64,
-        total_reads: read_latencies.len() as u64,
-        reads_per_sec: read_latencies.len() as f64 / elapsed,
-        read_p50_us: percentile(&read_latencies, 0.50),
-        read_p95_us: percentile(&read_latencies, 0.95),
-        read_p99_us: percentile(&read_latencies, 0.99),
-        writer_updates: write_latencies.len() as u64,
-        write_p50_us: percentile(&write_latencies, 0.50),
-        write_p95_us: percentile(&write_latencies, 0.95),
-    }
+        total_reads: w.reads.count(),
+        reads_per_sec: w.reads.per_sec(w.elapsed_s),
+        read_p50_us: w.reads.p(0.50),
+        read_p95_us: w.reads.p(0.95),
+        read_p99_us: w.reads.p(0.99),
+        writer_updates: w.writes.count(),
+        write_p50_us: w.writes.p(0.50),
+        write_p95_us: w.writes.p(0.95),
+    };
+    (level, w.writes.acked)
 }
 
 /// Runs the full sweep and assembles the `BENCH_server.json` document.
 pub fn run_server_bench(reader_levels: &[usize], window_ms: u64) -> ServerBench {
-    let (running, addr) = boot();
-    let mut setup = Client::connect(addr).expect("setup connect");
-    seed(&mut setup);
-
+    let seed = orders_seed();
+    let served = kernel::boot(ServerOptions::default(), &seed);
     let window = Duration::from_millis(window_ms);
-    let levels: Vec<ReaderLevel> = reader_levels
-        .iter()
-        .map(|&r| run_level(addr, r, window))
-        .collect();
+    let mut acked = Vec::new();
+    let mut levels = Vec::new();
+    for &r in reader_levels {
+        let (level, mut units) = run_level(served.addr, r, window);
+        levels.push(level);
+        acked.append(&mut units);
+    }
+    let finished = kernel::finish(served, &seed, &acked, &probes());
 
-    // Quiesce, then collect the verdict checklist over a pinned server
-    // snapshot of the final state.
-    let server_verdicts: Vec<(bool, bool)> = {
-        let mut client = Client::connect(addr).expect("verdict connect");
-        client.pin().expect("pin final");
-        PROBES
-            .iter()
-            .map(|p| {
-                let t = client.check(p).expect("final check");
-                (t.possible, t.certain)
-            })
-            .collect()
-    };
-
-    setup.shutdown().expect("shutdown");
-    let storage = running.join().expect("server thread").expect("server run");
-
-    // Reopen the storage the server flushed on close and ask the library
-    // directly — the ground truth for verdict identity, and the
-    // no-protocol latency baseline.
-    let (reopened, _) = DurableDatabase::open(storage, DbOptions::default(), WalOptions::default())
-        .expect("bench reopen");
-    let mut direct = reopened;
-    let start = Instant::now();
-    let direct_verdicts: Vec<(bool, bool)> = PROBES
-        .iter()
-        .map(|p| {
-            let possible = direct.db_mut().is_possible(p).expect("direct possible");
-            let certain = direct.db_mut().is_certain(p).expect("direct certain");
-            (possible, certain)
-        })
-        .collect();
-    let direct_check_us = start.elapsed().as_secs_f64() * 1e6 / (PROBES.len() * 2) as f64;
-    let verdicts_match = server_verdicts == direct_verdicts;
-
-    let host_parallelism = std::thread::available_parallelism()
-        .map(|n| n.get() as u64)
-        .unwrap_or(1);
     let notes = vec![
         format!(
             "Each reader loops pin → {CHECKS_PER_PIN} checks → unpin; one writer \
@@ -263,7 +167,7 @@ pub fn run_server_bench(reader_levels: &[usize], window_ms: u64) -> ServerBench 
             .to_owned(),
     ];
     ServerBench {
-        version: 1,
+        version: 2,
         experiment: "server".to_owned(),
         workload: format!(
             "{} reader levels × {window_ms} ms against one winslett-serve \
@@ -271,10 +175,10 @@ pub fn run_server_bench(reader_levels: &[usize], window_ms: u64) -> ServerBench 
             reader_levels.len()
         ),
         window_ms,
-        host_parallelism,
+        host_parallelism: kernel::host_parallelism(),
         levels,
-        verdicts_match,
-        direct_check_us,
+        final_state: finished.check,
+        direct_check_us: finished.direct_check_us,
         notes,
     }
 }
@@ -283,78 +187,32 @@ pub fn run_server_bench(reader_levels: &[usize], window_ms: u64) -> ServerBench 
 /// [`ServerBench`] and checking the cross-field invariants. Returns the
 /// parsed document on success; `make bench-smoke` fails on `Err`.
 pub fn validate_server_bench(text: &str) -> Result<ServerBench, String> {
-    let b: ServerBench =
-        serde_json::from_str(text).map_err(|e| format!("BENCH_server.json does not parse: {e}"))?;
-    if b.version != 1 {
-        return Err(format!("unknown version {}", b.version));
-    }
-    if b.experiment != "server" {
-        return Err(format!(
-            "experiment is {:?}, expected \"server\"",
-            b.experiment
-        ));
-    }
+    let b: ServerBench = kernel::parse(text, "server", 2)?;
     if b.window_ms == 0 {
         return Err("window_ms is 0 — nothing was measured".to_owned());
     }
-    if b.levels.is_empty() {
-        return Err("no reader levels recorded".to_owned());
-    }
-    let mut prev_readers = 0;
+    let rates = b.levels.iter().map(|l| (l.readers, l.reads_per_sec));
+    kernel::non_collapse(rates, "reader")?;
     for level in &b.levels {
-        if level.readers <= prev_readers {
-            return Err("reader levels must strictly increase".to_owned());
-        }
-        prev_readers = level.readers;
+        let at = format!("level {}", level.readers);
+        let reads = [level.read_p50_us, level.read_p95_us, level.read_p99_us];
         if level.total_reads == 0 {
-            return Err(format!("level {} served no reads", level.readers));
+            return Err(format!("{at} served no reads"));
         }
-        if !(level.reads_per_sec.is_finite() && level.reads_per_sec > 0.0) {
-            return Err(format!(
-                "level {} reads_per_sec is not positive finite",
-                level.readers
-            ));
-        }
-        let ordered = level.read_p50_us <= level.read_p95_us
-            && level.read_p95_us <= level.read_p99_us
-            && level.read_p50_us > 0.0
-            && level.read_p99_us.is_finite();
-        if !ordered {
-            return Err(format!(
-                "level {} read percentiles are not ordered positive finite",
-                level.readers
-            ));
-        }
+        kernel::positive(level.reads_per_sec, &format!("{at} reads_per_sec"))?;
+        kernel::ordered(&reads, &format!("{at} read"))?;
         if level.writer_updates == 0 {
             return Err(format!(
-                "level {} starved the writer — snapshot reads must not block writes",
-                level.readers
+                "{at} starved the writer — snapshot reads must not block writes"
             ));
         }
-        if !(level.write_p50_us > 0.0 && level.write_p95_us >= level.write_p50_us) {
-            return Err(format!(
-                "level {} write percentiles are not ordered positive",
-                level.readers
-            ));
-        }
+        kernel::ordered(
+            &[level.write_p50_us, level.write_p95_us],
+            &format!("{at} write"),
+        )?;
     }
-    // Non-collapse: adding readers must keep aggregate throughput within
-    // a constant factor of the single-connection level (true scaling on
-    // multi-core hosts; fair time-sharing on one core).
-    let first = &b.levels[0];
-    let last = &b.levels[b.levels.len() - 1];
-    if last.reads_per_sec < 0.3 * first.reads_per_sec {
-        return Err(format!(
-            "aggregate read throughput collapsed: {:.0}/s at {} readers vs {:.0}/s at {}",
-            last.reads_per_sec, last.readers, first.reads_per_sec, first.readers
-        ));
-    }
-    if !b.verdicts_match {
-        return Err("server snapshot verdicts differ from direct library calls".to_owned());
-    }
-    if !(b.direct_check_us.is_finite() && b.direct_check_us > 0.0) {
-        return Err("direct_check_us is not positive finite".to_owned());
-    }
+    kernel::final_state(&b.final_state, "server")?;
+    kernel::positive(b.direct_check_us, "direct_check_us")?;
     if b.host_parallelism == 0 {
         return Err("host_parallelism is 0".to_owned());
     }
@@ -388,13 +246,15 @@ pub fn server_table(b: &ServerBench) -> Table {
         ]);
     }
     t.note(format!(
-        "{} ms window per level; verdicts match direct library calls: {}; \
-         direct per-check baseline {:.1} µs; host parallelism {}",
-        b.window_ms, b.verdicts_match, b.direct_check_us, b.host_parallelism
+        "{} ms window per level; final state matches storage / serial replay: \
+         {} / {}; direct per-check baseline {:.1} µs; host parallelism {}",
+        b.window_ms,
+        b.final_state.matches_storage,
+        b.final_state.matches_replay,
+        b.direct_check_us,
+        b.host_parallelism
     ));
-    for n in &b.notes {
-        t.note(n.clone());
-    }
+    t.notes.extend(b.notes.iter().cloned());
     t
 }
 
@@ -405,7 +265,7 @@ mod tests {
     #[test]
     fn small_bench_runs_and_round_trips() {
         let b = run_server_bench(&[1, 2], 80);
-        assert!(b.verdicts_match);
+        assert!(kernel::final_state(&b.final_state, "server").is_ok());
         assert_eq!(b.levels.len(), 2);
         let text = serde_json::to_string_pretty(&b).expect("serializes");
         let back = validate_server_bench(&text).expect("validates");
@@ -417,9 +277,15 @@ mod tests {
     fn validation_rejects_broken_documents() {
         let b = run_server_bench(&[1, 2], 60);
         let mut bad = b.clone();
-        bad.verdicts_match = false;
+        bad.final_state.matches_storage = false;
         let text = serde_json::to_string_pretty(&bad).expect("serializes");
         assert!(validate_server_bench(&text).unwrap_err().contains("differ"));
+        let mut bad = b.clone();
+        bad.final_state.matches_replay = false;
+        let text = serde_json::to_string_pretty(&bad).expect("serializes");
+        assert!(validate_server_bench(&text)
+            .unwrap_err()
+            .contains("serial replay"));
         let mut bad = b.clone();
         bad.levels[1].writer_updates = 0;
         let text = serde_json::to_string_pretty(&bad).expect("serializes");
@@ -440,6 +306,6 @@ mod tests {
         let b = run_server_bench(&[1], 60);
         let rendered = server_table(&b).render();
         assert!(rendered.contains("reads/s"));
-        assert!(rendered.contains("verdicts match"));
+        assert!(rendered.contains("serial replay"));
     }
 }

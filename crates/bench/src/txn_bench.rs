@@ -5,9 +5,8 @@
 //! Three identical `winslett-serve` instances run the same statement
 //! budget in three shapes:
 //!
-//! * **plain** — the PR-6 baseline: `w` writers issue single-statement
-//!   writes with conflict-aware batching on (`batch_writes`), one ack
-//!   per statement.
+//! * **plain** — the baseline: `w` writers issue single-statement writes
+//!   through the conflict-aware write batcher, one ack per statement.
 //! * **disjoint** — the same writers group statements into transactions
 //!   of `TXN_LEN` over *private* atom pools. Footprints are pairwise
 //!   disjoint (Theorem 4: the updates commute), so the lock table admits
@@ -19,31 +18,24 @@
 //!   can and breaks cycles with deadlock-avoidance timeouts; timed-out
 //!   transactions abort and retry as fresh transactions.
 //!
-//! After the timed window a deterministic reconciliation drives all
-//! three databases to the same intended state; the bench then checks
-//! verdict identity per side against its reopened post-shutdown storage
-//! (recovery = §4 replay, transaction markers honored) and across
-//! sides. The headline claim gated by `make txn-smoke`: disjoint
-//! transactional throughput sustains the plain batched baseline.
+//! Each side ends with the kernel's final-state check: the server's final
+//! pinned verdicts must equal its reopened post-shutdown storage's
+//! (recovery honors commit/abort markers) and those of the §4 serial
+//! replay of the committed units in commit-LSN order. The headline claim
+//! gated by `make txn-smoke`: disjoint transactional throughput sustains
+//! the plain batched baseline.
 
-use crate::report::{percentile, Table};
+use crate::conflicts_bench::{pool_probes, pool_seed, toggle, POOL};
+use crate::kernel::{self, FinalCheck, Tally, Worker};
+use crate::report::Table;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::net::SocketAddr;
+use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
-use winslett_core::{DbOptions, DurableDatabase, MemStorage, SyncPolicy, WalOptions};
-use winslett_serve::{Client, ClientError, ErrorKindWire, Server, ServerOptions};
+use winslett_serve::{Client, ClientError, ErrorKindWire, ServerOptions};
 
 /// Statements per transaction in the transactional shapes.
 const TXN_LEN: usize = 8;
-
-/// Atoms in each pool (private per writer for `disjoint`, one shared
-/// pool for `contended`).
-const POOL: usize = 4;
-
-/// Inert facts seeded up front so snapshot publication — the per-commit
-/// cost transactions amortize — operates on a realistically sized theory.
-const FILLER: usize = 256;
 
 /// Lock-wait deadline. Short enough that the contended shape's
 /// manufactured deadlock cycles resolve many times per window.
@@ -92,9 +84,8 @@ pub struct TxnSide {
     pub lock_timeouts: u64,
     /// Plain writes refused because a transaction held their footprint.
     pub txn_conflicts: u64,
-    /// Whether the server's final pinned verdicts equal direct library
-    /// calls on the reopened storage (WAL recovery = §4 replay).
-    pub replay_matches: bool,
+    /// The kernel's final-state check of this side's server.
+    pub final_state: FinalCheck,
 }
 
 /// The complete `BENCH_txn.json` document.
@@ -120,8 +111,6 @@ pub struct TxnBench {
     pub disjoint: TxnSide,
     /// Deliberately colliding transactions.
     pub contended: TxnSide,
-    /// Whether all three sides' post-reconciliation verdicts agree.
-    pub verdicts_match: bool,
     /// `disjoint.statements_per_sec / plain.statements_per_sec` — the
     /// headline "transactions sustain the batching baseline" ratio.
     pub relative_throughput: f64,
@@ -129,231 +118,106 @@ pub struct TxnBench {
     pub notes: Vec<String>,
 }
 
-/// The probe checklist after reconciliation: one atom per private pool,
-/// one shared atom, and the seeded branch (kept uncertain so checks do
-/// real SAT work).
-fn probes(writers: usize) -> Vec<String> {
-    let mut v: Vec<String> = (0..writers).map(|w| format!("Pool({w},0)")).collect();
-    v.push("Shared(0)".to_owned());
-    v.push("Branch(1)".to_owned());
-    v.push("Branch(2)".to_owned());
-    v
-}
-
 /// Statement `i` of writer `w` under `mode`: toggling membership over
 /// the writer's private pool, or over the one shared pool with a
 /// per-writer phase offset (which manufactures lock-order cycles).
 fn statement(mode: Mode, w: usize, i: usize) -> String {
-    let insert = if (i / POOL).is_multiple_of(2) {
-        "INSERT"
-    } else {
-        "DELETE"
-    };
     match mode {
-        Mode::Contended => {
-            let k = (w + i) % POOL;
-            format!("{insert} Shared({k}) WHERE T")
-        }
-        _ => {
-            let k = i % POOL;
-            format!("{insert} Pool({w},{k}) WHERE T")
-        }
+        Mode::Contended => format!("{} Shared({}) WHERE T", toggle(i), (w + i) % POOL),
+        _ => format!("{} Pool({w},{}) WHERE T", toggle(i), i % POOL),
     }
 }
 
-/// Runs one shape on a fresh server; returns the side result and its
-/// final probe verdicts for the cross-side identity check.
-fn run_side(mode: Mode, writers: usize, window: Duration) -> (TxnSide, Vec<(bool, bool)>) {
-    let (server, _report) = Server::bind(
-        ("127.0.0.1", 0),
-        MemStorage::new(),
-        DbOptions::default(),
-        WalOptions {
-            policy: SyncPolicy::GroupCommit(8),
-            ..WalOptions::default()
-        },
-        ServerOptions {
-            max_connections: 64,
-            idle_timeout: Duration::from_secs(30),
-            // All three shapes keep the write batcher on so the plain
-            // side *is* the batching baseline and the transactional
-            // sides differ only in how statements are grouped.
-            batch_writes: true,
-            compaction: None,
-            lock_timeout: LOCK_TIMEOUT,
-        },
-    )
-    .expect("bench server bind");
-    let addr = server.local_addr();
-    let running = std::thread::spawn(move || server.run());
-
-    let mut setup = Client::connect(addr).expect("setup connect");
-    setup.declare_relation("Pool", 2).expect("declare Pool");
-    setup.declare_relation("Shared", 1).expect("declare Shared");
-    setup.declare_relation("Branch", 1).expect("declare Branch");
-    setup.declare_relation("Filler", 1).expect("declare Filler");
-    for i in 0..FILLER {
-        setup
-            .load_fact("Filler", &[&(1000 + i).to_string()])
-            .expect("seed filler fact");
+/// Writer `w` under `mode`: plain statements through the kernel's
+/// writer, or whole transactions of `TXN_LEN` statements, each timed
+/// begin → commit and acknowledged at its commit LSN. A lock-wait
+/// timeout aborts the transaction server-side; the writer counts it and
+/// starts the next one.
+fn txn_writer(addr: SocketAddr, mode: Mode, w: usize) -> Worker {
+    // The phase offset `w` manufactures the contended shape's lock-order
+    // cycles; it is harmless elsewhere.
+    if mode == Mode::Plain {
+        return kernel::writer(addr, w, move |i| statement(mode, w, i));
     }
-    for w in 0..writers {
-        for k in 0..POOL {
-            setup
-                .load_fact("Pool", &[&w.to_string(), &k.to_string()])
-                .expect("seed pool fact");
-        }
-    }
-    for k in 0..POOL {
-        setup
-            .load_fact("Shared", &[&k.to_string()])
-            .expect("seed shared fact");
-    }
-    setup
-        .execute("INSERT Branch(1) | Branch(2) WHERE T")
-        .expect("seed branch");
-
-    let stop = Arc::new(AtomicBool::new(false));
-    let mut writer_handles = Vec::new();
-    for w in 0..writers {
-        let stop = Arc::clone(&stop);
-        writer_handles.push(std::thread::spawn(move || {
-            let mut client = Client::connect(addr).expect("writer connect");
-            let mut latencies_us: Vec<f64> = Vec::new();
-            let mut committed = 0u64;
-            let mut aborted = 0u64;
-            let mut statements = 0u64;
-            let mut i = w; // contended phase offset; harmless elsewhere
-            while !stop.load(Ordering::Relaxed) {
-                if mode == Mode::Plain {
-                    let start = Instant::now();
-                    client.execute(&statement(mode, w, i)).expect("bench write");
-                    latencies_us.push(start.elapsed().as_secs_f64() * 1e6);
-                    committed += 1;
-                    statements += 1;
-                    i += 1;
-                    continue;
-                }
-                // One whole transaction per iteration; a lock-wait
-                // timeout aborts it server-side and the writer simply
-                // starts the next transaction.
-                let start = Instant::now();
-                client.begin().expect("begin");
-                let mut alive = true;
-                for _ in 0..TXN_LEN {
-                    match client.execute(&statement(mode, w, i)) {
-                        Ok(_) => i += 1,
-                        Err(ClientError::Server(e)) if e.kind == ErrorKindWire::TxnTimeout => {
-                            alive = false;
-                            aborted += 1;
-                            break;
-                        }
-                        Err(e) => panic!("txn statement failed: {e}"),
+    Box::new(move |stop| {
+        let mut client = Client::connect(addr).expect("writer connect");
+        let mut tally = Tally::default();
+        let mut i = w;
+        while !stop.load(Ordering::Relaxed) {
+            let start = Instant::now();
+            client.begin().expect("begin");
+            let mut statements = Vec::with_capacity(TXN_LEN);
+            while statements.len() < TXN_LEN {
+                let src = statement(mode, w, i);
+                match client.execute(&src) {
+                    Ok(_) => {
+                        statements.push(src);
+                        i += 1;
                     }
-                }
-                if alive {
-                    client.commit().expect("commit");
-                    latencies_us.push(start.elapsed().as_secs_f64() * 1e6);
-                    committed += 1;
-                    statements += TXN_LEN as u64;
+                    Err(ClientError::Server(e)) if e.kind == ErrorKindWire::TxnTimeout => break,
+                    Err(e) => panic!("txn statement failed: {e}"),
                 }
             }
-            (latencies_us, committed, aborted, statements)
-        }));
-    }
-
-    let started = Instant::now();
-    std::thread::sleep(window);
-    stop.store(true, Ordering::Relaxed);
-    let mut latencies: Vec<f64> = Vec::new();
-    let (mut committed, mut aborted, mut statements) = (0u64, 0u64, 0u64);
-    for h in writer_handles {
-        let (l, c, a, s) = h.join().expect("writer thread");
-        latencies.extend(l);
-        committed += c;
-        aborted += a;
-        statements += s;
-    }
-    let elapsed = started.elapsed().as_secs_f64();
-
-    // Reconciliation: writers stopped at arbitrary toggle phases; drive
-    // every atom to a fixed final state so the three sides end at the
-    // same intended theory.
-    for w in 0..writers {
-        for k in 0..POOL {
-            setup
-                .execute(&format!("INSERT Pool({w},{k}) WHERE T"))
-                .expect("reconcile pool");
+            if statements.len() < TXN_LEN {
+                tally.refusals += 1;
+                continue;
+            }
+            let commit = client.commit().expect("commit");
+            tally.latencies_us.push(kernel::micros(start));
+            tally.acked.push((commit.lsn, statements));
         }
-    }
-    for k in 0..POOL {
-        setup
-            .execute(&format!("INSERT Shared({k}) WHERE T"))
-            .expect("reconcile shared");
-    }
+        tally
+    })
+}
 
-    let probe_list = probes(writers);
-    let server_verdicts: Vec<(bool, bool)> = {
-        let mut client = Client::connect(addr).expect("verdict connect");
-        client.pin().expect("pin final");
-        probe_list
-            .iter()
-            .map(|p| {
-                let t = client.check(p).expect("final check");
-                (t.possible, t.certain)
-            })
-            .collect()
+/// Runs one shape on a fresh server.
+fn run_side(mode: Mode, writers: usize, window: Duration) -> TxnSide {
+    let seed = pool_seed(writers, "Shared", POOL);
+    let options = ServerOptions {
+        compaction: None,
+        lock_timeout: LOCK_TIMEOUT,
+        ..ServerOptions::default()
     };
-    let stats = setup.stats().expect("stats");
-    assert_eq!(stats.txn_active, 0, "bench left a transaction open");
-
-    setup.shutdown().expect("shutdown");
-    let storage = running.join().expect("server thread").expect("server run");
-
-    let (reopened, _) = DurableDatabase::open(storage, DbOptions::default(), WalOptions::default())
-        .expect("bench reopen");
-    let mut direct = reopened;
-    let direct_verdicts: Vec<(bool, bool)> = probe_list
-        .iter()
-        .map(|p| {
-            let possible = direct.db_mut().is_possible(p).expect("direct possible");
-            let certain = direct.db_mut().is_certain(p).expect("direct certain");
-            (possible, certain)
-        })
-        .collect();
-
-    latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    let side = TxnSide {
+    let served = kernel::boot(options, &seed);
+    let addr = served.addr;
+    let w = kernel::closed_loop(
+        window,
+        Vec::new(),
+        (0..writers).map(|w| txn_writer(addr, mode, w)).collect(),
+    );
+    let probes = pool_probes(writers, "Shared");
+    let finished = kernel::finish(served, &seed, &w.writes.acked, &probes);
+    assert_eq!(
+        finished.stats.txn_active, 0,
+        "bench left a transaction open"
+    );
+    let statements: u64 = w.writes.acked.iter().map(|(_, s)| s.len() as u64).sum();
+    TxnSide {
         mode: mode.name().to_owned(),
-        committed_txns: committed,
-        aborted_txns: aborted,
+        committed_txns: w.writes.count(),
+        aborted_txns: w.writes.refusals,
         statements,
-        statements_per_sec: statements as f64 / elapsed,
-        p50_us: percentile(&latencies, 0.50),
-        p95_us: percentile(&latencies, 0.95),
-        lock_waits: stats.lock_waits,
-        lock_timeouts: stats.lock_timeouts,
-        txn_conflicts: stats.txn_conflicts,
-        replay_matches: server_verdicts == direct_verdicts,
-    };
-    (side, server_verdicts)
+        statements_per_sec: statements as f64 / w.elapsed_s,
+        p50_us: w.writes.p(0.50),
+        p95_us: w.writes.p(0.95),
+        lock_waits: finished.stats.lock_waits,
+        lock_timeouts: finished.stats.lock_timeouts,
+        txn_conflicts: finished.stats.txn_conflicts,
+        final_state: finished.check,
+    }
 }
 
 /// Runs all three shapes and assembles the `BENCH_txn.json` document.
 pub fn run_txn_bench(writers: usize, window_ms: u64) -> TxnBench {
     let window = Duration::from_millis(window_ms);
-    let (plain, v_plain) = run_side(Mode::Plain, writers, window);
-    let (disjoint, v_disjoint) = run_side(Mode::Disjoint, writers, window);
-    let (contended, v_contended) = run_side(Mode::Contended, writers, window);
-    let verdicts_match = v_plain == v_disjoint && v_disjoint == v_contended;
+    let plain = run_side(Mode::Plain, writers, window);
+    let disjoint = run_side(Mode::Disjoint, writers, window);
+    let contended = run_side(Mode::Contended, writers, window);
     let relative_throughput = if plain.statements_per_sec > 0.0 {
         disjoint.statements_per_sec / plain.statements_per_sec
     } else {
         0.0
     };
-    let host_parallelism = std::thread::available_parallelism()
-        .map(|n| n.get() as u64)
-        .unwrap_or(1);
     let notes = vec![
         format!(
             "{writers} writers; transactional shapes group {TXN_LEN} statements per \
@@ -367,20 +231,22 @@ pub fn run_txn_bench(writers: usize, window_ms: u64) -> TxnBench {
          units, so the contended column pays for its aborts."
             .to_owned(),
         "A transaction publishes one snapshot per commit instead of one per \
-         statement — the same amortization the PR-6 batching leader buys for \
-         plain writes, which is why disjoint transactions sustain that baseline."
+         statement — the same amortization the write batcher buys for plain \
+         writes, which is why disjoint transactions sustain that baseline."
             .to_owned(),
-        "replay_matches compares each server's final pinned snapshot against \
-         direct library calls on its reopened storage: recovery honors \
-         commit/abort markers, so no aborted transaction may resurface."
+        "final_state compares each server's final pinned snapshot against \
+         direct library calls on its reopened storage (recovery honors \
+         commit/abort markers, so no aborted transaction may resurface) and \
+         against the §4 serial replay of the committed units in commit-LSN \
+         order."
             .to_owned(),
     ];
     TxnBench {
-        version: 1,
+        version: 2,
         experiment: "txn".to_owned(),
         workload: format!(
             "{writers} writers × {window_ms} ms per shape against winslett-serve \
-             (MemStorage, group commit 8, batch_writes on, lock timeout \
+             (MemStorage, group commit 8, lock timeout \
              {} ms): plain statements vs {TXN_LEN}-statement transactions over \
              disjoint vs contended footprints",
             LOCK_TIMEOUT.as_millis()
@@ -388,11 +254,10 @@ pub fn run_txn_bench(writers: usize, window_ms: u64) -> TxnBench {
         window_ms,
         writers: writers as u64,
         txn_len: TXN_LEN as u64,
-        host_parallelism,
+        host_parallelism: kernel::host_parallelism(),
         plain,
         disjoint,
         contended,
-        verdicts_match,
         relative_throughput,
         notes,
     }
@@ -402,17 +267,7 @@ pub fn run_txn_bench(writers: usize, window_ms: u64) -> TxnBench {
 /// [`TxnBench`] and checking the cross-field invariants. Returns the
 /// parsed document on success; `make txn-smoke` fails on `Err`.
 pub fn validate_txn_bench(text: &str) -> Result<TxnBench, String> {
-    let b: TxnBench =
-        serde_json::from_str(text).map_err(|e| format!("BENCH_txn.json does not parse: {e}"))?;
-    if b.version != 1 {
-        return Err(format!("unknown version {}", b.version));
-    }
-    if b.experiment != "txn" {
-        return Err(format!(
-            "experiment is {:?}, expected \"txn\"",
-            b.experiment
-        ));
-    }
+    let b: TxnBench = kernel::parse(text, "txn", 2)?;
     if b.window_ms == 0 {
         return Err("window_ms is 0 — nothing was measured".to_owned());
     }
@@ -430,20 +285,12 @@ pub fn validate_txn_bench(text: &str) -> Result<TxnBench, String> {
         if side.committed_txns == 0 || side.statements == 0 {
             return Err(format!("{name}: nothing committed"));
         }
-        if !(side.statements_per_sec.is_finite() && side.statements_per_sec > 0.0) {
-            return Err(format!("{name}: statements_per_sec is not positive finite"));
-        }
-        if !(side.p50_us > 0.0 && side.p95_us >= side.p50_us) {
-            return Err(format!(
-                "{name}: latency percentiles are not ordered positive"
-            ));
-        }
-        if !side.replay_matches {
-            return Err(format!(
-                "{name}: server snapshot verdicts differ from the reopened \
-                 storage — transactional replay identity broken"
-            ));
-        }
+        kernel::positive(
+            side.statements_per_sec,
+            &format!("{name}: statements_per_sec"),
+        )?;
+        kernel::ordered(&[side.p50_us, side.p95_us], &format!("{name}: latency"))?;
+        kernel::final_state(&side.final_state, name)?;
     }
     // Disjoint footprints are Theorem-4 commutative: the lock table must
     // admit them all without a single deadline abort.
@@ -458,9 +305,6 @@ pub fn validate_txn_bench(text: &str) -> Result<TxnBench, String> {
     // nothing.
     if b.contended.lock_waits + b.contended.lock_timeouts + b.contended.aborted_txns == 0 {
         return Err("contended side recorded no lock contention at all".to_owned());
-    }
-    if !b.verdicts_match {
-        return Err("final verdicts differ across the three shapes".to_owned());
     }
     // The headline claim: grouping disjoint statements into transactions
     // sustains the plain batched-write baseline (slack for scheduler
@@ -506,14 +350,16 @@ pub fn txn_table(b: &TxnBench) -> Table {
             side.lock_timeouts.to_string(),
         ]);
     }
+    let checked = [&b.plain, &b.disjoint, &b.contended]
+        .iter()
+        .all(|s| s.final_state.matches_storage && s.final_state.matches_replay);
     t.note(format!(
         "{} writers × {} ms per shape, {} statements per txn; disjoint/plain \
-         throughput ratio {:.2}×; verdicts identical across shapes: {}",
-        b.writers, b.window_ms, b.txn_len, b.relative_throughput, b.verdicts_match
+         throughput ratio {:.2}×; every final state matches storage and serial \
+         replay: {checked}",
+        b.writers, b.window_ms, b.txn_len, b.relative_throughput
     ));
-    for n in &b.notes {
-        t.note(n.clone());
-    }
+    t.notes.extend(b.notes.iter().cloned());
     t
 }
 
@@ -530,10 +376,9 @@ mod tests {
         let mut last_err = String::new();
         for _ in 0..2 {
             let b = run_txn_bench(3, 100);
-            assert!(b.verdicts_match);
-            assert!(
-                b.plain.replay_matches && b.disjoint.replay_matches && b.contended.replay_matches
-            );
+            for side in [&b.plain, &b.disjoint, &b.contended] {
+                assert!(kernel::final_state(&side.final_state, &side.mode).is_ok());
+            }
             let text = serde_json::to_string_pretty(&b).expect("serializes");
             match validate_txn_bench(&text) {
                 Ok(back) => {
@@ -551,15 +396,15 @@ mod tests {
     fn validation_rejects_broken_documents() {
         let b = run_txn_bench(3, 80);
         let mut bad = b.clone();
-        bad.verdicts_match = false;
+        bad.contended.final_state.matches_storage = false;
         let text = serde_json::to_string_pretty(&bad).expect("serializes");
         assert!(validate_txn_bench(&text).unwrap_err().contains("differ"));
         let mut bad = b.clone();
-        bad.disjoint.replay_matches = false;
+        bad.disjoint.final_state.matches_replay = false;
         let text = serde_json::to_string_pretty(&bad).expect("serializes");
         assert!(validate_txn_bench(&text)
             .unwrap_err()
-            .contains("replay identity"));
+            .contains("serial replay"));
         let mut bad = b.clone();
         bad.disjoint.aborted_txns = 7;
         let text = serde_json::to_string_pretty(&bad).expect("serializes");

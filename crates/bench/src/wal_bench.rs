@@ -16,6 +16,7 @@
 //! JSON by re-parsing it into [`WalBench`] — the shape check behind
 //! `make bench-smoke`.
 
+use crate::kernel;
 use crate::report::Table;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -167,9 +168,7 @@ pub fn run_wal_bench(n: usize, group: usize) -> WalBench {
     let _ = std::fs::remove_dir_all(&every_dir);
     let _ = std::fs::remove_dir_all(&group_dir);
 
-    let host_parallelism = std::thread::available_parallelism()
-        .map(|n| n.get() as u64)
-        .unwrap_or(1);
+    let host_parallelism = kernel::host_parallelism();
     let commit_speedup = every_record.per_update_us / group_commit.per_update_us;
     let notes = vec![
         format!(
@@ -202,17 +201,7 @@ pub fn run_wal_bench(n: usize, group: usize) -> WalBench {
 /// [`WalBench`] and checking the cross-field invariants. Returns the
 /// parsed document on success; `make bench-smoke` fails on `Err`.
 pub fn validate_wal_bench(text: &str) -> Result<WalBench, String> {
-    let b: WalBench =
-        serde_json::from_str(text).map_err(|e| format!("BENCH_wal.json does not parse: {e}"))?;
-    if b.version != 1 {
-        return Err(format!("unknown version {}", b.version));
-    }
-    if b.experiment != "wal" {
-        return Err(format!(
-            "experiment is {:?}, expected \"wal\"",
-            b.experiment
-        ));
-    }
+    let b: WalBench = kernel::parse(text, "wal", 1)?;
     if b.updates == 0 {
         return Err("updates is 0 — nothing was measured".to_owned());
     }
@@ -232,9 +221,7 @@ pub fn validate_wal_bench(text: &str) -> Result<WalBench, String> {
         if run.policy != label {
             return Err(format!("run labeled {:?}, expected {label:?}", run.policy));
         }
-        if !(run.per_update_us.is_finite() && run.per_update_us > 0.0) {
-            return Err(format!("{label} per_update_us is not positive finite"));
-        }
+        kernel::positive(run.per_update_us, &format!("{label} per_update_us"))?;
         if run.records < b.updates {
             return Err(format!(
                 "{label} journaled {} records for {} updates",
@@ -256,12 +243,8 @@ pub fn validate_wal_bench(text: &str) -> Result<WalBench, String> {
             b.group_commit.syncs, b.every_record.syncs
         ));
     }
-    if !(b.commit_speedup.is_finite() && b.commit_speedup > 0.0) {
-        return Err("commit_speedup is not a positive finite number".to_owned());
-    }
-    if !(b.recovery_us.is_finite() && b.recovery_us > 0.0) {
-        return Err("recovery_us is not a positive finite number".to_owned());
-    }
+    kernel::positive(b.commit_speedup, "commit_speedup")?;
+    kernel::positive(b.recovery_us, "recovery_us")?;
     if b.host_parallelism == 0 {
         return Err("host_parallelism is 0".to_owned());
     }
@@ -300,9 +283,7 @@ pub fn wal_table(b: &WalBench) -> Table {
         "cold recovery replayed the log in {:.1} µs; worlds match: {}; host parallelism {}",
         b.recovery_us, b.recovery_matches, b.host_parallelism
     ));
-    for n in &b.notes {
-        t.note(n.clone());
-    }
+    t.notes.extend(b.notes.iter().cloned());
     t
 }
 

@@ -15,6 +15,7 @@
 //! JSON by re-parsing it into [`WorldsBench`] — the shape check behind
 //! `make bench-smoke`.
 
+use crate::kernel;
 use crate::report::Table;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -137,9 +138,7 @@ pub fn run_worlds_bench(k: usize, par_threads: usize) -> WorldsBench {
     let (sequential, seq_worlds) = run_config(&theory, &updates, &probe, 1);
     let (parallel, par_worlds) = run_config(&theory, &updates, &probe, par_threads);
 
-    let host_parallelism = std::thread::available_parallelism()
-        .map(|n| n.get() as u64)
-        .unwrap_or(1);
+    let host_parallelism = kernel::host_parallelism();
     let identical_worlds = seq_worlds == par_worlds;
     let apply_speedup = sequential.apply_us / parallel.apply_us;
     let entails_speedup = sequential.entails_us / parallel.entails_us;
@@ -177,17 +176,7 @@ pub fn run_worlds_bench(k: usize, par_threads: usize) -> WorldsBench {
 /// [`WorldsBench`] and checking the cross-field invariants. Returns the
 /// parsed document on success; `make bench-smoke` fails on `Err`.
 pub fn validate_worlds_bench(text: &str) -> Result<WorldsBench, String> {
-    let b: WorldsBench =
-        serde_json::from_str(text).map_err(|e| format!("BENCH_worlds.json does not parse: {e}"))?;
-    if b.version != 1 {
-        return Err(format!("unknown version {}", b.version));
-    }
-    if b.experiment != "worlds" {
-        return Err(format!(
-            "experiment is {:?}, expected \"worlds\"",
-            b.experiment
-        ));
-    }
+    let b: WorldsBench = kernel::parse(text, "worlds", 1)?;
     if b.final_worlds == 0 {
         return Err("final_worlds is 0 — the workload collapsed".to_owned());
     }
@@ -219,13 +208,9 @@ pub fn validate_worlds_bench(text: &str) -> Result<WorldsBench, String> {
                 run.stats.worlds_out, b.final_worlds
             ));
         }
-        if !(run.apply_us.is_finite() && run.apply_us > 0.0) {
-            return Err(format!("{label} apply_us is not a positive finite number"));
-        }
+        kernel::positive(run.apply_us, &format!("{label} apply_us"))?;
     }
-    if !(b.apply_speedup.is_finite() && b.apply_speedup > 0.0) {
-        return Err("apply_speedup is not a positive finite number".to_owned());
-    }
+    kernel::positive(b.apply_speedup, "apply_speedup")?;
     if b.host_parallelism == 0 {
         return Err("host_parallelism is 0".to_owned());
     }
@@ -266,9 +251,7 @@ pub fn worlds_table(b: &WorldsBench) -> Table {
         "apply speedup ×{:.2}, entails speedup ×{:.2}, identical worlds: {}",
         b.apply_speedup, b.entails_speedup, b.identical_worlds
     ));
-    for n in &b.notes {
-        t.note(n.clone());
-    }
+    t.notes.extend(b.notes.iter().cloned());
     t
 }
 

@@ -14,7 +14,7 @@ winslett-serve — a concurrent LDML database server
 
 USAGE:
   winslett-serve serve --dir PATH [--addr HOST:PORT] [--idle-secs N]
-                       [--max-conns N] [--group-commit N] [--no-batch]
+                       [--max-conns N] [--group-commit N]
                        [--compact | --no-compact] [--lock-timeout-ms N]
   winslett-serve serve --replica-of HOST:PORT [--addr HOST:PORT]
                        [--idle-secs N] [--max-conns N]
@@ -26,9 +26,10 @@ serve   Serve a durable database from PATH (created if missing).
         Shutdown request both drain connections and flush the WAL.
         One epoll reactor thread serves every connection; writes go to
         a single writer thread, SAT reads to a small worker pool.
-        --no-batch disables the conflict-aware write batcher (queued
-        pairwise-independent writes coalesced into one fsync and one
-        snapshot publication).
+        Queued pairwise-independent writes are batched: a batch
+        publishes one snapshot. By default every WAL record is fsynced
+        as it is appended; with --group-commit N records are fsynced
+        every N records and once at the end of each batch.
         --no-compact disables the background compactor (on by default /
         --compact): a thread that snapshots the theory, runs full
         simplification off the writer lock, and atomically swaps the
@@ -144,7 +145,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let server_options = ServerOptions {
         max_connections: max_conns,
         idle_timeout: Duration::from_secs(idle_secs.max(1)),
-        batch_writes: !args.iter().any(|a| a == "--no-batch"),
         compaction,
         lock_timeout: Duration::from_millis(lock_timeout_ms.max(1)),
     };

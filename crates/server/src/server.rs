@@ -9,17 +9,18 @@
 //!   (shared only with the background compactor). Each acknowledged
 //!   update is journaled (WAL) *before* GUA applies it, and its reply
 //!   carries the WAL LSN — the serialization order.
-//! * **Write batching** (on by default, [`ServerOptions::batch_writes`]):
-//!   the writer thread takes every write that accumulated while it was
-//!   busy as one run and passes the run's statements through
-//!   [`winslett_analyze::ConflictAnalyzer`], coalescing consecutive
-//!   pairwise-independent updates into one batch: applied in arrival
-//!   order (never reordered), made durable with **one `fsync`**, and
-//!   published as **one snapshot**. Conflicting or unanalyzable
-//!   statements close the batch, so a reader can only ever miss
-//!   intermediate states that provably-independent writes would have
-//!   produced. Batched acks are posted *after* the batch's sync — at
-//!   least as durable as the unbatched path.
+//! * **Write batching**: the writer thread takes every write that
+//!   accumulated while it was busy as one run and passes the run's
+//!   statements through [`winslett_analyze::ConflictAnalyzer`],
+//!   coalescing consecutive pairwise-independent updates into one batch:
+//!   applied in arrival order (never reordered), published as **one
+//!   snapshot**, and made durable by one `sync` call, which is one
+//!   `fsync` when the WAL policy leaves records unsynced
+//!   (`SyncPolicy::GroupCommit`; under `EveryRecord` each record was
+//!   already fsynced on append). Conflicting or unanalyzable statements
+//!   close the batch, so a reader can only ever miss intermediate
+//!   states that provably-independent writes would have produced. Acks
+//!   are posted *after* the batch's sync.
 //! * **Reads** never take the writer lock. After every update the writer
 //!   publishes a [`TheorySnapshot`] (theory cloned once behind an `Arc`)
 //!   into an `RwLock` slot; each connection answers from a private
@@ -70,12 +71,6 @@ pub struct ServerOptions {
     pub max_connections: usize,
     /// A connection idle (or stalled mid-frame) this long is closed.
     pub idle_timeout: Duration,
-    /// Coalesce pairwise-independent queued writes into group-commit
-    /// batches (one fsync, one snapshot publication per batch). Apply
-    /// order is always arrival order; batching only changes *when*
-    /// durability and snapshot publication happen. Off = the classic
-    /// one-publication-per-write path.
-    pub batch_writes: bool,
     /// Background-compaction policy; `None` disables the compactor
     /// thread. On by default — the trigger thresholds keep it dormant on
     /// small databases.
@@ -92,7 +87,6 @@ impl Default for ServerOptions {
         ServerOptions {
             max_connections: 64,
             idle_timeout: Duration::from_secs(30),
-            batch_writes: true,
             compaction: Some(CompactionPolicy::default()),
             lock_timeout: Duration::from_secs(2),
         }
@@ -575,49 +569,6 @@ fn apply_op<S: Storage>(db: &mut DurableDatabase<S>, op: &WriteOp) -> Result<(i6
     }
 }
 
-/// Applies one write op under the (held) writer lock — the unbatched
-/// path (`batch_writes` off). One journaled write, one snapshot
-/// publication, one shipped batch; no group sync and no batch accounting
-/// (the `write_batches` counter is a batched-path metric).
-fn write_one<S: Storage>(
-    shared: &Shared<S>,
-    db: &mut DurableDatabase<S>,
-    op: &WriteOp,
-) -> Response {
-    if let Some(e) = plain_write_conflict(shared, op) {
-        return Response::Error(wire_error(&e));
-    }
-    let lsn = db.next_lsn();
-    let response = match apply_op(db, op) {
-        Ok((nodes_added, completion_added)) => {
-            let generation = db.db().theory().generation();
-            let snapshot = TheorySnapshot::capture(db.db().theory());
-            let updates_applied = read_published(shared).updates_applied + 1;
-            publish(
-                shared,
-                Published {
-                    snapshot,
-                    updates_applied,
-                    last_lsn: lsn,
-                },
-            );
-            shared.stats.updates.fetch_add(1, Ordering::Relaxed);
-            Response::Executed(ExecReply {
-                lsn,
-                generation,
-                nodes_added,
-                completion_added,
-            })
-        }
-        Err(e) => Response::Error(wire_error(&e)),
-    };
-    // Fan the batch out to subscribers while still holding the writer
-    // lock, so shipped batches arrive in commit order. A refused op
-    // ships nothing (its abort pair is filtered by the drain).
-    ship(shared, db);
-    response
-}
-
 /// Slices one accumulated run of writes into batches of consecutive
 /// pairwise-independent `Execute` statements and flushes each. Statements
 /// are *never reordered* — the footprint analysis only decides where one
@@ -662,8 +613,8 @@ fn apply_batched<S: Storage>(shared: &Shared<S>, db: &mut DurableDatabase<S>, jo
 /// Applies one batch in arrival order, then makes it durable with a
 /// single sync and publishes a single snapshot before acking anyone.
 /// Per-job failures (parse errors, refused updates) ack individually and
-/// don't abort the rest of the batch — identical to what the unbatched
-/// path would have done serving them back to back.
+/// don't abort the rest of the batch — identical to serving the jobs
+/// back to back in batches of one.
 fn flush_batch<S: Storage>(shared: &Shared<S>, db: &mut DurableDatabase<S>, batch: Vec<WriteJob>) {
     if batch.is_empty() {
         return;
@@ -881,14 +832,7 @@ fn drain_abort() -> WireError {
 /// and bumps the gauges. The reply carries the new id (its `TxnBegin`
 /// record's LSN).
 fn txn_begin_shared<S: Storage>(shared: &Shared<S>) -> Response {
-    let mut guard = match shared.writer.lock() {
-        Ok(g) => g,
-        Err(_) => return Response::Error(poisoned_writer()),
-    };
-    let Some(db) = guard.as_mut() else {
-        return Response::Error(closed_writer());
-    };
-    match db.txn_begin() {
+    with_writer(shared, |db| match db.txn_begin() {
         Ok(txn) => {
             shared.stats.txn_begun.fetch_add(1, Ordering::Relaxed);
             shared.stats.txn_active.fetch_add(1, Ordering::Relaxed);
@@ -899,7 +843,8 @@ fn txn_begin_shared<S: Storage>(shared: &Shared<S>) -> Response {
             })
         }
         Err(e) => Response::Error(wire_error(&e)),
-    }
+    })
+    .unwrap_or_else(Response::Error)
 }
 
 /// Applies one statement inside an open transaction. The caller already
@@ -910,48 +855,44 @@ fn txn_begin_shared<S: Storage>(shared: &Shared<S>) -> Response {
 /// statement acquired anything, so the workspace is provably current on
 /// every atom it touches and the clone-and-redo refresh is skipped.
 fn txn_apply<S: Storage>(shared: &Shared<S>, txn: u64, op: &WriteOp, covered: bool) -> Response {
-    let mut guard = match shared.writer.lock() {
-        Ok(g) => g,
-        Err(_) => return Response::Error(poisoned_writer()),
-    };
-    let Some(db) = guard.as_mut() else {
-        return Response::Error(closed_writer());
-    };
-    let lsn = db.next_lsn();
-    let result = match op {
-        WriteOp::Execute(src) if covered => db
-            .txn_execute_covered(txn, src)
-            .map(|r| (r.nodes_added as i64, r.completion_added as u64)),
-        WriteOp::Execute(src) => db
-            .txn_execute(txn, src)
-            .map(|r| (r.nodes_added as i64, r.completion_added as u64)),
-        WriteOp::DeclareRelation(name, arity) => db
-            .txn_declare_relation(txn, name, *arity as usize)
-            .map(|_| (0, 0)),
-        WriteOp::DeclareAttribute(name) => db.txn_declare_attribute(txn, name).map(|_| (0, 0)),
-        WriteOp::LoadFact(pred, args) => {
-            let refs: Vec<&str> = args.iter().map(String::as_str).collect();
-            db.txn_load_fact(txn, pred, &refs).map(|_| (0, 0))
+    with_writer(shared, |db| {
+        let lsn = db.next_lsn();
+        let result = match op {
+            WriteOp::Execute(src) if covered => db
+                .txn_execute_covered(txn, src)
+                .map(|r| (r.nodes_added as i64, r.completion_added as u64)),
+            WriteOp::Execute(src) => db
+                .txn_execute(txn, src)
+                .map(|r| (r.nodes_added as i64, r.completion_added as u64)),
+            WriteOp::DeclareRelation(name, arity) => db
+                .txn_declare_relation(txn, name, *arity as usize)
+                .map(|_| (0, 0)),
+            WriteOp::DeclareAttribute(name) => db.txn_declare_attribute(txn, name).map(|_| (0, 0)),
+            WriteOp::LoadFact(pred, args) => {
+                let refs: Vec<&str> = args.iter().map(String::as_str).collect();
+                db.txn_load_fact(txn, pred, &refs).map(|_| (0, 0))
+            }
+            WriteOp::LoadWff(src) => db.txn_load_wff(txn, src).map(|_| (0, 0)),
+        };
+        match result {
+            Ok((nodes_added, completion_added)) => {
+                let generation = db
+                    .txn_view(txn)
+                    .map(|w| w.theory().generation())
+                    .unwrap_or_default();
+                Response::Executed(ExecReply {
+                    lsn,
+                    generation,
+                    nodes_added,
+                    completion_added,
+                })
+            }
+            // A refused statement does not kill the transaction: its
+            // compensation is journaled and the workspace is unchanged.
+            Err(e) => Response::Error(wire_error(&e)),
         }
-        WriteOp::LoadWff(src) => db.txn_load_wff(txn, src).map(|_| (0, 0)),
-    };
-    match result {
-        Ok((nodes_added, completion_added)) => {
-            let generation = db
-                .txn_view(txn)
-                .map(|w| w.theory().generation())
-                .unwrap_or_default();
-            Response::Executed(ExecReply {
-                lsn,
-                generation,
-                nodes_added,
-                completion_added,
-            })
-        }
-        // A refused statement does not kill the transaction: its
-        // compensation is journaled and the workspace is unchanged.
-        Err(e) => Response::Error(wire_error(&e)),
-    }
+    })
+    .unwrap_or_else(Response::Error)
 }
 
 /// Commits: reapplies the statements against the live database, journals
@@ -959,47 +900,39 @@ fn txn_apply<S: Storage>(shared: &Shared<S>, txn: u64, op: &WriteOp, covered: bo
 /// publishes one snapshot, ships — then releases every lock the
 /// transaction held, whatever the outcome (strict two-phase locking).
 fn txn_commit_shared<S: Storage>(shared: &Shared<S>, txn: u64) -> Response {
-    let resp = 'commit: {
-        let mut guard = match shared.writer.lock() {
-            Ok(g) => g,
-            Err(_) => break 'commit Response::Error(poisoned_writer()),
-        };
-        let Some(db) = guard.as_mut() else {
-            break 'commit Response::Error(closed_writer());
-        };
-        match db.txn_commit(txn) {
-            Ok((lsn, ops)) => {
-                let snapshot = TheorySnapshot::capture(db.db().theory());
-                let updates_applied = read_published(shared).updates_applied + ops as u64;
-                publish(
-                    shared,
-                    Published {
-                        snapshot,
-                        updates_applied,
-                        last_lsn: lsn,
-                    },
-                );
-                shared
-                    .stats
-                    .updates
-                    .fetch_add(ops as u64, Ordering::Relaxed);
-                shared.stats.txn_committed.fetch_add(1, Ordering::Relaxed);
-                ship(shared, db);
-                Response::TxnCommitted(TxnReply {
-                    txn,
-                    lsn,
-                    statements: ops as u64,
-                })
-            }
-            Err(e) => {
-                // The core rolled the transaction back (reapply or
-                // journaling failure): surface the typed refusal.
-                shared.stats.txn_aborted.fetch_add(1, Ordering::Relaxed);
-                ship(shared, db);
-                Response::Error(wire_error(&e))
-            }
+    let resp = with_writer(shared, |db| match db.txn_commit(txn) {
+        Ok((lsn, ops)) => {
+            let snapshot = TheorySnapshot::capture(db.db().theory());
+            let updates_applied = read_published(shared).updates_applied + ops as u64;
+            publish(
+                shared,
+                Published {
+                    snapshot,
+                    updates_applied,
+                    last_lsn: lsn,
+                },
+            );
+            shared
+                .stats
+                .updates
+                .fetch_add(ops as u64, Ordering::Relaxed);
+            shared.stats.txn_committed.fetch_add(1, Ordering::Relaxed);
+            ship(shared, db);
+            Response::TxnCommitted(TxnReply {
+                txn,
+                lsn,
+                statements: ops as u64,
+            })
         }
-    };
+        Err(e) => {
+            // The core rolled the transaction back (reapply or
+            // journaling failure): surface the typed refusal.
+            shared.stats.txn_aborted.fetch_add(1, Ordering::Relaxed);
+            ship(shared, db);
+            Response::Error(wire_error(&e))
+        }
+    })
+    .unwrap_or_else(Response::Error);
     shared.locks.release_all(txn);
     gauge_dec(&shared.stats.txn_active);
     resp
@@ -1008,27 +941,19 @@ fn txn_commit_shared<S: Storage>(shared: &Shared<S>, txn: u64) -> Response {
 /// Rolls back: journals the abort marker and discards the workspace
 /// (the live database never saw the intents), then releases the locks.
 fn txn_rollback_shared<S: Storage>(shared: &Shared<S>, txn: u64) -> Response {
-    let resp = 'rollback: {
-        let mut guard = match shared.writer.lock() {
-            Ok(g) => g,
-            Err(_) => break 'rollback Response::Error(poisoned_writer()),
-        };
-        let Some(db) = guard.as_mut() else {
-            break 'rollback Response::Error(closed_writer());
-        };
-        match db.txn_rollback(txn) {
-            Ok(()) => {
-                shared.stats.txn_aborted.fetch_add(1, Ordering::Relaxed);
-                ship(shared, db);
-                Response::TxnRolledBack(TxnReply {
-                    txn,
-                    lsn: 0,
-                    statements: 0,
-                })
-            }
-            Err(e) => Response::Error(wire_error(&e)),
+    let resp = with_writer(shared, |db| match db.txn_rollback(txn) {
+        Ok(()) => {
+            shared.stats.txn_aborted.fetch_add(1, Ordering::Relaxed);
+            ship(shared, db);
+            Response::TxnRolledBack(TxnReply {
+                txn,
+                lsn: 0,
+                statements: 0,
+            })
         }
-    };
+        Err(e) => Response::Error(wire_error(&e)),
+    })
+    .unwrap_or_else(Response::Error);
     shared.locks.release_all(txn);
     gauge_dec(&shared.stats.txn_active);
     resp
@@ -1392,34 +1317,18 @@ fn txn_mapping_current<S: Storage>(shared: &Shared<S>, token: u64, txn: u64) -> 
         == Some(&txn)
 }
 
-/// Applies one accumulated run of writes under the writer lock — through
-/// the batcher when enabled, else one publication per write.
-fn flush_writes<S: Storage>(shared: &Arc<Shared<S>>, jobs: Vec<WriteJob>) {
+/// Applies one accumulated run of writes under the writer lock, through
+/// the batcher.
+fn flush_writes<S: Storage>(shared: &Arc<Shared<S>>, mut jobs: Vec<WriteJob>) {
     if jobs.is_empty() {
         return;
     }
-    let mut guard = match shared.writer.lock() {
-        Ok(g) => g,
-        Err(_) => {
-            for job in jobs {
-                job.done.fill(shared, Response::Error(poisoned_writer()));
-            }
-            return;
-        }
-    };
-    let Some(db) = guard.as_mut() else {
-        drop(guard);
+    let applied = with_writer(shared, |db| {
+        apply_batched(shared, db, std::mem::take(&mut jobs));
+    });
+    if let Err(e) = applied {
         for job in jobs {
-            job.done.fill(shared, Response::Error(closed_writer()));
-        }
-        return;
-    };
-    if shared.options.batch_writes {
-        apply_batched(shared, db, jobs);
-    } else {
-        for job in jobs {
-            let resp = write_one(shared, db, &job.op);
-            job.done.fill(shared, resp);
+            job.done.fill(shared, Response::Error(e.clone()));
         }
     }
 }
@@ -1443,28 +1352,13 @@ fn run_control<S: Storage>(shared: &Arc<Shared<S>>, work: WriterWork) {
             completions.post(token, seq, Done::Resp(Response::Stats(Box::new(reply))));
         }
         WriterWork::Checkpoint { token, seq } => {
-            let resp = {
-                let mut guard = match shared.writer.lock() {
-                    Ok(g) => g,
-                    Err(_) => {
-                        completions.post(
-                            token,
-                            seq,
-                            Done::Resp(Response::Error(poisoned_writer())),
-                        );
-                        return;
-                    }
-                };
-                match guard.as_mut() {
-                    Some(db) => match db.checkpoint() {
-                        Ok(()) => Response::Checkpointed(CheckpointReply {
-                            lsn: db.snapshot_lsn(),
-                        }),
-                        Err(e) => Response::Error(wire_error(&e)),
-                    },
-                    None => Response::Error(closed_writer()),
-                }
-            };
+            let resp = with_writer(shared, |db| match db.checkpoint() {
+                Ok(()) => Response::Checkpointed(CheckpointReply {
+                    lsn: db.snapshot_lsn(),
+                }),
+                Err(e) => Response::Error(wire_error(&e)),
+            })
+            .unwrap_or_else(Response::Error);
             completions.post(token, seq, Done::Resp(resp));
         }
         WriterWork::Subscribe {
@@ -1486,18 +1380,17 @@ fn subscription_start<S: Storage>(
     shared: &Arc<Shared<S>>,
     from_lsn: u64,
 ) -> Result<(Vec<Response>, mpsc::Receiver<Vec<WalEntry>>), WireError> {
-    let mut guard = shared.writer.lock().map_err(|_| poisoned_writer())?;
-    let db = guard.as_mut().ok_or_else(closed_writer)?;
-    ship(shared, db);
-    let catchup = db.catchup_from(from_lsn).map_err(|e| wire_error(&e))?;
-    let next_lsn = db.next_lsn();
-    let (tx, rx) = mpsc::channel();
-    shared
-        .subscribers
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .push(tx);
-    drop(guard);
+    let (catchup, next_lsn, rx) = with_writer(shared, |db| {
+        ship(shared, db);
+        let catchup = db.catchup_from(from_lsn).map_err(|e| wire_error(&e))?;
+        let (tx, rx) = mpsc::channel();
+        shared
+            .subscribers
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(tx);
+        Ok((catchup, db.next_lsn(), rx))
+    })??;
     let (snapshot, backlog) = match catchup {
         Catchup::Suffix(entries) => (None, entries),
         Catchup::Snapshot(snap, entries) => (Some(*snap), entries),
@@ -1807,6 +1700,17 @@ fn compact_once<S: Storage>(shared: &Shared<S>, policy: &CompactionPolicy) -> Op
             None
         }
     }
+}
+
+/// Runs `f` on the live database under the writer lock. A poisoned lock
+/// and a closed writer become their typed wire errors.
+fn with_writer<S: Storage, R>(
+    shared: &Shared<S>,
+    f: impl FnOnce(&mut DurableDatabase<S>) -> R,
+) -> Result<R, WireError> {
+    let mut guard = shared.writer.lock().map_err(|_| poisoned_writer())?;
+    let db = guard.as_mut().ok_or_else(closed_writer)?;
+    Ok(f(db))
 }
 
 fn closed_writer() -> WireError {

@@ -375,8 +375,10 @@ fn run_replica_scenario(writer_scripts: Vec<Vec<usize>>, restart_follower: bool)
     let mut samplers = Vec::new();
     for replica_addr in [addr_a, addr_b] {
         let stop = Arc::clone(&stop);
+        // Connect before spawning: once spawned, the sampler may first
+        // run after the restart below has shut its follower down.
+        let mut client = Client::connect(replica_addr).expect("connect sampler");
         samplers.push(std::thread::spawn(move || {
-            let mut client = Client::connect(replica_addr).expect("connect sampler");
             let mut reads: Vec<ReplicaRead> = Vec::new();
             while !stop.load(std::sync::atomic::Ordering::SeqCst) {
                 match client.pin_at(1) {

@@ -34,7 +34,6 @@ fn boot(
             idle_timeout: Duration::from_secs(10),
             compaction: None,
             lock_timeout,
-            ..ServerOptions::default()
         },
     )
     .expect("bind");
