@@ -131,7 +131,7 @@ fn main() {
     }
     if want("txn") {
         let bench =
-            txn_bench::run_txn_bench(if quick { 3 } else { 4 }, if quick { 150 } else { 1000 });
+            txn_bench::run_txn_bench(if quick { 3 } else { 4 }, if quick { 200 } else { 1000 });
         tables.push(txn_bench::txn_table(&bench));
         emit(out, "txn", &bench);
     }

@@ -105,13 +105,6 @@ pub enum DbError {
         /// The offending transaction id.
         txn: u64,
     },
-    /// A checkpoint was refused because transactions are open: a snapshot
-    /// boundary must never strand the early intents of a transaction that
-    /// later commits.
-    TxnOpen {
-        /// How many transactions were open.
-        active: usize,
-    },
 }
 
 impl fmt::Display for DbError {
@@ -159,12 +152,6 @@ impl fmt::Display for DbError {
             DbError::TxnUnknown { txn } => {
                 write!(f, "transaction {txn} is not open on this database")
             }
-            DbError::TxnOpen { active } => write!(
-                f,
-                "refused while {active} transaction(s) are open: a checkpoint here could \
-                 strand a committing transaction's journaled intents behind the snapshot \
-                 boundary"
-            ),
         }
     }
 }

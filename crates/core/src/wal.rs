@@ -28,7 +28,10 @@
 //! Records carry monotonically increasing LSNs; the snapshot stores the
 //! LSN up to which it is current, so a crash *between* writing a new
 //! snapshot and resetting the WAL is harmless — recovery skips records
-//! the snapshot already covers. Snapshot-triggered log compaction is
+//! the snapshot already covers. The snapshot folds in only committed
+//! state: a transaction open across a checkpoint is re-journaled past
+//! the boundary (its begin marker, then its intents), so the new log
+//! alone commits or rolls it back. Snapshot-triggered log compaction is
 //! keyed off [`Theory::store_nodes`] growth (the §3.6 store-size
 //! measure): when the live store has grown past a configurable factor of
 //! its size at the last snapshot, a checkpoint folds the log into a new
@@ -416,8 +419,10 @@ pub enum WalRecord {
     /// the intent but GUA refused the operation, so recovery must skip
     /// it instead of replaying a state the live system never reached.
     Abort(u64),
-    /// Opens a transaction. The id is the LSN of this record, so ids are
-    /// unique across the log's lifetime without extra bookkeeping.
+    /// Opens a transaction. The id is the LSN of the transaction's first
+    /// begin record, so ids are unique across the log's lifetime without
+    /// extra bookkeeping. A checkpoint re-appends this record, id
+    /// unchanged, for every transaction open across it.
     TxnBegin(u64),
     /// Commits a transaction: every intact [`WalRecord::TxnOp`] carrying
     /// this id becomes effective. The commit marker's durability *is* the
@@ -500,15 +505,15 @@ fn effective_entries(entries: Vec<WalEntry>) -> Vec<WalEntry> {
 /// transaction's [`WalRecord::TxnOp`] intents until its
 /// [`WalRecord::TxnCommit`], where it releases them in journal order
 /// under their own LSNs — the point where the live database installs
-/// the transaction. A [`WalRecord::TxnAbort`] drops them. A streaming
-/// consumer keeps one instance across batches.
+/// the transaction. A [`WalRecord::TxnAbort`] drops them, and so does a
+/// commit whose begin was never fed. A begin for a transaction already
+/// held starts its intents over: a checkpoint re-journals each open
+/// transaction as its begin followed by every intent it holds. A
+/// streaming consumer keeps one instance across batches.
 #[derive(Debug, Default)]
 pub struct TxnSettle {
-    /// Unsettled transactions by id (= begin LSN), with their held
-    /// intents. `None` marks a transaction known only from intents whose
-    /// begin was never fed: its commit is reported, never released, so
-    /// those intents are not kept.
-    open: BTreeMap<u64, Option<Vec<WalEntry>>>,
+    /// Unsettled transactions by id, with their held intents.
+    open: BTreeMap<u64, Vec<WalEntry>>,
 }
 
 /// What feeding one entry to a [`TxnSettle`] settled.
@@ -518,11 +523,9 @@ pub enum Settled {
     /// LSN: a plain record alone, or a committed transaction's intents
     /// (their inner operations).
     Release(Vec<WalEntry>),
-    /// Nothing takes effect: a begin marker, a held intent, or an abort.
+    /// Nothing takes effect: a begin marker, a held intent, an abort, or
+    /// a commit whose begin was never fed.
     Hold,
-    /// A commit marker for a transaction whose begin was never fed. Its
-    /// intents are dropped; the caller decides whether that is an error.
-    OrphanCommit(u64),
 }
 
 impl TxnSettle {
@@ -530,11 +533,11 @@ impl TxnSettle {
     pub fn feed(&mut self, entry: WalEntry) -> Settled {
         match entry.record {
             WalRecord::TxnBegin(t) => {
-                self.open.insert(t, Some(Vec::new()));
+                self.open.insert(t, Vec::new());
                 Settled::Hold
             }
             WalRecord::TxnOp(t, op) => {
-                if let Some(intents) = self.open.entry(t).or_insert(None) {
+                if let Some(intents) = self.open.get_mut(&t) {
                     intents.push(WalEntry {
                         lsn: entry.lsn,
                         record: *op,
@@ -542,10 +545,7 @@ impl TxnSettle {
                 }
                 Settled::Hold
             }
-            WalRecord::TxnCommit(t) => match self.open.remove(&t) {
-                Some(Some(intents)) => Settled::Release(intents),
-                _ => Settled::OrphanCommit(t),
-            },
+            WalRecord::TxnCommit(t) => self.open.remove(&t).map_or(Settled::Hold, Settled::Release),
             WalRecord::TxnAbort(t) => {
                 self.open.remove(&t);
                 Settled::Hold
@@ -554,8 +554,7 @@ impl TxnSettle {
         }
     }
 
-    /// Transactions begun (or seen through an intent) but not yet
-    /// settled, in id order.
+    /// Transactions begun but not yet settled, in id order.
     pub fn open(&self) -> impl Iterator<Item = u64> + '_ {
         self.open.keys().copied()
     }
@@ -897,9 +896,6 @@ pub struct CompactionOutcome {
     /// Generation of the installed theory — strictly greater than
     /// `generation_before`, always.
     pub generation_after: u64,
-    /// Whether the swap also took a checkpoint, so the on-storage
-    /// snapshot shrank with the theory.
-    pub checkpointed: bool,
 }
 
 impl CompactionOutcome {
@@ -927,21 +923,22 @@ pub struct DurableDatabase<S: Storage> {
     snapshot_lsn: u64,
     unsynced: usize,
     nodes_at_snapshot: usize,
-    /// `Some` while a background-compaction capture is outstanding: every
-    /// appended record is also retained here so
-    /// [`DurableDatabase::install_compacted`] can replay the delta at
-    /// swap time without re-reading (and re-parsing) the whole on-storage
-    /// log under the writer lock. Bounded by the capture→install window.
-    compaction_tail: Option<Vec<WalEntry>>,
+    /// `Some` while a background-compaction capture is outstanding: the
+    /// capture's LSN, and the records
+    /// [`DurableDatabase::install_compacted`] replays at swap time
+    /// without re-reading (and re-parsing) the whole on-storage log under
+    /// the writer lock — the open transactions as of the capture, then
+    /// every record appended since. Bounded by the capture→install window.
+    compaction_tail: Option<(u64, Vec<WalEntry>)>,
     /// `Some` once [`DurableDatabase::enable_shipping`] armed WAL
     /// shipping: every appended record is also retained here until the
     /// next [`DurableDatabase::drain_shipping`], which hands the batch to
     /// the replication fan-out. Bounded by the append→drain window (one
     /// write batch on the server).
     shipping_tail: Option<Vec<WalEntry>>,
-    /// Open transactions, keyed by id (= the begin record's LSN). Each
-    /// holds a read-your-writes workspace and the redo list its commit
-    /// re-applies to the live database.
+    /// Open transactions, keyed by id (= their first begin record's
+    /// LSN). Each holds a read-your-writes workspace and the redo list
+    /// its commit re-applies to the live database.
     txns: HashMap<u64, OpenTxn>,
     /// Bumped whenever the *live* database mutates (plain journaled
     /// writes, transaction commits, compaction swaps) — the staleness
@@ -1209,20 +1206,15 @@ impl<S: Storage> DurableDatabase<S> {
     }
 
     fn append_entry(&mut self, record: WalRecord) -> Result<u64, DbError> {
-        let lsn = self.next_lsn;
-        let entry = WalEntry { lsn, record };
+        let entry = WalEntry {
+            lsn: self.next_lsn,
+            record,
+        };
         let bytes = encode_entry(&entry)?;
         self.storage_mut().append(WAL_FILE, &bytes)?;
-        if let Some(tail) = self.compaction_tail.as_mut() {
-            tail.push(entry.clone());
-        }
-        if let Some(tail) = self.shipping_tail.as_mut() {
-            tail.push(entry);
-        }
-        self.next_lsn += 1;
         self.unsynced += 1;
-        self.stats.records += 1;
         self.stats.bytes_appended += bytes.len() as u64;
+        let lsn = self.logged(entry);
         match self.wal_options.policy {
             SyncPolicy::EveryRecord => self.sync()?,
             SyncPolicy::GroupCommit(n) => {
@@ -1233,6 +1225,21 @@ impl<S: Storage> DurableDatabase<S> {
             SyncPolicy::Manual => {}
         }
         Ok(lsn)
+    }
+
+    /// Books an entry that reached the log: retained for an outstanding
+    /// compaction capture and for shipping, and counted.
+    fn logged(&mut self, entry: WalEntry) -> u64 {
+        let lsn = entry.lsn;
+        if let Some((_, tail)) = self.compaction_tail.as_mut() {
+            tail.push(entry.clone());
+        }
+        if let Some(tail) = self.shipping_tail.as_mut() {
+            tail.push(entry);
+        }
+        self.next_lsn = lsn + 1;
+        self.stats.records += 1;
+        lsn
     }
 
     /// Journal `record`, then run `apply` on the inner database. If GUA
@@ -1269,11 +1276,6 @@ impl<S: Storage> DurableDatabase<S> {
     }
 
     fn maybe_compact(&mut self) -> Result<(), DbError> {
-        // A checkpoint taken mid-transaction would strand a later commit's
-        // early intents below the snapshot boundary; wait for quiescence.
-        if !self.txns.is_empty() {
-            return Ok(());
-        }
         let Some(factor) = self.wal_options.compact_growth_factor else {
             return Ok(());
         };
@@ -1383,7 +1385,7 @@ impl<S: Storage> DurableDatabase<S> {
     // 3/4) — so replaying the redo list at commit lands the same state
     // the workspace computed.
 
-    /// Opens a transaction, returning its id (the begin record's LSN).
+    /// Opens a transaction, returning its id (its begin record's LSN).
     pub fn txn_begin(&mut self) -> Result<u64, DbError> {
         let id = self.next_lsn;
         self.append_entry(WalRecord::TxnBegin(id))?;
@@ -1755,32 +1757,58 @@ impl<S: Storage> DurableDatabase<S> {
         Ok(())
     }
 
-    /// Takes a snapshot of the current theory and resets the log: the
-    /// compaction step. Crash-safe in every window — the snapshot is
-    /// replaced atomically and carries the LSN through which it is
-    /// current, so an old WAL alongside a new snapshot merely replays
-    /// zero records.
-    pub fn checkpoint(&mut self) -> Result<(), DbError> {
-        // Refused while transactions are open: the snapshot would fold in
-        // only the *live* state, and resetting the log would drop the
-        // journaled intents a still-open transaction needs to commit.
-        if !self.txns.is_empty() {
-            return Err(DbError::TxnOpen {
-                active: self.txns.len(),
-            });
+    /// Each open transaction, in id order, as the entries that reopen it
+    /// on replay: its begin marker, then the intents it holds in journal
+    /// order — all stamped with its id, the LSN of its first begin record.
+    fn open_txn_entries(&self) -> Vec<WalEntry> {
+        let mut entries = Vec::new();
+        for txn in self.txn_ids() {
+            let ops = self.txns[&txn].ops.iter();
+            let records = std::iter::once(WalRecord::TxnBegin(txn))
+                .chain(ops.map(|op| WalRecord::TxnOp(txn, Box::new(op.clone()))));
+            entries.extend(records.map(|record| WalEntry { lsn: txn, record }));
         }
+        entries
+    }
+
+    /// Takes a snapshot of the live (committed) theory and resets the log
+    /// to the open transactions, re-journaled under fresh LSNs: the
+    /// compaction step. Crash-safe in every window — both files are
+    /// replaced atomically, and the snapshot carries the LSN through
+    /// which it is current, so an old WAL alongside a new snapshot merely
+    /// replays zero records (the transactions it held open died with the
+    /// crash).
+    pub fn checkpoint(&mut self) -> Result<(), DbError> {
         self.sync()?;
+        let lsn = self.next_lsn;
         let snap = WalSnapshot {
             version: SNAPSHOT_VERSION,
-            lsn: self.next_lsn,
+            lsn,
             theory: persist::dump_theory(self.db.theory()),
         };
         let json = serde_json::to_string(&snap).map_err(|e| DbError::Query {
             message: format!("snapshot serialization failed: {e}"),
         })?;
+        let mut log = wal_header().to_vec();
+        let mut reopened = self.open_txn_entries();
+        for (entry, at) in reopened.iter_mut().zip(lsn..) {
+            entry.lsn = at;
+            log.extend(encode_entry(entry)?);
+        }
         self.storage_mut().replace(SNAPSHOT_FILE, json.as_bytes())?;
-        self.storage_mut().replace(WAL_FILE, &wal_header())?;
-        self.snapshot_lsn = self.next_lsn;
+        if let Err(e) = self.storage_mut().replace(WAL_FILE, &log) {
+            // The snapshot now skips the old log, and with it every open
+            // transaction's records: none of them can commit durably.
+            for txn in self.txn_ids() {
+                let _ = self.txn_rollback(txn);
+            }
+            return Err(e);
+        }
+        self.stats.bytes_appended += (log.len() - wal_header().len()) as u64;
+        for entry in reopened {
+            self.logged(entry);
+        }
+        self.snapshot_lsn = lsn;
         self.unsynced = 0;
         self.nodes_at_snapshot = self.db.theory().store_nodes();
         self.stats.checkpoints += 1;
@@ -1870,10 +1898,14 @@ impl<S: Storage> DurableDatabase<S> {
     /// Phase 1: captures a deep copy of the live theory plus the first
     /// LSN not reflected in it, and starts retaining appended records so
     /// [`DurableDatabase::install_compacted`] can replay the delta. The
-    /// copy costs the same as one snapshot publication. A previously
-    /// outstanding capture is silently superseded.
+    /// retained tail opens with every open transaction's begin and held
+    /// intents, stamped with its id (which precedes the capture, so no
+    /// abort in the tail can name them): a commit inside the window then
+    /// replays the whole transaction. The copy costs the same as one
+    /// snapshot publication. A previously outstanding capture is silently
+    /// superseded.
     pub fn begin_compaction(&mut self) -> (Theory, u64) {
-        self.compaction_tail = Some(Vec::new());
+        self.compaction_tail = Some((self.next_lsn, self.open_txn_entries()));
         (self.db.theory().clone(), self.next_lsn)
     }
 
@@ -1892,7 +1924,8 @@ impl<S: Storage> DurableDatabase<S> {
     /// Phase 3: atomically swaps `compacted` (the
     /// [`DurableDatabase::begin_compaction`] copy after the caller's
     /// simplification pass) in for the live theory, first replaying the
-    /// records journaled since the capture onto it. On any replay error
+    /// records journaled since the capture onto it — a transaction open
+    /// at the capture replays whole at its commit. On any replay error
     /// the live database is untouched and the round is simply abandoned.
     ///
     /// The installed theory's [`Theory::generation`] is forced strictly
@@ -1907,17 +1940,17 @@ impl<S: Storage> DurableDatabase<S> {
         from_lsn: u64,
         checkpoint: bool,
     ) -> Result<CompactionOutcome, DbError> {
-        let tail = self
+        let (captured, tail) = self
             .compaction_tail
             .take()
             .ok_or_else(|| DbError::Compaction {
                 message: "install_compacted without an outstanding begin_compaction capture".into(),
             })?;
-        if tail.first().map(|e| e.lsn > from_lsn).unwrap_or(false) {
+        if captured != from_lsn {
             return Err(DbError::Compaction {
                 message: format!(
-                    "retained tail starts at lsn {} but the capture was taken at lsn {from_lsn}",
-                    tail[0].lsn
+                    "install_compacted for a capture at lsn {from_lsn}, but the outstanding \
+                     capture was taken at lsn {captured}"
                 ),
             });
         }
@@ -1930,27 +1963,10 @@ impl<S: Storage> DurableDatabase<S> {
         let mut settle = TxnSettle::default();
         let mut replayed = 0usize;
         for entry in effective_entries(tail) {
-            match settle.feed(entry) {
-                Settled::Release(records) => {
-                    for e in records {
-                        replay_record(&mut scratch, &e.record)?;
-                        replayed += 1;
-                    }
-                }
-                Settled::Hold => {}
-                // Transaction ids are begin LSNs, and the tail starts at
-                // the capture. A commit whose begin is not in it belongs
-                // to a transaction that began before the capture: its
-                // pre-capture intents reached the live theory at commit
-                // but are not in the tail, so the replay would silently
-                // drop them.
-                Settled::OrphanCommit(txn) => {
-                    return Err(DbError::Compaction {
-                        message: format!(
-                            "transaction {txn} began before the capture at lsn {from_lsn} and \
-                             committed inside the compaction window"
-                        ),
-                    });
+            if let Settled::Release(records) = settle.feed(entry) {
+                for e in records {
+                    replay_record(&mut scratch, &e.record)?;
+                    replayed += 1;
                 }
             }
         }
@@ -1966,10 +1982,6 @@ impl<S: Storage> DurableDatabase<S> {
         let nodes_after = self.db.theory().store_nodes();
         let generation_after = self.db.theory().generation();
         debug_assert!(generation_after > generation_before);
-        // A transaction may still be open; checkpointing now would hit
-        // the open-transaction refusal, so skip it and let the next
-        // quiescent round (or auto-compaction) fold the log.
-        let checkpoint = checkpoint && self.txns.is_empty();
         if checkpoint {
             self.checkpoint()?;
         }
@@ -1981,7 +1993,6 @@ impl<S: Storage> DurableDatabase<S> {
             nodes_after,
             generation_before,
             generation_after,
-            checkpointed: checkpoint,
         })
     }
 
@@ -2320,11 +2331,17 @@ mod tests {
             compact_min_nodes: 1,
         };
         let mut ddb = seeded(wal_options);
+        // A transaction open throughout does not hold the checkpoints
+        // back: each one re-journals it.
+        let txn = ddb.txn_begin().unwrap();
+        ddb.txn_execute(txn, "INSERT Orders(1,2,3) WHERE T")
+            .unwrap();
         for i in 0..6 {
             ddb.execute(&format!("INSERT InStock({}, {}) WHERE T", 50 + i, i))
                 .unwrap();
         }
         assert!(ddb.stats().checkpoints >= 1, "{:?}", ddb.stats());
+        ddb.txn_commit(txn).unwrap();
         let live = world_set(ddb.db());
         let (recovered, _) = reopen(ddb.into_storage());
         assert_eq!(world_set(recovered.db()), live);
@@ -2625,8 +2642,8 @@ mod tests {
         let (mut copy, from_lsn) = ddb.begin_compaction();
         winslett_gua::simplify(&mut copy, SimplifyLevel::Full);
         let live = world_set(ddb.db());
-        let outcome = ddb.install_compacted(copy, from_lsn, true).unwrap();
-        assert!(outcome.checkpointed);
+        ddb.install_compacted(copy, from_lsn, true).unwrap();
+        assert_eq!(ddb.stats().checkpoints, 2, "the swap checkpointed");
         let slim = ddb.storage().get(SNAPSHOT_FILE).unwrap().len();
         assert!(
             slim <= fat,
@@ -2661,31 +2678,52 @@ mod tests {
     }
 
     #[test]
-    fn compaction_refuses_a_transaction_straddling_the_capture() {
+    fn compaction_replays_a_transaction_straddling_the_capture() {
         let mut ddb = seeded(opts_nocompact());
-        ddb.declare_relation("R", 1).unwrap();
-        ddb.declare_relation("S", 1).unwrap();
+        for name in ["R", "S", "U"] {
+            ddb.declare_relation(name, 1).unwrap();
+        }
         let txn = ddb.txn_begin().unwrap();
         ddb.txn_execute(txn, "INSERT R(a) WHERE T").unwrap();
+        // A second transaction is still open when the swap checkpoints.
+        let late = ddb.txn_begin().unwrap();
+        ddb.txn_execute(late, "INSERT U(a) WHERE T").unwrap();
         let (copy, from_lsn) = ddb.begin_compaction();
         ddb.txn_execute(txn, "INSERT S(b) WHERE T").unwrap();
         ddb.txn_commit(txn).unwrap();
-        // The tail holds only the post-capture intent, so installing
-        // would drop `INSERT R(a)`; the swap must refuse instead.
-        let err = ddb.install_compacted(copy, from_lsn, true).unwrap_err();
-        assert!(matches!(err, DbError::Compaction { .. }), "{err:?}");
-        assert!(!ddb.compaction_pending());
-        assert_eq!(ddb.stats().compactions, 0);
+        // The tail opens with each transaction's begin and pre-capture
+        // intents, so the commit replays `INSERT R(a)` too.
+        let outcome = ddb.install_compacted(copy, from_lsn, true).unwrap();
+        assert_eq!(outcome.replayed, 2);
+        assert_eq!(ddb.stats().compactions, 1);
+        assert_eq!(ddb.stats().checkpoints, 1, "the swap checkpointed");
         for wff in ["R(a)", "S(b)"] {
             assert!(ddb.db_mut().is_certain(wff).unwrap(), "{wff} live");
         }
-        let (mut recovered, _) = reopen(ddb.into_storage());
-        for wff in ["R(a)", "S(b)"] {
+        assert!(!ddb.db_mut().is_certain("U(a)").unwrap());
+        ddb.txn_commit(late).unwrap();
+        let live = world_set(ddb.db());
+        let (mut recovered, report) = reopen(ddb.into_storage());
+        assert_eq!(report.rolled_back, 0);
+        assert_eq!(world_set(recovered.db()), live);
+        for wff in ["R(a)", "S(b)", "U(a)"] {
             assert!(
                 recovered.db_mut().is_certain(wff).unwrap(),
                 "{wff} recovered"
             );
         }
+    }
+
+    #[test]
+    fn install_for_a_superseded_capture_is_a_typed_error() {
+        let mut ddb = seeded(opts_nocompact());
+        let (copy, stale) = ddb.begin_compaction();
+        ddb.execute("INSERT InStock(60,6) WHERE T").unwrap();
+        let (_, current) = ddb.begin_compaction();
+        assert!(current > stale);
+        let err = ddb.install_compacted(copy, stale, false).unwrap_err();
+        assert!(matches!(err, DbError::Compaction { .. }), "{err:?}");
+        assert!(ddb.db_mut().is_certain("InStock(60,6)").unwrap());
     }
 
     #[test]
@@ -3009,21 +3047,43 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_refused_while_txn_open_then_allowed() {
+    fn txn_open_across_a_checkpoint_commits_durably() {
         let mut ddb = seeded(opts_nocompact());
+        let base = world_set(ddb.db());
         let txn = ddb.txn_begin().unwrap();
         ddb.txn_execute(txn, "INSERT Orders(9,9,9) WHERE T")
             .unwrap();
-        assert!(matches!(
-            ddb.checkpoint(),
-            Err(DbError::TxnOpen { active: 1 })
-        ));
-        ddb.txn_commit(txn).unwrap();
         ddb.checkpoint().unwrap();
+        // The snapshot holds only committed state.
+        let (at_checkpoint, _) = reopen(ddb.storage().clone());
+        assert_eq!(world_set(at_checkpoint.db()), base);
+        ddb.txn_execute(txn, "INSERT Orders(9,9,8) WHERE T")
+            .unwrap();
+        ddb.txn_commit(txn).unwrap();
         let live = world_set(ddb.db());
-        let (recovered, report) = reopen(ddb.into_storage());
-        assert_eq!(report.replayed, 0, "checkpoint folded everything");
+        let (mut recovered, report) = reopen(ddb.into_storage());
+        assert_eq!(report.rolled_back, 0);
+        assert_eq!(report.replayed, 2, "both intents replay at the commit");
         assert_eq!(world_set(recovered.db()), live);
+        for wff in ["Orders(9,9,9)", "Orders(9,9,8)"] {
+            assert!(recovered.db_mut().is_certain(wff).unwrap(), "{wff}");
+        }
+    }
+
+    #[test]
+    fn txn_open_across_a_checkpoint_rolls_back_on_crash() {
+        let mut ddb = seeded(opts_nocompact());
+        let base = world_set(ddb.db());
+        let txn = ddb.txn_begin().unwrap();
+        ddb.txn_execute(txn, "INSERT Orders(9,9,9) WHERE T")
+            .unwrap();
+        ddb.checkpoint().unwrap();
+        ddb.txn_execute(txn, "DELETE Orders(700,32,9) WHERE T")
+            .unwrap();
+        // Crash before commit.
+        let (recovered, report) = reopen(ddb.into_storage());
+        assert_eq!(report.rolled_back, 1);
+        assert_eq!(world_set(recovered.db()), base);
     }
 
     #[test]
@@ -3170,23 +3230,32 @@ mod tests {
         assert_eq!(settle.feed(at(2, WalRecord::TxnAbort(0))), Settled::Hold);
         assert_eq!(settle.open().count(), 0);
         // A commit after the abort has nothing left to release.
-        assert_eq!(
-            settle.feed(at(3, WalRecord::TxnCommit(0))),
-            Settled::OrphanCommit(0)
-        );
+        assert_eq!(settle.feed(at(3, WalRecord::TxnCommit(0))), Settled::Hold);
     }
 
     #[test]
-    fn settle_reports_a_commit_whose_begin_it_never_saw() {
+    fn settle_drops_a_transaction_whose_begin_it_never_saw() {
         let mut settle = TxnSettle::default();
         // Transaction 5 began before the first fed entry.
         assert_eq!(settle.feed(at(7, intent(5, "A"))), Settled::Hold);
-        assert_eq!(settle.open().collect::<Vec<_>>(), vec![5]);
-        assert_eq!(
-            settle.feed(at(8, WalRecord::TxnCommit(5))),
-            Settled::OrphanCommit(5)
-        );
         assert_eq!(settle.open().count(), 0);
+        assert_eq!(settle.feed(at(8, WalRecord::TxnCommit(5))), Settled::Hold);
+    }
+
+    #[test]
+    fn settle_restarts_a_transaction_at_its_rejournaled_begin() {
+        let mut settle = TxnSettle::default();
+        settle.feed(at(0, WalRecord::TxnBegin(0)));
+        settle.feed(at(1, intent(0, "A")));
+        // A checkpoint re-journals the open transaction: begin under the
+        // original id, then every intent it holds.
+        settle.feed(at(5, WalRecord::TxnBegin(0)));
+        settle.feed(at(6, intent(0, "A")));
+        settle.feed(at(7, intent(0, "B")));
+        assert_eq!(
+            settle.feed(at(8, WalRecord::TxnCommit(0))),
+            Settled::Release(vec![at(6, relation("A")), at(7, relation("B"))])
+        );
     }
 
     #[test]

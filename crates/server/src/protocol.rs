@@ -507,7 +507,7 @@ pub struct SnapshotReply {
 /// What a transaction-control request accomplished.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct TxnReply {
-    /// The transaction id (the LSN of its begin record).
+    /// The transaction id (the LSN of its first begin record).
     pub txn: u64,
     /// For `Commit`: the LSN of the commit marker (0 for begin/rollback).
     #[serde(default)]

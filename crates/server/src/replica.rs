@@ -11,7 +11,7 @@
 //! ## Catch-up and the stream
 //!
 //! On (re)connect the replica sends `Subscribe(next_lsn)` — the first LSN
-//! it has not yet applied. The primary answers, atomically against its
+//! it has not yet seen. The primary answers, atomically against its
 //! writer lock, with a [`CatchupReply`]: either just a cursor (the
 //! backlog follows as `WalBatch` frames read straight from the WAL
 //! suffix) or a full checkpoint snapshot plus the suffix past it, when
@@ -21,8 +21,12 @@
 //!
 //! The shipped stream is the *effective* log: aborted journal pairs are
 //! filtered at the primary, so the replica tolerates LSN holes — any
-//! entry at or past its cursor is applied, anything below it (a
-//! resubscription overlap) is skipped.
+//! entry at or past its cursor is settled, anything below it (a
+//! resubscription overlap) is skipped. The tailer keeps one
+//! [`TxnSettle`] across reconnects, so intents held for an open
+//! transaction survive a lost stream; a snapshot bootstrap starts it
+//! over, because the primary re-journals every open transaction past
+//! each checkpoint.
 //!
 //! ## Pinned-LSN consistency
 //!
@@ -42,13 +46,11 @@ use crate::reactor::{
     Completions, NetCounters, PublishedView, Reactor, ReactorConfig, Role, RoleAction,
 };
 use crate::server::HEARTBEAT_INTERVAL;
-use std::collections::HashSet;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
 use std::time::Duration;
 use winslett_core::snapshot::TheorySnapshot;
-use winslett_core::wal::WalRecord;
 use winslett_core::{
     replay_record, restore_theory, DbError, DbOptions, LogicalDatabase, Settled, TxnSettle,
 };
@@ -108,7 +110,8 @@ pub struct ReplicaStats {
     /// `PinAt` requests refused because the replica had not yet applied
     /// the demanded LSN.
     pub lag_refusals: AtomicU64,
-    /// The next LSN the tailer expects (= 1 + the highest applied LSN).
+    /// The next LSN the tailer expects (= 1 + the highest shipped LSN
+    /// the published state agrees with).
     pub next_lsn: AtomicU64,
 }
 
@@ -324,16 +327,14 @@ impl Role for ReplicaRole {
 // ----- the tailer -----------------------------------------------------------
 
 /// The WAL tailer: subscribe, catch up, apply, republish; reconnect from
-/// the current cursor on any stream failure until shutdown.
+/// the next unseen LSN on any stream failure until shutdown.
 ///
 /// A follower must never expose effects the primary has not committed:
-/// each subscription settles the shipped records with a fresh
-/// [`TxnSettle`], which holds a transaction's intents until its commit
-/// marker. While any transaction is open, the subscription cursor is
-/// pinned at the oldest open transaction's begin LSN — a reconnect then
-/// re-ships the held intents from the primary's log — and `applied`,
-/// carried across reconnects, remembers which LSNs past that pin are
-/// already settled so the resubscription overlap is not applied twice.
+/// one [`TxnSettle`], kept for the tailer's whole lifetime, settles the
+/// shipped records and holds a transaction's intents until its commit
+/// marker, across reconnects. Only a snapshot bootstrap starts it over:
+/// the primary's log past a checkpoint re-journals every transaction
+/// open across it.
 fn run_tailer(shared: &ReplicaShared, db_options: DbOptions) {
     // Replay runs unsimplified (the §4 configuration, as in recovery);
     // each batch folds once at the configured level.
@@ -343,10 +344,10 @@ fn run_tailer(shared: &ReplicaShared, db_options: DbOptions) {
     };
     let mut db = LogicalDatabase::with_options(replay_options);
     let mut next_lsn: u64 = 0;
-    let mut applied = HashSet::new();
+    let mut settle = TxnSettle::default();
     let mut ever_connected = false;
     while !shared.shutdown.load(Ordering::SeqCst) {
-        match tail_once(shared, &db_options, &mut db, &mut next_lsn, &mut applied) {
+        match tail_once(shared, &db_options, &mut db, &mut next_lsn, &mut settle) {
             TailExit::Shutdown => return,
             TailExit::StreamLost => {
                 if ever_connected {
@@ -387,7 +388,7 @@ fn tail_once(
     db_options: &DbOptions,
     db: &mut LogicalDatabase,
     next_lsn: &mut u64,
-    applied: &mut HashSet<u64>,
+    settle: &mut TxnSettle,
 ) -> TailExit {
     // The primary heartbeats every HEARTBEAT_INTERVAL while idle; four
     // missed beats means the stream (or the primary) is gone — the
@@ -442,20 +443,18 @@ fn tail_once(
                 *db = LogicalDatabase::from_theory(theory, db.options());
                 db.theory_mut().advance_generation_past(generation);
                 *next_lsn = snap.lsn;
-                // Checkpoints refuse while transactions are open, so the
-                // snapshot boundary is transaction-clean: nothing held
-                // back before it can still matter.
-                applied.clear();
+                // The snapshot holds only committed state, and the log
+                // past it re-journals every transaction still open.
+                *settle = TxnSettle::default();
                 shared
                     .stats
                     .replica_snapshots_loaded
                     .fetch_add(1, Ordering::Relaxed);
-                republish(shared, db, *next_lsn, snap.lsn.saturating_sub(1));
+                republish(shared, db, *next_lsn);
             }
             Err(_) => return TailExit::NeverConnected,
         }
     }
-    let mut settle = TxnSettle::default();
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
             return TailExit::Shutdown;
@@ -476,24 +475,14 @@ fn tail_once(
             continue; // heartbeat
         }
         let mut replayed = 0u64;
-        let mut hi = *next_lsn;
         for entry in batch.entries {
-            if entry.lsn < *next_lsn || applied.contains(&entry.lsn) {
-                continue; // resubscription overlap, already applied
+            if entry.lsn < *next_lsn {
+                continue; // resubscription overlap, already settled
             }
-            hi = hi.max(entry.lsn + 1);
-            let lsn = entry.lsn;
-            let begin = match entry.record {
-                WalRecord::TxnCommit(t) => Some(t),
-                _ => None,
-            };
+            *next_lsn = entry.lsn + 1;
             let Settled::Release(records) = settle.feed(entry) else {
                 continue;
             };
-            // A settled commit's begin LSN counts as applied too, so a
-            // resubscription from below cannot reopen the transaction.
-            applied.insert(lsn);
-            applied.extend(begin);
             for e in records {
                 // The stream is the effective log: holes at abort sites
                 // are expected. A record that still refuses mirrors
@@ -506,15 +495,9 @@ fn tail_once(
                         .replica_apply_errors
                         .fetch_add(1, Ordering::Relaxed);
                 }
-                applied.insert(e.lsn);
                 replayed += 1;
             }
         }
-        // Advance the cursor — but never past an open transaction's begin
-        // LSN, so a reconnect re-ships its held intents.
-        *next_lsn = settle.open().next().unwrap_or(hi);
-        let cursor = *next_lsn;
-        applied.retain(|l| *l >= cursor);
         if replayed == 0 {
             continue;
         }
@@ -524,13 +507,11 @@ fn tail_once(
             .replica_records
             .fetch_add(replayed, Ordering::Relaxed);
         shared.stats.replica_batches.fetch_add(1, Ordering::Relaxed);
-        // `last_lsn` advances through every *processed* entry, held-back
-        // intents included: the published state agrees with the
-        // primary's durable history at each of those LSNs (an
+        // The published state agrees with the primary's durable history
+        // at every processed LSN, held-back intents included (an
         // uncommitted intent has no effects there either), so pins need
-        // not wait for an unrelated open transaction. Only the
-        // resubscription cursor stays pinned.
-        republish(shared, db, *next_lsn, hi.saturating_sub(1));
+        // not wait for an unrelated open transaction.
+        republish(shared, db, *next_lsn);
     }
 }
 
@@ -546,13 +527,13 @@ fn published(shared: &ReplicaShared) -> Arc<ReplicaPublished> {
 
 /// Publishes the tailer's current state. Replay mutates the database in
 /// place, so its generation only grows between publications (a snapshot
-/// bootstrap forces it past the published one). `cursor` is the
-/// resubscription point (pinned at the oldest open transaction while
-/// intents are held); `last_lsn` is the highest shipped LSN the published
-/// state agrees with.
-fn republish(shared: &ReplicaShared, db: &LogicalDatabase, cursor: u64, last_lsn: u64) {
+/// bootstrap forces it past the published one). `next_lsn` is the
+/// resubscription point; the published state agrees with every shipped
+/// LSN below it.
+fn republish(shared: &ReplicaShared, db: &LogicalDatabase, next_lsn: u64) {
     let snapshot = TheorySnapshot::capture(db.theory());
-    shared.stats.next_lsn.store(cursor, Ordering::Relaxed);
+    shared.stats.next_lsn.store(next_lsn, Ordering::Relaxed);
+    let last_lsn = next_lsn.saturating_sub(1);
     *shared
         .published
         .write()

@@ -93,7 +93,8 @@ impl Default for ServerOptions {
     }
 }
 
-/// When and how the background compactor runs.
+/// When the background compactor runs. Every round simplifies at
+/// `Full` and checkpoints from the compacted theory.
 ///
 /// A round fires when the published theory is past `min_nodes` *and*
 /// either its store has grown by `growth_factor` over the size left by
@@ -112,11 +113,6 @@ pub struct CompactionPolicy {
     pub max_lsn_lag: u64,
     /// How often the trigger is evaluated.
     pub poll_interval: Duration,
-    /// Simplification depth for the off-lock pass.
-    pub level: SimplifyLevel,
-    /// Take a checkpoint from the compacted theory inside the swap's
-    /// critical section, so the on-storage snapshot shrinks too.
-    pub checkpoint: bool,
 }
 
 impl Default for CompactionPolicy {
@@ -126,8 +122,6 @@ impl Default for CompactionPolicy {
             min_nodes: 512,
             max_lsn_lag: 4096,
             poll_interval: Duration::from_millis(20),
-            level: SimplifyLevel::Full,
-            checkpoint: true,
         }
     }
 }
@@ -225,10 +219,10 @@ struct Shared<S: Storage> {
     /// The lock table: S/X locks at footprint-atom granularity, held by
     /// open transactions under strict two-phase locking.
     locks: LockTable,
-    /// Which connection token owns which open transaction. Value `0`
+    /// Which connection token owns which open transaction. `None`
     /// reserves the slot while the `Begin` is in flight to the writer
-    /// thread (real transaction ids are WAL LSNs, which start at 1).
-    txn_by_token: Mutex<HashMap<u64, u64>>,
+    /// thread.
+    txn_by_token: Mutex<HashMap<u64, Option<u64>>>,
 }
 
 /// Upper bound on writes coalesced into one batch, so ack latency stays
@@ -1192,7 +1186,7 @@ fn run_txn_work<S: Storage>(
                 // (impossible before this runs, since the abandon is
                 // queued behind us; the guard is cheap regardless).
                 Response::TxnBegun(r) if map.contains_key(&token) => {
-                    map.insert(token, r.txn);
+                    map.insert(token, Some(r.txn));
                 }
                 Response::TxnBegun(r) => {
                     let txn = r.txn;
@@ -1296,9 +1290,9 @@ fn run_txn_work<S: Storage>(
                 .unwrap_or_else(PoisonError::into_inner)
                 .remove(&token);
             // Queue order guarantees the `TxnBegin` that reserved the
-            // slot ran before us, so a pending (0) mapping cannot be
+            // slot ran before us, so a pending (`None`) mapping cannot be
             // observed here.
-            if let Some(txn) = txn.filter(|&t| t != 0) {
+            if let Some(Some(txn)) = txn {
                 txn_rollback_shared(shared, txn);
             }
         }
@@ -1314,7 +1308,7 @@ fn txn_mapping_current<S: Storage>(shared: &Shared<S>, token: u64, txn: u64) -> 
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
         .get(&token)
-        == Some(&txn)
+        == Some(&Some(txn))
 }
 
 /// Applies one accumulated run of writes under the writer lock, through
@@ -1449,8 +1443,8 @@ impl<S: Storage> PrimaryRole<S> {
     }
 
     /// The transaction bound to `token`, if its `Begin` has completed.
-    /// A `0` (reserved) value cannot be observed here: the connection is
-    /// parked in `Await` until the `TxnBegin` completion fills it.
+    /// A reserved (`None`) slot cannot be observed here: the connection
+    /// is parked in `Await` until the `TxnBegin` completion fills it.
     fn open_txn(&self, token: u64) -> Option<u64> {
         self.shared
             .txn_by_token
@@ -1458,7 +1452,7 @@ impl<S: Storage> PrimaryRole<S> {
             .unwrap_or_else(PoisonError::into_inner)
             .get(&token)
             .copied()
-            .filter(|&t| t != 0)
+            .flatten()
     }
 }
 
@@ -1528,7 +1522,7 @@ impl<S: Storage> Role for PrimaryRole<S> {
                 // Reserve the slot on the reactor thread so a close that
                 // races the writer's `TxnBegin` still finds (and can
                 // abandon) the binding.
-                map.insert(token, 0);
+                map.insert(token, None);
                 drop(map);
                 self.chan.push(WriterWork::TxnBegin { token, seq });
                 RoleAction::Deferred
@@ -1626,7 +1620,7 @@ fn run_compactor<S: Storage>(shared: &Shared<S>, policy: &CompactionPolicy) {
         if nodes < policy.min_nodes || !(grown || lag >= policy.max_lsn_lag) {
             continue;
         }
-        match compact_once(shared, policy) {
+        match compact_once(shared) {
             Some(post_nodes) => baseline = post_nodes,
             // Swap abandoned (replay failure) or writer gone: don't spin
             // on the same trigger every poll tick.
@@ -1636,10 +1630,12 @@ fn run_compactor<S: Storage>(shared: &Shared<S>, policy: &CompactionPolicy) {
     }
 }
 
-/// One compaction round. Returns the post-swap store size, or `None` if
-/// the round was abandoned (writer closed/poisoned, or the swap-time
-/// replay failed — in which case the live database is untouched).
-fn compact_once<S: Storage>(shared: &Shared<S>, policy: &CompactionPolicy) -> Option<usize> {
+/// One compaction round: a `Full` simplification off-lock, then a swap
+/// that checkpoints, so the on-storage snapshot shrinks with the theory.
+/// Returns the post-swap store size, or `None` if the round was abandoned
+/// (writer closed/poisoned, or the swap-time replay failed — in which
+/// case the live database is untouched).
+fn compact_once<S: Storage>(shared: &Shared<S>) -> Option<usize> {
     // Phase 1: capture under the writer lock (cost: one theory clone).
     let (mut copy, from_lsn) = {
         let mut guard = shared.writer.lock().ok()?;
@@ -1648,7 +1644,7 @@ fn compact_once<S: Storage>(shared: &Shared<S>, policy: &CompactionPolicy) -> Op
     };
     // Phase 2: simplify off-lock; the writer keeps committing and every
     // record it journals is retained for the swap-time replay.
-    winslett_gua::simplify(&mut copy, policy.level);
+    winslett_gua::simplify(&mut copy, SimplifyLevel::Full);
     // Phase 3: replay the delta and swap, under the writer lock.
     let mut guard = shared.writer.lock().ok()?;
     let db = guard.as_mut()?;
@@ -1665,7 +1661,7 @@ fn compact_once<S: Storage>(shared: &Shared<S>, policy: &CompactionPolicy) -> Op
         return None;
     }
     let swap_started = Instant::now();
-    match db.install_compacted(copy, from_lsn, policy.checkpoint) {
+    match db.install_compacted(copy, from_lsn, true) {
         Ok(outcome) => {
             let pause = swap_started.elapsed().as_micros() as u64;
             // Republish so readers move to the compacted generation even
@@ -1748,7 +1744,6 @@ pub(crate) fn wire_error(e: &DbError) -> WireError {
         DbError::Storage { .. } | DbError::Corrupt { .. } => ErrorKindWire::Storage,
         DbError::TxnConflict { .. } => ErrorKindWire::TxnConflict,
         DbError::TxnTimeout { .. } => ErrorKindWire::TxnTimeout,
-        DbError::TxnOpen { .. } => ErrorKindWire::Refused,
         DbError::TxnUnknown { .. } => ErrorKindWire::BadRequest,
         _ => ErrorKindWire::Internal,
     };
@@ -1874,12 +1869,7 @@ mod tests {
         let probes = ["R(a0)", "R(a0) | S(b0)", "S(b5)", "R(a3) & S(b3)"];
         let want: Vec<_> = probes.iter().map(|p| reader.decide(p).unwrap()).collect();
 
-        let policy = CompactionPolicy {
-            min_nodes: 0,
-            growth_factor: 1.0,
-            ..CompactionPolicy::default()
-        };
-        let post_nodes = compact_once(&shared, &policy).expect("round must install");
+        let post_nodes = compact_once(&shared).expect("round must install");
         let after = read_published(&shared);
         // Strictly advanced generation: no reader can confuse the
         // compacted encoding with the one it pinned.
@@ -2021,8 +2011,7 @@ mod tests {
         // Shutdown lands while phase 2 runs off-lock; the gate in phase 3
         // must abandon the round instead of installing over the drain.
         shared.shutdown.store(true, Ordering::SeqCst);
-        let policy = CompactionPolicy::default();
-        assert_eq!(compact_once(&shared, &policy), None);
+        assert_eq!(compact_once(&shared), None);
         assert_eq!(shared.stats.compactions.load(Ordering::Relaxed), 0);
         assert_eq!(shared.stats.compaction_aborts.load(Ordering::Relaxed), 1);
         assert_eq!(

@@ -1,13 +1,15 @@
 //! The background compactor end to end over TCP: the server must bound
 //! theory growth under a sustained client update stream without changing
-//! one answer, and a client that pins a snapshot and goes silent must not
-//! keep its generation alive past the idle-timeout reap.
+//! one answer — also while transactions straddle every round — and a
+//! client that pins a snapshot and goes silent must not keep its
+//! generation alive past the idle-timeout reap.
 
 use std::net::SocketAddr;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use winslett::db::{DbError, DbOptions, MemStorage, SyncPolicy, WalOptions};
-use winslett_gua::SimplifyLevel;
+use winslett::db::{
+    DbError, DbOptions, DurableDatabase, LogicalDatabase, MemStorage, SyncPolicy, WalOptions,
+};
 use winslett_serve::{Client, CompactionPolicy, Server, ServerOptions};
 
 struct Running {
@@ -15,17 +17,20 @@ struct Running {
     addr: SocketAddr,
 }
 
-fn boot(options: ServerOptions) -> Running {
-    let wal = WalOptions {
+fn wal_options() -> WalOptions {
+    WalOptions {
         policy: SyncPolicy::Manual,
         compact_growth_factor: None,
         compact_min_nodes: 0,
-    };
+    }
+}
+
+fn boot(options: ServerOptions) -> Running {
     let (server, _report) = Server::bind(
         ("127.0.0.1", 0),
         MemStorage::new(),
         DbOptions::default(),
-        wal,
+        wal_options(),
         options,
     )
     .expect("bind");
@@ -36,10 +41,10 @@ fn boot(options: ServerOptions) -> Running {
     }
 }
 
-fn shut_down(running: Running) {
+fn shut_down(running: Running) -> MemStorage {
     let mut c = Client::connect(running.addr).expect("shutdown connect");
     c.shutdown().expect("shutdown");
-    running.handle.join().expect("join").expect("run");
+    running.handle.join().expect("join").expect("run")
 }
 
 /// An eager compactor: no size floor, tiny poll interval, so a test-sized
@@ -50,9 +55,122 @@ fn eager_compaction() -> CompactionPolicy {
         min_nodes: 8,
         max_lsn_lag: 64,
         poll_interval: Duration::from_millis(2),
-        level: SimplifyLevel::Full,
-        checkpoint: true,
     }
+}
+
+/// Two clients run overlapping transactions, so one is always open
+/// whenever the compactor captures, swaps or checkpoints, while a third
+/// sends plain writes. Every round must install and checkpoint, and the
+/// served and recovered verdicts must equal a serial replay of the
+/// committed units in commit order.
+#[test]
+fn compaction_installs_and_checkpoints_under_overlapping_transactions() {
+    let running = boot(ServerOptions {
+        compaction: Some(eager_compaction()),
+        ..ServerOptions::default()
+    });
+    let connect = || Client::connect(running.addr).expect("connect");
+    let (mut x, mut y, mut plain) = (connect(), connect(), connect());
+    let relations = [("A", 2), ("B", 2), ("P", 2)];
+    for (name, arity) in relations {
+        plain.declare_relation(name, arity as u64).expect("declare");
+    }
+    let first = |rel: &str, i: usize| format!("INSERT {rel}({i},0) | {rel}({i},1) WHERE T");
+    let second = |rel: &str, i: usize| format!("MODIFY {rel}({i},0) TO BE {rel}({i},2) WHERE T");
+    // Committed units as (acknowledged LSN, statements).
+    let mut units: Vec<(u64, Vec<String>)> = Vec::new();
+    let (mut in_x, mut in_y) = (Vec::new(), Vec::new());
+    x.begin().expect("begin x");
+    txn_exec(&mut x, first("A", 0), &mut in_x);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut laps = 0;
+    let stats = loop {
+        // `x` is open on entry; `y` opens before `x` commits, and `x`
+        // reopens before `y` commits.
+        y.begin().expect("begin y");
+        txn_exec(&mut y, first("B", laps), &mut in_y);
+        let src = first("P", laps);
+        units.push((plain.execute(&src).expect("plain").lsn, vec![src]));
+        txn_exec(&mut x, second("A", laps), &mut in_x);
+        units.push((x.commit().expect("commit x").lsn, std::mem::take(&mut in_x)));
+        x.begin().expect("begin x");
+        txn_exec(&mut x, first("A", laps + 1), &mut in_x);
+        let src = second("P", laps);
+        units.push((plain.execute(&src).expect("plain").lsn, vec![src]));
+        txn_exec(&mut y, second("B", laps), &mut in_y);
+        units.push((y.commit().expect("commit y").lsn, std::mem::take(&mut in_y)));
+        laps += 1;
+        let stats = plain.stats().expect("stats");
+        if (laps >= 8 && stats.compactions >= 3) || Instant::now() > deadline {
+            break stats;
+        }
+    };
+    assert!(stats.compactions > 0, "compactor never installed");
+    assert_eq!(stats.compaction_aborts, 0, "a swap was refused");
+    // Auto-checkpoints are off, so every checkpoint is a swap's.
+    assert_eq!(
+        stats.wal_checkpoints, stats.compactions,
+        "a swap skipped its checkpoint"
+    );
+    txn_exec(&mut x, second("A", laps), &mut in_x);
+    units.push((x.commit().expect("commit x").lsn, in_x));
+
+    let mut replay = LogicalDatabase::new();
+    for (name, arity) in relations {
+        replay.declare_relation(name, arity).expect("declare");
+    }
+    units.sort_by_key(|(lsn, _)| *lsn);
+    for src in units.iter().flat_map(|(_, stmts)| stmts) {
+        replay.execute(src).expect("serial replay");
+    }
+    // An atom over a constant the database never saw is a parse error on
+    // every side; it reads as (not certain, not possible).
+    let probes: Vec<String> = ["A", "B", "P"]
+        .iter()
+        .flat_map(|rel| {
+            (0..=laps).flat_map(move |i| (0..3).map(move |v| format!("{rel}({i},{v})")))
+        })
+        .collect();
+    let want: Vec<_> = probes.iter().map(|wff| verdict(&mut replay, wff)).collect();
+    let served: Vec<_> = probes
+        .iter()
+        .map(|wff| {
+            plain
+                .check(wff)
+                .map_or((false, false), |t| (t.certain, t.possible))
+        })
+        .collect();
+    assert_eq!(
+        served, want,
+        "served verdicts differ from the serial replay"
+    );
+    drop((x, y, plain));
+    let (mut reopened, report) =
+        DurableDatabase::open(shut_down(running), DbOptions::default(), wal_options())
+            .expect("reopen");
+    assert_eq!(report.rolled_back, 0);
+    let recovered: Vec<_> = probes
+        .iter()
+        .map(|wff| verdict(reopened.db_mut(), wff))
+        .collect();
+    assert_eq!(
+        recovered, want,
+        "recovered verdicts differ from the serial replay"
+    );
+}
+
+/// Executes `src` inside `c`'s open transaction and records it.
+fn txn_exec(c: &mut Client, src: String, stmts: &mut Vec<String>) {
+    c.execute(&src).expect("transactional statement");
+    stmts.push(src);
+}
+
+/// (certain, possible) for `wff`, both false when it does not parse.
+fn verdict(db: &mut LogicalDatabase, wff: &str) -> (bool, bool) {
+    (
+        db.is_certain(wff).unwrap_or(false),
+        db.is_possible(wff).unwrap_or(false),
+    )
 }
 
 #[test]

@@ -50,9 +50,17 @@ const PROBES: &[&str] = &["R(1)", "S(1)"];
 const SETUP_WRITES: u64 = 2;
 
 fn boot() -> (JoinHandle<Result<MemStorage, DbError>>, SocketAddr) {
+    boot_on(([127, 0, 0, 1], 0).into(), MemStorage::new())
+}
+
+/// A primary on `addr` over `storage` (recovered if non-empty).
+fn boot_on(
+    addr: SocketAddr,
+    storage: MemStorage,
+) -> (JoinHandle<Result<MemStorage, DbError>>, SocketAddr) {
     let (server, _report) = Server::bind(
-        ("127.0.0.1", 0),
-        MemStorage::new(),
+        addr,
+        storage,
         DbOptions::default(),
         WalOptions {
             policy: SyncPolicy::GroupCommit(4),
@@ -525,8 +533,9 @@ fn follower_restart_mid_stream_converges() {
 
 /// Followers never expose uncommitted transaction effects. A follower
 /// streaming live from before the transaction opened, and a follower
-/// bootstrapped *mid-transaction* (whose catch-up suffix begins with the
-/// open transaction's begin and ops), must both keep serving
+/// bootstrapped *mid-transaction* from a checkpoint taken while the
+/// transaction was open (whose catch-up suffix begins with the
+/// transaction's re-journaled begin and ops), must both keep serving
 /// non-transactional writes that land while the transaction is open —
 /// the buffered intents stay invisible until the commit marker arrives,
 /// then appear atomically.
@@ -564,14 +573,9 @@ fn follower_restart_mid_txn_never_exposes_uncommitted_effects() {
     // transaction and must reach the followers without the txn intents.
     let plain_lsn = setup.execute("INSERT S(7) WHERE T").expect("plain").lsn;
 
-    // Checkpoints refuse while a transaction is open — a capture would
-    // otherwise risk folding uncommitted intents into the snapshot.
-    match setup.checkpoint() {
-        Err(winslett_serve::ClientError::Server(e)) => {
-            assert_eq!(e.kind, winslett_serve::ErrorKindWire::Refused, "{e}");
-        }
-        other => panic!("checkpoint during open txn: {other:?}"),
-    }
+    // A checkpoint taken while the transaction is open snapshots only
+    // committed state and re-journals the transaction past it.
+    setup.checkpoint().expect("checkpoint during open txn");
 
     // "Not exposed" on a follower is either not-possible or a strict
     // parse error (the intent's constants never entered its vocabulary).
@@ -592,13 +596,18 @@ fn follower_restart_mid_txn_never_exposes_uncommitted_effects() {
     assert!(on_a.check("S(7)").expect("S(7) on a").certain);
     on_a.unpin().expect("unpin a");
 
-    // Follower B boots mid-transaction: its catch-up suffix starts with
-    // the open transaction's records; it must pin its shipping cursor at
-    // the transaction's begin, buffer the intents, and still publish
-    // everything non-transactional up to the plain write.
+    // Follower B boots mid-transaction from the checkpoint snapshot: its
+    // catch-up suffix starts with the open transaction's re-journaled
+    // records; it must buffer the intents and still publish everything
+    // non-transactional up to the plain write.
     let (handle_b, thread_b, addr_b) = boot_replica(addr);
     let mut on_b = Client::connect(addr_b).expect("connect b");
     let snap = pin_when_caught_up(&mut on_b, plain_lsn);
+    let stats = on_b.stats().expect("replica b stats");
+    assert_eq!(
+        stats.replica_snapshots_loaded, 1,
+        "follower b must have bootstrapped from the mid-transaction checkpoint"
+    );
     assert!(snap.last_lsn >= plain_lsn);
     assert_not_exposed(&mut on_b, "R(1)");
     assert_not_exposed(&mut on_b, "S(1)");
@@ -619,7 +628,6 @@ fn follower_restart_mid_txn_never_exposes_uncommitted_effects() {
         client.unpin().expect("unpin");
     }
 
-    // With the transaction resolved, checkpoints work again.
     setup.checkpoint().expect("checkpoint after commit");
 
     // Close the replica readers before the drain: a live idle reader
@@ -634,4 +642,89 @@ fn follower_restart_mid_txn_never_exposes_uncommitted_effects() {
     drop(txn_conn);
     setup.shutdown().expect("shutdown");
     running.join().expect("server thread").expect("run");
+}
+
+/// A follower whose stream dies while it holds an open transaction's
+/// intents keeps holding them across the reconnect: the primary shuts
+/// down with the transaction open (the drain ends the stream first, then
+/// aborts the transaction), and comes back on the same address and
+/// storage. The follower must never expose the intents — before the
+/// shutdown, while the primary is down, or after the reconnect — and
+/// must converge on the rebound primary's later writes.
+#[test]
+fn follower_reconnect_while_holding_intents_never_exposes_them() {
+    let (running, addr) = boot();
+    let mut setup = Client::connect(addr).expect("connect setup");
+    setup.declare_relation("R", 1).expect("declare R");
+    setup.declare_relation("S", 1).expect("declare S");
+    setup.execute("INSERT R(9) WHERE T").expect("seed");
+    let (handle, thread, replica_addr) = boot_replica(addr);
+    let mut on_replica = Client::connect(replica_addr).expect("connect replica");
+
+    let mut txn_conn = Client::connect(addr).expect("connect txn");
+    txn_conn.begin().expect("begin");
+    txn_conn.execute("INSERT R(1) WHERE T").expect("txn insert");
+    txn_conn
+        .execute("INSERT S(1) WHERE R(1)")
+        .expect("txn insert 2");
+    let plain_lsn = setup.execute("INSERT S(7) WHERE T").expect("plain").lsn;
+    // The intents were shipped ahead of the plain write: the follower
+    // holds them once it has caught up through it.
+    pin_when_caught_up(&mut on_replica, plain_lsn);
+    on_replica.unpin().expect("unpin");
+    let assert_hidden = |client: &mut Client| {
+        for wff in ["R(1)", "S(1)"] {
+            match client.check(wff) {
+                Ok(t) => assert!(!t.possible, "{wff} leaked to the follower: {t:?}"),
+                Err(winslett_serve::ClientError::Server(e)) => {
+                    assert_eq!(e.kind, winslett_serve::ErrorKindWire::Parse, "{wff}: {e}");
+                }
+                Err(e) => panic!("follower check {wff}: {e}"),
+            }
+        }
+    };
+    assert_hidden(&mut on_replica);
+
+    // The drain ends the subscription stream at once; the transaction is
+    // aborted only at its connection's next request.
+    setup.shutdown().expect("shutdown");
+    assert!(
+        txn_conn.commit().is_err(),
+        "a draining primary aborts the commit"
+    );
+    drop(txn_conn);
+    drop(setup);
+    let storage = running.join().expect("server thread").expect("run");
+    assert_hidden(&mut on_replica);
+
+    let (running, rebound) = boot_on(addr, storage);
+    assert_eq!(rebound, addr);
+    let mut writer = Client::connect(addr).expect("connect rebound");
+    let lsn = writer
+        .execute("INSERT R(2) WHERE T")
+        .expect("write after rebind")
+        .lsn;
+    pin_when_caught_up(&mut on_replica, lsn);
+    assert_hidden(&mut on_replica);
+    for wff in ["R(2)", "R(9)", "S(7)"] {
+        let primary = writer.check(wff).expect("primary check");
+        let follower = on_replica.check(wff).expect("follower check");
+        assert!(primary.certain, "{wff} on the primary");
+        assert_eq!(
+            (follower.certain, follower.possible),
+            (primary.certain, primary.possible),
+            "{wff}: the follower did not converge"
+        );
+    }
+    on_replica.unpin().expect("unpin");
+    // R(2) reached the follower, so it resubscribed; it did so from its
+    // cursor, still holding the intents, not from a snapshot.
+    let stats = on_replica.stats().expect("replica stats");
+    assert_eq!(stats.replica_snapshots_loaded, 0, "{stats:?}");
+
+    drop(on_replica);
+    handle.request_shutdown();
+    thread.join().expect("replica thread");
+    writer.shutdown().expect("shutdown rebound");
+    running.join().expect("rebound server thread").expect("run");
 }

@@ -222,6 +222,7 @@ enum TOp {
     Begin(usize),
     TxnExec(usize, &'static str),
     Commit(usize),
+    Checkpoint,
 }
 
 fn apply_top<S: Storage>(
@@ -264,13 +265,16 @@ fn apply_top<S: Storage>(
             let txn = slots[*slot].take().expect("begin precedes commit");
             ddb.txn_commit(txn).map(|_| ())
         }
+        TOp::Checkpoint => ddb.checkpoint(),
     }
 }
 
 /// Setup (with `Price` typed by two attributes and under a functional
 /// dependency), plain writes, a committed three-statement transaction,
 /// then a transaction that is *never* finished — the WAL ends with its
-/// begin and two ops, no marker.
+/// begin and two ops, no marker. Each transaction is open across a
+/// checkpoint taken after its second statement, so kill points land
+/// inside checkpoints that re-journal an open transaction.
 const CRASH_SCRIPT: &[TOp] = &[
     TOp::Declare("R", 1),
     TOp::Declare("S", 1),
@@ -284,11 +288,13 @@ const CRASH_SCRIPT: &[TOp] = &[
     TOp::Begin(0),
     TOp::TxnExec(0, "INSERT R(1) WHERE T"),
     TOp::TxnExec(0, "INSERT Price(1,12) WHERE R(1)"),
+    TOp::Checkpoint,
     TOp::TxnExec(0, "INSERT S(1) WHERE R(1)"),
     TOp::Commit(0),
     TOp::Begin(1),
     TOp::TxnExec(1, "INSERT R(2) WHERE T"),
     TOp::TxnExec(1, "MODIFY Price(1,12) TO BE Price(1,11) WHERE T"),
+    TOp::Checkpoint,
 ];
 
 fn crash_wal_options() -> WalOptions {

@@ -141,6 +141,54 @@ fn txn_atomic_commit_and_rollback_reactor() {
     atomic_commit_and_rollback();
 }
 
+/// On a fresh database the first record is LSN 0, so a transaction that
+/// the first request opens has id 0. It must still be a transaction:
+/// its statements stay invisible until the commit, and a dropped
+/// connection rolls it back.
+#[test]
+fn first_request_on_a_fresh_database_opens_a_real_transaction() {
+    for commit in [true, false] {
+        let (running, _handle, addr) = boot(Duration::from_secs(2));
+        let mut txn_conn = Client::connect(addr).expect("connect");
+        let mut observer = Client::connect(addr).expect("connect observer");
+        assert_eq!(txn_conn.begin().expect("begin").txn, 0);
+        txn_conn.declare_relation("R", 1).expect("txn declare");
+        txn_conn.execute("INSERT R(1) WHERE T").expect("txn insert");
+        assert_never_seen(&mut observer, "R(1)");
+        if commit {
+            let committed = txn_conn.commit().expect("commit");
+            assert_eq!((committed.txn, committed.statements), (0, 2));
+        }
+        // Without a commit, the dropped connection abandons the
+        // transaction and the server rolls it back.
+        drop(txn_conn);
+        let start = std::time::Instant::now();
+        while observer.stats().expect("stats").txn_active > 0 {
+            assert!(
+                start.elapsed() < Duration::from_secs(10),
+                "the abandoned transaction was never rolled back"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        if commit {
+            assert!(observer.check("R(1)").expect("check").certain);
+        } else {
+            assert_never_seen(&mut observer, "R(1)");
+        }
+        let stats = observer.stats().expect("stats");
+        assert_eq!(stats.txn_committed, u64::from(commit));
+        assert_eq!(stats.txn_aborted, u64::from(!commit));
+        observer.shutdown().expect("shutdown");
+        let storage = running.join().expect("server thread").expect("run");
+        let (mut db, report) =
+            DurableDatabase::open(storage, DbOptions::default(), WalOptions::default())
+                .expect("reopen");
+        assert_eq!(report.rolled_back, 0);
+        let recovered = db.db_mut().is_certain("R(1)").unwrap_or(false);
+        assert_eq!(recovered, commit, "recovered R(1) against commit={commit}");
+    }
+}
+
 // ----- concurrency control ---------------------------------------------------
 
 fn conflicting_txns_time_out() {
