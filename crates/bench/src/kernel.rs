@@ -18,7 +18,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use winslett_core::{
-    DbError, DbOptions, DurableDatabase, LogicalDatabase, MemStorage, SyncPolicy, WalOptions,
+    apply_op, DbError, DbOptions, DurableDatabase, LogicalDatabase, MemStorage, Op, SyncPolicy,
+    WalOptions,
 };
 use winslett_serve::{Client, Server, ServerOptions, StatsReply};
 
@@ -29,37 +30,33 @@ pub type Unit = (u64, Vec<String>);
 /// A probe's `(possible, certain)` verdict.
 pub type Verdict = (bool, bool);
 
-/// One seed write.
-#[derive(Debug)]
-enum SeedOp {
-    Relation(String, usize),
-    Fact(String, Vec<String>),
-    Statement(String),
-}
-
 /// The writes a run starts from, applied in order both to the served
-/// database and to the oracle.
+/// database (with [`Client::write`]) and to the oracle (with
+/// [`apply_op`]).
 #[derive(Debug, Default)]
-pub struct Seed(Vec<SeedOp>);
+pub struct Seed(Vec<Op>);
 
 impl Seed {
+    /// Appends one write.
+    pub fn op(&mut self, op: Op) -> &mut Self {
+        self.0.push(op);
+        self
+    }
+
     /// Declares a relation.
     pub fn relation(&mut self, name: &str, arity: usize) -> &mut Self {
-        self.0.push(SeedOp::Relation(name.to_owned(), arity));
-        self
+        self.op(Op::DeclareRelation(name.to_owned(), arity))
     }
 
     /// Loads one ground fact.
     pub fn fact(&mut self, pred: &str, args: impl IntoIterator<Item = impl ToString>) -> &mut Self {
         let args = args.into_iter().map(|a| a.to_string()).collect();
-        self.0.push(SeedOp::Fact(pred.to_owned(), args));
-        self
+        self.op(Op::LoadFact(pred.to_owned(), args))
     }
 
     /// Executes one LDML statement.
     pub fn statement(&mut self, src: &str) -> &mut Self {
-        self.0.push(SeedOp::Statement(src.to_owned()));
-        self
+        self.op(Op::Execute(src.to_owned()))
     }
 
     /// Number of writes; over the wire they take LSNs `0..writes()`.
@@ -69,29 +66,17 @@ impl Seed {
 
     fn load_client(&self, client: &mut Client) {
         for op in &self.0 {
-            match op {
-                SeedOp::Relation(name, arity) => client.declare_relation(name, *arity as u64),
-                SeedOp::Fact(pred, args) => client.load_fact(pred, &strs(args)),
-                SeedOp::Statement(src) => client.execute(src),
-            }
-            .expect("seed write applies over the wire");
+            client
+                .write(op.clone())
+                .expect("seed write applies over the wire");
         }
     }
 
     fn load_db(&self, db: &mut LogicalDatabase) {
         for op in &self.0 {
-            match op {
-                SeedOp::Relation(name, arity) => db.declare_relation(name, *arity).map(drop),
-                SeedOp::Fact(pred, args) => db.load_fact(pred, &strs(args)).map(drop),
-                SeedOp::Statement(src) => db.execute(src).map(drop),
-            }
-            .expect("seed write applies to the oracle");
+            apply_op(db, op).expect("seed write applies to the oracle");
         }
     }
-}
-
-fn strs(args: &[String]) -> Vec<&str> {
-    args.iter().map(String::as_str).collect()
 }
 
 /// A served database booted by [`boot`].
@@ -475,6 +460,7 @@ pub fn non_collapse(levels: impl Iterator<Item = (u64, f64)>, what: &str) -> Res
 #[cfg(test)]
 mod tests {
     use super::*;
+    use winslett_core::persist::DependencyDump;
 
     fn toggle_seed() -> Seed {
         let mut seed = Seed::default();
@@ -542,6 +528,37 @@ mod tests {
         assert!(w.writes.acked.iter().all(|(lsn, _)| *lsn >= seed.writes()));
         let done = finish(served, &seed, &w.writes.acked, &["R(a)".to_owned()]);
         assert_eq!(done.check.acked_units, w.writes.count());
+        assert!(final_state(&done.check, "run").is_ok(), "{:?}", done.check);
+    }
+
+    /// The same check with the §3.5 axioms in the seed: a relation typed
+    /// by two attributes under a functional dependency, declared over the
+    /// wire with `Op`s.
+    #[test]
+    fn a_served_fd_typed_run_matches_storage_and_replay() {
+        let fd = DependencyDump::functional("fd", "Price", 2, &[0]).expect("fd");
+        let mut seed = Seed::default();
+        seed.op(Op::DeclareAttribute("Part".into()))
+            .op(Op::DeclareAttribute("Cost".into()))
+            .op(Op::DeclareTypedRelation(
+                "Price".into(),
+                vec!["Part".into(), "Cost".into()],
+            ))
+            .op(Op::AddDependency(fd))
+            .fact("Price", ["a", "10"])
+            .statement("INSERT Price(b,12) WHERE T");
+        let probes = ["Price(a,10)", "Price(a,12)", "Cost(12)"].map(str::to_owned);
+        let served = boot(ServerOptions::default(), &seed);
+        let w = closed_loop(
+            Duration::from_millis(50),
+            vec![reader(served.addr, &probes, 4, Duration::ZERO)],
+            vec![writer(served.addr, 0, |i| {
+                let (from, to) = if i % 2 == 0 { (10, 12) } else { (12, 10) };
+                format!("MODIFY Price(a,{from}) TO BE Price(a,{to}) WHERE T")
+            })],
+        );
+        assert!(w.writes.count() > 0 && w.reads.count() > 0);
+        let done = finish(served, &seed, &w.writes.acked, &probes);
         assert!(final_state(&done.check, "run").is_ok(), "{:?}", done.check);
     }
 

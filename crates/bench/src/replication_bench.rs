@@ -34,7 +34,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use winslett_core::wal::{SNAPSHOT_FILE, WAL_FILE};
 use winslett_core::{
-    replay_record, restore_theory, Catchup, DbError, DbOptions, DurableDatabase, FailpointStorage,
+    apply_op, restore_theory, Catchup, DbError, DbOptions, DurableDatabase, FailpointStorage,
     LogicalDatabase, Settled, Storage, TxnSettle, WalOptions,
 };
 use winslett_serve::{Client, ClientError, ErrorKindWire, Replica, ReplicaOptions, ServerOptions};
@@ -298,8 +298,8 @@ fn follower_from_catchup(catchup: Catchup) -> LogicalDatabase {
     let mut settle = TxnSettle::default();
     for entry in entries {
         if let Settled::Release(records) = settle.feed(entry) {
-            for e in records {
-                replay_record(&mut db, &e.record).expect("catch-up record replays");
+            for (_, op) in records {
+                apply_op(&mut db, &op).expect("catch-up record replays");
             }
         }
     }

@@ -17,6 +17,7 @@ pub mod db;
 pub mod error;
 pub mod explain;
 pub mod nulls;
+pub mod op;
 pub mod persist;
 pub mod query;
 pub mod relational;
@@ -31,6 +32,7 @@ pub use db::{DbOptions, LogicalDatabase};
 pub use error::DbError;
 pub use explain::{explain, Explanation, Verdict};
 pub use nulls::{NullCatalog, NullableArg};
+pub use op::{apply_op, Op, UpdateDump};
 pub use persist::{
     dump_theory, load_theory, restore_theory, save_theory, TheoryDump, DUMP_VERSION,
 };
@@ -41,8 +43,8 @@ pub use snapshot::{SnapshotReader, TheorySnapshot};
 pub use txn::{LockMode, LockRequest, LockTable, GLOBAL_KEY};
 pub use vars::{PatternWff, VarAtom, VarStatement, VarTerm, VarUpdate};
 pub use wal::{
-    replay_record, Catchup, CompactionOutcome, DirStorage, DurableDatabase, FailpointStorage,
-    MemStorage, RecoveryReport, Settled, Storage, SyncPolicy, TxnSettle, WalEntry, WalOptions,
-    WalRecord, WalSnapshot, WalStats, MAX_RECORD_LEN,
+    Catchup, CompactionOutcome, DirStorage, DurableDatabase, FailpointStorage, MemStorage,
+    RecoveryReport, Settled, Storage, SyncPolicy, TxnSettle, WalEntry, WalOptions, WalRecord,
+    WalSnapshot, WalStats, MAX_RECORD_LEN,
 };
 pub use workload::Workload;

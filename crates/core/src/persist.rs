@@ -14,8 +14,8 @@
 
 use crate::error::DbError;
 use serde::{Deserialize, Serialize};
-use winslett_logic::{display_wff, parse_wff, ParseContext, PredicateKind};
-use winslett_theory::{AtomPattern, Dependency, HeadFormula, Term, Theory};
+use winslett_logic::{display_wff, parse_wff, ParseContext, PredId, PredicateKind};
+use winslett_theory::{AtomPattern, Dependency, HeadFormula, Term, Theory, TheoryError};
 
 /// The newest dump format version this build writes and reads.
 pub const DUMP_VERSION: u32 = 2;
@@ -84,6 +84,25 @@ pub struct DependencyDump {
     pub body: Vec<(String, Vec<TermDump>)>,
     /// Head, structurally.
     pub head: HeadDump,
+}
+
+impl DependencyDump {
+    /// The functional dependency of `relation`'s non-key columns on its
+    /// `key` columns, in portable form (a client's
+    /// [`crate::Op::AddDependency`]).
+    pub fn functional(
+        name: &str,
+        relation: &str,
+        arity: usize,
+        key: &[usize],
+    ) -> Result<Self, DbError> {
+        let mut t = Theory::new();
+        let p = t.declare_relation(relation, arity)?;
+        Ok(dump_dependency(
+            &Dependency::functional(name, p, arity, key)?,
+            &t,
+        ))
+    }
 }
 
 /// Portable term.
@@ -326,12 +345,7 @@ fn restore_head(h: &HeadDump, theory: &mut Theory) -> Result<HeadFormula, DbErro
     Ok(match h {
         HeadDump::Truth(b) => HeadFormula::Truth(*b),
         HeadDump::Atom(pred, args) => {
-            let p = theory
-                .vocab
-                .find_predicate(pred)
-                .ok_or_else(|| DbError::Query {
-                    message: format!("dependency references unknown predicate `{pred}`"),
-                })?;
+            let p = dependency_predicate(theory, pred, args.len())?;
             let args = args.iter().map(|t| restore_term(t, theory)).collect();
             HeadFormula::Atom(AtomPattern::new(p, args))
         }
@@ -350,18 +364,55 @@ fn restore_head(h: &HeadDump, theory: &mut Theory) -> Result<HeadFormula, DbErro
     })
 }
 
+/// Every `(predicate, argument count)` pattern of a dependency head.
+fn head_patterns<'a>(h: &'a HeadDump, out: &mut Vec<(&'a str, usize)>) {
+    match h {
+        HeadDump::Atom(pred, args) => out.push((pred, args.len())),
+        HeadDump::Not(x) => head_patterns(x, out),
+        HeadDump::And(xs) | HeadDump::Or(xs) => xs.iter().for_each(|x| head_patterns(x, out)),
+        HeadDump::Truth(_) | HeadDump::Eq(..) => {}
+    }
+}
+
+/// The declared relation or attribute a dependency pattern names, at
+/// its arity. Anything else — a GUA-minted predicate constant included —
+/// would constrain atoms no world can hold, as would a wrong argument
+/// count.
+fn dependency_predicate(theory: &Theory, pred: &str, args: usize) -> Result<PredId, DbError> {
+    let vocab = &theory.vocab;
+    let p = vocab
+        .find_predicate(pred)
+        .filter(|&p| vocab.predicate(p).kind != PredicateKind::PredicateConstant)
+        .ok_or_else(|| TheoryError::UnknownPredicate { name: pred.into() })?;
+    let expected = vocab.predicate(p).arity;
+    if expected != args {
+        return Err(TheoryError::ArityMismatch {
+            predicate: pred.into(),
+            expected,
+            got: args,
+        }
+        .into());
+    }
+    Ok(p)
+}
+
+/// Restores a dependency, refusing one whose patterns name anything but
+/// declared relations and attributes at their arity. Every pattern is
+/// checked before any constant is interned, so a refusal leaves the
+/// theory unchanged.
 pub(crate) fn restore_dependency(
     d: &DependencyDump,
     theory: &mut Theory,
 ) -> Result<Dependency, DbError> {
+    let mut patterns: Vec<(&str, usize)> =
+        d.body.iter().map(|(p, a)| (p.as_str(), a.len())).collect();
+    head_patterns(&d.head, &mut patterns);
+    for (pred, args) in patterns {
+        dependency_predicate(theory, pred, args)?;
+    }
     let mut body = Vec::with_capacity(d.body.len());
     for (pred, args) in &d.body {
-        let p = theory
-            .vocab
-            .find_predicate(pred)
-            .ok_or_else(|| DbError::Query {
-                message: format!("dependency references unknown predicate `{pred}`"),
-            })?;
+        let p = dependency_predicate(theory, pred, args.len())?;
         let args = args.iter().map(|t| restore_term(t, theory)).collect();
         body.push(AtomPattern::new(p, args));
     }

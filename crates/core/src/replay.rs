@@ -23,7 +23,7 @@ use winslett_theory::{Theory, TheoryStats};
 /// the resulting theory — the recomputation [`ReplayDatabase::materialize`]
 /// pays per query, and the serial oracle the server test suites compare
 /// acknowledged states against. WAL recovery runs the same configuration
-/// once at startup, in place on one engine ([`crate::wal::replay_record`]).
+/// once at startup, in place on one engine ([`crate::apply_op`]).
 pub fn replay_updates(initial: &Theory, updates: &[Update]) -> Result<Theory, DbError> {
     let mut engine = GuaEngine::new(
         initial.clone(),

@@ -7,10 +7,11 @@
 //! change) is journaled — length-prefixed, CRC32-checksummed, versioned —
 //! **before** GUA applies it, so that after a crash the database state can
 //! be reconstructed by loading the latest [`TheoryDump`] snapshot and
-//! replaying the WAL suffix. [`TxnSettle`] decides which records take
-//! effect and in what order, and [`replay_record`] applies each one in
-//! place; recovery, the compaction swap, transaction workspaces and
-//! replicas all replay through this pair. Recovery truncates at the first
+//! replaying the WAL suffix. A record is an [`Op`] or a marker:
+//! [`TxnSettle`] decides which ops take effect and in what order, and
+//! [`apply_op`] applies each one in place; recovery, the compaction swap,
+//! transaction workspaces and replicas all replay through this pair.
+//! Recovery truncates at the first
 //! torn or corrupt record, which gives the atomicity guarantee the
 //! fault-injection tests enforce: whatever byte a crash lands on, the
 //! recovered theory's alternative-world set equals the world set after
@@ -39,7 +40,8 @@
 
 use crate::db::{DbOptions, LogicalDatabase};
 use crate::error::DbError;
-use crate::persist::{self, DependencyDump, TheoryDump};
+use crate::op::{apply_op, Op, Resolved};
+use crate::persist::{self, TheoryDump};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::collections::HashMap;
@@ -47,8 +49,8 @@ use std::collections::HashSet;
 use std::collections::VecDeque;
 use winslett_gua::{SimplifyLevel, SimplifyReport, UpdateReport};
 use winslett_ldml::Update;
-use winslett_logic::{display_wff, parse_wff, AtomId, Formula, ParseContext, PredId, Wff};
-use winslett_theory::{Dependency, Theory};
+use winslett_logic::{AtomId, PredId};
+use winslett_theory::{Theory, TheoryError};
 
 /// WAL file name within a [`Storage`].
 pub const WAL_FILE: &str = "wal.log";
@@ -382,39 +384,9 @@ impl Storage for FailpointStorage {
 
 // ----- record format --------------------------------------------------------
 
-/// A journaled update, rendered in the portable name-based concrete
-/// syntax of [`winslett_logic::parse_wff`] (the same convention as
-/// [`TheoryDump`]), so records survive re-interning.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub enum UpdateDump {
-    /// `INSERT ω WHERE φ` as `(ω, φ)`.
-    Insert(String, String),
-    /// `DELETE t WHERE φ ∧ t` as `(t, φ)`.
-    Delete(String, String),
-    /// `MODIFY t TO BE ω WHERE φ ∧ t` as `(t, ω, φ)`.
-    Modify(String, String, String),
-    /// `ASSERT φ` as `(φ)`.
-    Assert(String),
-}
-
-/// One journaled operation.
+/// One WAL record: an [`Op`] or a marker.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum WalRecord {
-    /// `declare_attribute(name)`.
-    DeclareAttribute(String),
-    /// `declare_relation(name, arity)`.
-    DeclareRelation(String, usize),
-    /// `declare_typed_relation(name, attribute names)`.
-    DeclareTypedRelation(String, Vec<String>),
-    /// `add_dependency`, in the portable form of [`DependencyDump`].
-    AddDependency(DependencyDump),
-    /// `load_fact(pred, args)`.
-    LoadFact(String, Vec<String>),
-    /// `load_wff(src)`.
-    LoadWff(String),
-    /// One LDML update in its **effective** (§3.5-widened) form — exactly
-    /// what GUA applied, so recovery replays without re-widening.
-    Apply(UpdateDump),
     /// Annuls the record at the given LSN: the live database journaled
     /// the intent but GUA refused the operation, so recovery must skip
     /// it instead of replaying a state the live system never reached.
@@ -434,15 +406,18 @@ pub enum WalRecord {
     /// re-application, and by recovery itself as the compensation record
     /// for a transaction left unfinished by a crash.
     TxnAbort(u64),
-    /// One operation journaled inside an open transaction, as
-    /// `(owning txn id, operation)` — an intent that replay holds until
-    /// the transaction's commit marker and then applies, in journal
-    /// order, at the commit point ([`TxnSettle`]). That is where the live
-    /// database installs the transaction; the lock table makes everything
-    /// journaled between an intent and its commit footprint-disjoint from
-    /// it, hence commutative with it (Theorems 3/4). The inner record is
-    /// never itself a txn record.
-    TxnOp(u64, Box<WalRecord>),
+    /// One op journaled inside an open transaction, as `(owning txn id,
+    /// op)` — an intent that replay holds until the transaction's commit
+    /// marker and then applies, in journal order, at the commit point
+    /// ([`TxnSettle`]). That is where the live database installs the
+    /// transaction; the lock table makes everything journaled between an
+    /// intent and its commit footprint-disjoint from it, hence
+    /// commutative with it (Theorems 3/4).
+    TxnOp(u64, Op),
+    /// One op outside any transaction, journaled as the op alone (an
+    /// `Execute` as its effective `Apply`).
+    #[serde(untagged)]
+    Op(Op),
 }
 
 /// A WAL entry: an operation stamped with its log sequence number.
@@ -501,11 +476,11 @@ fn effective_entries(entries: Vec<WalEntry>) -> Vec<WalEntry> {
 /// in what order — shared by recovery, the compaction swap, replicas and
 /// catch-up followers. Fed the entries of an effective log
 /// (`effective_entries`: no `Abort` records, nothing they annul) in
-/// log order, it releases a plain record at once and holds a
-/// transaction's [`WalRecord::TxnOp`] intents until its
-/// [`WalRecord::TxnCommit`], where it releases them in journal order
-/// under their own LSNs — the point where the live database installs
-/// the transaction. A [`WalRecord::TxnAbort`] drops them, and so does a
+/// log order, it releases a plain op at once and holds a transaction's
+/// [`WalRecord::TxnOp`] intents until its [`WalRecord::TxnCommit`],
+/// where it releases them in journal order under their own LSNs — the
+/// point where the live database installs the transaction. A
+/// [`WalRecord::TxnAbort`] drops them, and so does a
 /// commit whose begin was never fed. A begin for a transaction already
 /// held starts its intents over: a checkpoint re-journals each open
 /// transaction as its begin followed by every intent it holds. A
@@ -513,16 +488,15 @@ fn effective_entries(entries: Vec<WalEntry>) -> Vec<WalEntry> {
 #[derive(Debug, Default)]
 pub struct TxnSettle {
     /// Unsettled transactions by id, with their held intents.
-    open: BTreeMap<u64, Vec<WalEntry>>,
+    open: BTreeMap<u64, Vec<(u64, Op)>>,
 }
 
 /// What feeding one entry to a [`TxnSettle`] settled.
 #[derive(Debug, PartialEq)]
 pub enum Settled {
-    /// Records that take effect now, in replay order, each under its own
-    /// LSN: a plain record alone, or a committed transaction's intents
-    /// (their inner operations).
-    Release(Vec<WalEntry>),
+    /// Ops that take effect now, in replay order, each with its own LSN:
+    /// a plain op alone, or a committed transaction's intents.
+    Release(Vec<(u64, Op)>),
     /// Nothing takes effect: a begin marker, a held intent, an abort, or
     /// a commit whose begin was never fed.
     Hold,
@@ -532,16 +506,14 @@ impl TxnSettle {
     /// Settles one entry.
     pub fn feed(&mut self, entry: WalEntry) -> Settled {
         match entry.record {
+            WalRecord::Op(op) => Settled::Release(vec![(entry.lsn, op)]),
             WalRecord::TxnBegin(t) => {
                 self.open.insert(t, Vec::new());
                 Settled::Hold
             }
             WalRecord::TxnOp(t, op) => {
                 if let Some(intents) = self.open.get_mut(&t) {
-                    intents.push(WalEntry {
-                        lsn: entry.lsn,
-                        record: *op,
-                    });
+                    intents.push((entry.lsn, op));
                 }
                 Settled::Hold
             }
@@ -550,7 +522,7 @@ impl TxnSettle {
                 self.open.remove(&t);
                 Settled::Hold
             }
-            _ => Settled::Release(vec![entry]),
+            WalRecord::Abort(_) => Settled::Hold,
         }
     }
 
@@ -730,59 +702,6 @@ fn read_log<S: Storage>(storage: &S, snapshot_lsn: u64) -> Result<ParsedWal, DbE
     Ok(parsed)
 }
 
-// ----- update rendering -----------------------------------------------------
-
-fn dump_update(u: &Update, t: &Theory) -> UpdateDump {
-    let wff = |w: &Wff| display_wff(w, &t.vocab, &t.atoms).to_string();
-    let atom = |a: AtomId| t.atoms.resolve(a).display(&t.vocab).to_string();
-    match u {
-        Update::Insert { omega, phi } => UpdateDump::Insert(wff(omega), wff(phi)),
-        Update::Delete { t: tt, phi } => UpdateDump::Delete(atom(*tt), wff(phi)),
-        Update::Modify { t: tt, omega, phi } => UpdateDump::Modify(atom(*tt), wff(omega), wff(phi)),
-        Update::Assert { phi } => UpdateDump::Assert(wff(phi)),
-    }
-}
-
-fn parse_wal_wff(src: &str, theory: &mut Theory) -> Result<Wff, DbError> {
-    let mut ctx = ParseContext {
-        vocab: &mut theory.vocab,
-        atoms: &mut theory.atoms,
-        declare: true, // constants may be new to the snapshot
-        allow_predicate_constants: true,
-    };
-    Ok(parse_wff(src, &mut ctx)?)
-}
-
-fn parse_wal_atom(src: &str, theory: &mut Theory) -> Result<AtomId, DbError> {
-    match parse_wal_wff(src, theory)? {
-        Formula::Atom(id) => Ok(id),
-        other => Err(DbError::Corrupt {
-            message: format!("journaled target `{src}` is not an atom: {other:?}"),
-        }),
-    }
-}
-
-fn restore_update(d: &UpdateDump, theory: &mut Theory) -> Result<Update, DbError> {
-    Ok(match d {
-        UpdateDump::Insert(omega, phi) => Update::Insert {
-            omega: parse_wal_wff(omega, theory)?,
-            phi: parse_wal_wff(phi, theory)?,
-        },
-        UpdateDump::Delete(t, phi) => Update::Delete {
-            t: parse_wal_atom(t, theory)?,
-            phi: parse_wal_wff(phi, theory)?,
-        },
-        UpdateDump::Modify(t, omega, phi) => Update::Modify {
-            t: parse_wal_atom(t, theory)?,
-            omega: parse_wal_wff(omega, theory)?,
-            phi: parse_wal_wff(phi, theory)?,
-        },
-        UpdateDump::Assert(phi) => Update::Assert {
-            phi: parse_wal_wff(phi, theory)?,
-        },
-    })
-}
-
 // ----- options, stats, reports ----------------------------------------------
 
 /// When WAL appends are made durable.
@@ -951,7 +870,7 @@ pub struct DurableDatabase<S: Storage> {
     /// transaction's held atoms, hence commutative with its ops —
     /// Theorems 3/4). Bounded by [`RECENT_CAP`]; compaction swaps clear
     /// it (the delta cannot express a re-encoding).
-    recent: VecDeque<(u64, WalRecord)>,
+    recent: VecDeque<(u64, Op)>,
     /// Highest version evicted from (or never covered by) `recent`: the
     /// deque covers exactly `(recent_floor, applied_version]`. A
     /// workspace whose basis fell below the floor takes the full
@@ -977,7 +896,7 @@ struct OpenTxn {
     basis_version: u64,
     /// Journaled intents in order — the redo list commit re-applies to
     /// the live database.
-    ops: Vec<WalRecord>,
+    ops: Vec<Op>,
 }
 
 /// How a journaled transactional statement failed.
@@ -1114,8 +1033,8 @@ impl<S: Storage> DurableDatabase<S> {
             if report.replay_error.is_some() {
                 continue;
             }
-            for e in records {
-                if let Err(err) = replay_record(&mut db, &e.record) {
+            for (_, op) in records {
+                if let Err(err) = apply_op(&mut db, &op) {
                     report.replay_error = Some(err.to_string());
                     break;
                 }
@@ -1135,64 +1054,6 @@ impl<S: Storage> DurableDatabase<S> {
         let db = LogicalDatabase::from_theory(db.engine.theory, db_options);
         Ok((db, next_lsn, snapshot_lsn, report, unfinished))
     }
-}
-
-/// Applies one journaled operation to `db` in place — the only code that
-/// applies a [`WalRecord`]. Recovery, the compaction swap, transaction
-/// workspaces, replicas and catch-up followers all replay through it,
-/// feeding it what [`TxnSettle`] releases. An `Apply` runs GUA at `db`'s
-/// own simplification level: recovery and replicas replay at
-/// [`SimplifyLevel::None`] and fold once with
-/// [`LogicalDatabase::simplify`], while workspaces and the compaction
-/// swap replay at the live level. Markers and intents carry no state
-/// transition here: a committed intent arrives as the inner record
-/// [`TxnSettle`] releases.
-pub fn replay_record(db: &mut LogicalDatabase, record: &WalRecord) -> Result<(), DbError> {
-    match record {
-        WalRecord::DeclareAttribute(name) => {
-            db.declare_attribute(name)?;
-        }
-        WalRecord::DeclareRelation(name, arity) => {
-            db.declare_relation(name, *arity)?;
-        }
-        WalRecord::DeclareTypedRelation(name, attrs) => {
-            let ids: Result<Vec<PredId>, DbError> = attrs
-                .iter()
-                .map(|a| {
-                    db.theory()
-                        .vocab
-                        .find_predicate(a)
-                        .ok_or_else(|| DbError::Corrupt {
-                            message: format!(
-                                "journaled type axiom references unknown attribute `{a}`"
-                            ),
-                        })
-                })
-                .collect();
-            db.declare_typed_relation(name, &ids?)?;
-        }
-        WalRecord::AddDependency(dd) => {
-            let dep = persist::restore_dependency(dd, db.theory_mut())?;
-            db.add_dependency(dep);
-        }
-        WalRecord::LoadFact(pred, args) => {
-            let refs: Vec<&str> = args.iter().map(String::as_str).collect();
-            db.load_fact(pred, &refs)?;
-        }
-        WalRecord::LoadWff(src) => {
-            db.load_wff(src)?;
-        }
-        WalRecord::Apply(ud) => {
-            let u = restore_update(ud, db.theory_mut())?;
-            db.apply_effective(&u)?;
-        }
-        WalRecord::Abort(_)
-        | WalRecord::TxnBegin(_)
-        | WalRecord::TxnCommit(_)
-        | WalRecord::TxnAbort(_)
-        | WalRecord::TxnOp(..) => {}
-    }
-    Ok(())
 }
 
 impl<S: Storage> DurableDatabase<S> {
@@ -1242,25 +1103,21 @@ impl<S: Storage> DurableDatabase<S> {
         lsn
     }
 
-    /// Journal `record`, then run `apply` on the inner database. If GUA
-    /// refuses the operation, a compensating [`WalRecord::Abort`] is
-    /// appended (best-effort) so recovery will not replay a state the
+    /// Journals the resolved op, then applies it to the inner database.
+    /// If GUA refuses the operation, a compensating [`WalRecord::Abort`]
+    /// is appended (best-effort) so recovery will not replay a state the
     /// live database never reached; if that append is itself lost in a
     /// crash, the refused record is the WAL tail and recovery's replay
     /// stops at the same deterministic error.
-    fn journaled<T>(
-        &mut self,
-        record: WalRecord,
-        apply: impl FnOnce(&mut LogicalDatabase) -> Result<T, DbError>,
-    ) -> Result<T, DbError> {
-        let copy = record.clone();
-        let lsn = self.append_entry(record)?;
+    fn journaled(&mut self, resolved: Resolved) -> Result<UpdateReport, DbError> {
+        let lsn = self.append_entry(WalRecord::Op(resolved.journal.clone()))?;
         let before = self.db.clone();
-        match apply(&mut self.db) {
-            Ok(v) => {
+        match resolved.apply(&mut self.db) {
+            Ok(report) => {
                 self.applied_version += 1;
-                self.push_recent(self.applied_version, copy);
-                Ok(v)
+                self.push_recent(self.applied_version, resolved.journal);
+                self.maybe_compact()?;
+                Ok(report)
             }
             Err(e) => {
                 // GUA's apply is not atomic in memory (a store-capacity
@@ -1290,80 +1147,38 @@ impl<S: Storage> DurableDatabase<S> {
 
     // ----- public API -------------------------------------------------------
 
-    /// Declares a unary attribute predicate (journaled).
-    pub fn declare_attribute(&mut self, name: &str) -> Result<PredId, DbError> {
-        self.journaled(WalRecord::DeclareAttribute(name.to_string()), |db| {
-            db.declare_attribute(name)
-        })
-    }
-
-    /// Declares an untyped relation (journaled).
-    pub fn declare_relation(&mut self, name: &str, arity: usize) -> Result<PredId, DbError> {
-        self.journaled(WalRecord::DeclareRelation(name.to_string(), arity), |db| {
-            db.declare_relation(name, arity)
-        })
-    }
-
-    /// Declares a relation with a type axiom (journaled).
-    pub fn declare_typed_relation(
-        &mut self,
-        name: &str,
-        attrs: &[PredId],
-    ) -> Result<PredId, DbError> {
-        let attr_names: Vec<String> = attrs
-            .iter()
-            .map(|a| self.db.theory().vocab.predicate(*a).name.clone())
-            .collect();
-        self.journaled(
-            WalRecord::DeclareTypedRelation(name.to_string(), attr_names),
-            |db| db.declare_typed_relation(name, attrs),
-        )
-    }
-
-    /// Adds a dependency axiom (journaled).
-    pub fn add_dependency(&mut self, dep: Dependency) -> Result<(), DbError> {
-        let dump = persist::dump_dependency(&dep, self.db.theory());
-        self.journaled(WalRecord::AddDependency(dump), move |db| {
-            db.add_dependency(dep);
-            Ok(())
-        })
-    }
-
-    /// Loads a ground fact as certainly true (journaled).
-    pub fn load_fact(&mut self, pred: &str, args: &[&str]) -> Result<AtomId, DbError> {
-        let record = WalRecord::LoadFact(
-            pred.to_string(),
-            args.iter().map(|s| s.to_string()).collect(),
-        );
-        self.journaled(record, |db| db.load_fact(pred, args))
-    }
-
-    /// Loads an arbitrary ground wff into the initial state (journaled).
-    pub fn load_wff(&mut self, src: &str) -> Result<(), DbError> {
-        self.journaled(WalRecord::LoadWff(src.to_string()), |db| db.load_wff(src))
-    }
-
-    /// Parses and executes one LDML statement, journaling its effective
-    /// (widened) form before GUA applies it.
-    pub fn execute(&mut self, src: &str) -> Result<UpdateReport, DbError> {
-        let parsed = self.db.parse_update(src)?;
-        self.update(&parsed)
+    /// Journals `op` before it takes effect — an `Execute` as its
+    /// effective (§3.5-widened) `Apply`, parsed against the live
+    /// database — then applies it.
+    pub fn apply(&mut self, op: Op) -> Result<UpdateReport, DbError> {
+        let resolved = Resolved::new(op, &mut self.db)?;
+        self.journaled(resolved)
     }
 
     /// Executes an update AST, journaling its effective (widened) form
     /// before GUA applies it.
     pub fn update(&mut self, update: &Update) -> Result<UpdateReport, DbError> {
-        let effective = self.db.effective_update(update);
-        {
-            let t = self.db.theory();
-            effective.validate(&t.vocab, &t.atoms)?;
-        }
-        let dump = dump_update(&effective, self.db.theory());
-        let report = self.journaled(WalRecord::Apply(dump), move |db| {
-            db.apply_effective(&effective)
-        })?;
-        self.maybe_compact()?;
-        Ok(report)
+        let resolved = Resolved::update(update, &mut self.db)?;
+        self.journaled(resolved)
+    }
+
+    /// Parses and executes one LDML statement ([`Op::Execute`]).
+    pub fn execute(&mut self, src: &str) -> Result<UpdateReport, DbError> {
+        self.apply(Op::Execute(src.to_owned()))
+    }
+
+    /// Declares an untyped relation ([`Op::DeclareRelation`]).
+    pub fn declare_relation(&mut self, name: &str, arity: usize) -> Result<PredId, DbError> {
+        self.apply(Op::DeclareRelation(name.to_owned(), arity))?;
+        let found = self.db.theory().vocab.find_predicate(name);
+        Ok(found.ok_or_else(|| TheoryError::UnknownPredicate { name: name.into() })?)
+    }
+
+    /// Loads a ground fact as certainly true ([`Op::LoadFact`]).
+    pub fn load_fact(&mut self, pred: &str, args: &[&str]) -> Result<AtomId, DbError> {
+        let owned = args.iter().map(|a| a.to_string()).collect();
+        self.apply(Op::LoadFact(pred.to_owned(), owned))?;
+        Ok(self.db.theory_mut().atom_by_name(pred, args)?)
     }
 
     // ----- multi-statement transactions -------------------------------------
@@ -1428,8 +1243,8 @@ impl<S: Storage> DurableDatabase<S> {
     /// whole version groups (a transaction commit lands several records
     /// under one version; covering a version partially is useless) and
     /// advancing the floor past what was evicted.
-    fn push_recent(&mut self, version: u64, record: WalRecord) {
-        self.recent.push_back((version, record));
+    fn push_recent(&mut self, version: u64, op: Op) {
+        self.recent.push_back((version, op));
         while self.recent.len() > RECENT_CAP {
             let Some(&(v, _)) = self.recent.front() else {
                 break;
@@ -1470,7 +1285,7 @@ impl<S: Storage> DurableDatabase<S> {
                 if *v <= state.basis_version {
                     continue;
                 }
-                if replay_record(&mut state.workspace, r).is_err() {
+                if apply_op(&mut state.workspace, r).is_err() {
                     ok = false;
                     break;
                 }
@@ -1480,19 +1295,25 @@ impl<S: Storage> DurableDatabase<S> {
                 return Ok(());
             }
             // A refused delta op leaves the workspace partially caught
-            // up; the full rebuild below replaces it wholesale.
+            // up; the full rebuild replaces it wholesale.
         }
+        self.rebuild_workspace(state)
+    }
+
+    /// Replaces the workspace with a clone of the live database plus the
+    /// transaction's redo list.
+    fn rebuild_workspace(&self, state: &mut OpenTxn) -> Result<(), DbError> {
         let mut ws = self.db.clone();
         for op in &state.ops {
-            replay_record(&mut ws, op)?;
+            apply_op(&mut ws, op)?;
         }
         state.workspace = ws;
         state.basis_version = self.applied_version;
         Ok(())
     }
 
-    /// Journals one intent for `txn` and applies it to the workspace,
-    /// with the same intent/compensation pairing as the plain
+    /// Journals one resolved intent for `txn` and applies it to the
+    /// workspace, with the same intent/compensation pairing as the plain
     /// [`DurableDatabase::journaled`] path: a refused op appends
     /// [`WalRecord::Abort`] for its own LSN, so recovery and followers
     /// drop it even when the transaction later commits.
@@ -1503,185 +1324,78 @@ impl<S: Storage> DurableDatabase<S> {
     /// list — the rare failure pays the clone instead of every success.
     /// If that rebuild itself fails, the workspace is unrecoverable and
     /// the error is [`TxnJournalErr::Broken`]: the caller must not keep
-    /// the transaction open (see [`DurableDatabase::txn_settle`]).
-    fn txn_journal<T>(
+    /// the transaction open.
+    fn txn_journal(
         &mut self,
         state: &mut OpenTxn,
         txn: u64,
-        inner: WalRecord,
-        apply: impl FnOnce(&mut LogicalDatabase) -> Result<T, DbError>,
-    ) -> Result<T, TxnJournalErr> {
+        resolved: Resolved,
+    ) -> Result<UpdateReport, TxnJournalErr> {
         let lsn = self
-            .append_entry(WalRecord::TxnOp(txn, Box::new(inner.clone())))
+            .append_entry(WalRecord::TxnOp(txn, resolved.journal.clone()))
             .map_err(TxnJournalErr::Refused)?;
-        match apply(&mut state.workspace) {
-            Ok(v) => {
-                state.ops.push(inner);
-                Ok(v)
+        match resolved.apply(&mut state.workspace) {
+            Ok(report) => {
+                state.ops.push(resolved.journal);
+                Ok(report)
             }
             Err(e) => {
                 if self.append_entry(WalRecord::Abort(lsn)).is_ok() {
                     let _ = self.sync();
                 }
-                let mut ws = self.db.clone();
-                for op in &state.ops {
-                    if let Err(re) = replay_record(&mut ws, op) {
-                        return Err(TxnJournalErr::Broken(re));
-                    }
-                }
-                state.workspace = ws;
-                state.basis_version = self.applied_version;
+                self.rebuild_workspace(state)
+                    .map_err(TxnJournalErr::Broken)?;
                 Err(TxnJournalErr::Refused(e))
             }
         }
     }
 
-    /// Puts a transaction back in the open map after a statement —
-    /// unless its workspace could not be restored, in which case the
-    /// transaction self-aborts (compensating marker journaled) exactly
+    /// Journals `op` as an intent of `txn` — an `Execute` as its
+    /// effective `Apply`, parsed against the transaction's workspace —
+    /// and applies it to the workspace only. The workspace is first
+    /// brought current unless `covered`: the statement's entire lock
+    /// footprint was already held by `txn` (see
+    /// [`crate::txn::LockTable::holds_all`]). Held atoms cannot have been
+    /// changed by another writer since they were first locked — and the
+    /// statement that first locked each atom ran through the refreshing
+    /// path — so the workspace is current on every atom the op reads or
+    /// writes and the clone-and-redo rebuild can be skipped even when
+    /// other transactions committed in between. A refused op leaves the
+    /// transaction open, unless its workspace could not be restored: then
+    /// the transaction self-aborts (compensating marker journaled) exactly
     /// like a failed re-application at commit.
-    fn txn_settle<T>(
-        &mut self,
-        txn: u64,
-        state: OpenTxn,
-        result: Result<T, TxnJournalErr>,
-    ) -> Result<T, DbError> {
+    pub fn txn_apply(&mut self, txn: u64, op: Op, covered: bool) -> Result<UpdateReport, DbError> {
+        let mut state = self.txns.remove(&txn).ok_or(DbError::TxnUnknown { txn })?;
+        let refreshed = if covered {
+            Ok(())
+        } else {
+            self.refresh_workspace(&mut state)
+        };
+        let result = refreshed
+            .and_then(|()| Resolved::new(op, &mut state.workspace))
+            .map_err(TxnJournalErr::Refused)
+            .and_then(|resolved| self.txn_journal(&mut state, txn, resolved));
         match result {
-            Ok(v) => {
-                self.txns.insert(txn, state);
-                Ok(v)
-            }
-            Err(TxnJournalErr::Refused(e)) => {
-                self.txns.insert(txn, state);
-                Err(e)
-            }
             Err(TxnJournalErr::Broken(e)) => {
                 if self.append_entry(WalRecord::TxnAbort(txn)).is_ok() {
                     let _ = self.sync();
                 }
                 Err(e)
             }
-        }
-    }
-
-    /// Takes the open transaction out of the map (so `self` can journal
-    /// while the state is borrowed) with a typed error when it is not
-    /// open, refreshing its workspace on the way out.
-    fn txn_take(&mut self, txn: u64) -> Result<OpenTxn, DbError> {
-        self.txn_take_with(txn, true)
-    }
-
-    /// [`Self::txn_take`] with the workspace refresh made optional.
-    /// Skipping is sound only when the caller can prove the statement
-    /// about to run cannot observe anything committed since the last
-    /// refresh — see [`Self::txn_execute_covered`].
-    fn txn_take_with(&mut self, txn: u64, refresh: bool) -> Result<OpenTxn, DbError> {
-        let mut state = self.txns.remove(&txn).ok_or(DbError::TxnUnknown { txn })?;
-        if refresh {
-            if let Err(e) = self.refresh_workspace(&mut state) {
+            Err(TxnJournalErr::Refused(e)) => {
                 self.txns.insert(txn, state);
-                return Err(e);
+                Err(e)
+            }
+            Ok(report) => {
+                self.txns.insert(txn, state);
+                Ok(report)
             }
         }
-        Ok(state)
     }
 
-    /// Executes one LDML statement inside `txn`: parsed, widened, and
-    /// validated against the transaction's workspace, journaled as a
-    /// [`WalRecord::TxnOp`] intent, applied to the workspace only.
+    /// Executes one LDML statement inside `txn` ([`Op::Execute`]).
     pub fn txn_execute(&mut self, txn: u64, src: &str) -> Result<UpdateReport, DbError> {
-        self.txn_execute_inner(txn, src, true)
-    }
-
-    /// [`Self::txn_execute`] for a statement whose entire lock
-    /// footprint is already held by `txn` (see
-    /// [`crate::txn::LockTable::holds_all`]). Held atoms cannot have
-    /// been changed by another writer since they were first locked —
-    /// and the statement that first locked each atom ran through the
-    /// refreshing path — so the workspace is current on every atom this
-    /// statement reads or writes and the clone-and-redo rebuild can be
-    /// skipped even when other transactions committed in between.
-    pub fn txn_execute_covered(&mut self, txn: u64, src: &str) -> Result<UpdateReport, DbError> {
-        self.txn_execute_inner(txn, src, false)
-    }
-
-    fn txn_execute_inner(
-        &mut self,
-        txn: u64,
-        src: &str,
-        refresh: bool,
-    ) -> Result<UpdateReport, DbError> {
-        let mut state = self.txn_take_with(txn, refresh)?;
-        let result = (|| {
-            let parsed = state
-                .workspace
-                .parse_update(src)
-                .map_err(TxnJournalErr::Refused)?;
-            let effective = state.workspace.effective_update(&parsed);
-            {
-                let t = state.workspace.theory();
-                effective
-                    .validate(&t.vocab, &t.atoms)
-                    .map_err(|e| TxnJournalErr::Refused(e.into()))?;
-            }
-            let dump = dump_update(&effective, state.workspace.theory());
-            self.txn_journal(&mut state, txn, WalRecord::Apply(dump), move |db| {
-                db.apply_effective(&effective)
-            })
-        })();
-        self.txn_settle(txn, state, result)
-    }
-
-    /// Declares an untyped relation inside `txn` (journaled intent).
-    pub fn txn_declare_relation(
-        &mut self,
-        txn: u64,
-        name: &str,
-        arity: usize,
-    ) -> Result<(), DbError> {
-        let mut state = self.txn_take(txn)?;
-        let result = self.txn_journal(
-            &mut state,
-            txn,
-            WalRecord::DeclareRelation(name.to_string(), arity),
-            |db| db.declare_relation(name, arity).map(|_| ()),
-        );
-        self.txn_settle(txn, state, result)
-    }
-
-    /// Declares a unary attribute predicate inside `txn` (journaled
-    /// intent).
-    pub fn txn_declare_attribute(&mut self, txn: u64, name: &str) -> Result<(), DbError> {
-        let mut state = self.txn_take(txn)?;
-        let result = self.txn_journal(
-            &mut state,
-            txn,
-            WalRecord::DeclareAttribute(name.to_string()),
-            |db| db.declare_attribute(name).map(|_| ()),
-        );
-        self.txn_settle(txn, state, result)
-    }
-
-    /// Loads a ground fact inside `txn` (journaled intent).
-    pub fn txn_load_fact(&mut self, txn: u64, pred: &str, args: &[&str]) -> Result<(), DbError> {
-        let mut state = self.txn_take(txn)?;
-        let record = WalRecord::LoadFact(
-            pred.to_string(),
-            args.iter().map(|s| s.to_string()).collect(),
-        );
-        let result = self.txn_journal(&mut state, txn, record, |db| {
-            db.load_fact(pred, args).map(|_| ())
-        });
-        self.txn_settle(txn, state, result)
-    }
-
-    /// Loads a ground wff inside `txn` (journaled intent).
-    pub fn txn_load_wff(&mut self, txn: u64, src: &str) -> Result<(), DbError> {
-        let mut state = self.txn_take(txn)?;
-        let result = self.txn_journal(&mut state, txn, WalRecord::LoadWff(src.to_string()), |db| {
-            db.load_wff(src)
-        });
-        self.txn_settle(txn, state, result)
+        self.txn_apply(txn, Op::Execute(src.to_owned()), false)
     }
 
     /// Commits `txn`: brings the workspace current (a no-op unless a
@@ -1765,7 +1479,7 @@ impl<S: Storage> DurableDatabase<S> {
         for txn in self.txn_ids() {
             let ops = self.txns[&txn].ops.iter();
             let records = std::iter::once(WalRecord::TxnBegin(txn))
-                .chain(ops.map(|op| WalRecord::TxnOp(txn, Box::new(op.clone()))));
+                .chain(ops.map(|op| WalRecord::TxnOp(txn, op.clone())));
             entries.extend(records.map(|record| WalEntry { lsn: txn, record }));
         }
         entries
@@ -1964,8 +1678,8 @@ impl<S: Storage> DurableDatabase<S> {
         let mut replayed = 0usize;
         for entry in effective_entries(tail) {
             if let Settled::Release(records) = settle.feed(entry) {
-                for e in records {
-                    replay_record(&mut scratch, &e.record)?;
+                for (_, op) in records {
+                    apply_op(&mut scratch, &op)?;
                     replayed += 1;
                 }
             }
@@ -2064,6 +1778,8 @@ impl<S: Storage> Drop for DurableDatabase<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::op::UpdateDump;
+    use crate::persist::DependencyDump;
     use std::collections::BTreeSet;
     use winslett_gua::SimplifyLevel;
 
@@ -2106,11 +1822,11 @@ mod tests {
     fn entry_roundtrip_through_wire_format() {
         let entry = WalEntry {
             lsn: 7,
-            record: WalRecord::Apply(UpdateDump::Modify(
+            record: WalRecord::Op(Op::Apply(UpdateDump::Modify(
                 "Orders(700,32,9)".into(),
                 "Orders(700,32,1)".into(),
                 "InStock(32,1)".into(),
-            )),
+            ))),
         };
         let mut bytes = wal_header().to_vec();
         bytes.extend_from_slice(&encode_entry(&entry).unwrap());
@@ -2119,13 +1835,49 @@ mod tests {
         assert_eq!(parsed.entries.len(), 1);
         assert_eq!(parsed.entries[0].lsn, 7);
         match &parsed.entries[0].record {
-            WalRecord::Apply(UpdateDump::Modify(t, o, p)) => {
+            WalRecord::Op(Op::Apply(UpdateDump::Modify(t, o, p))) => {
                 assert_eq!(t, "Orders(700,32,9)");
                 assert_eq!(o, "Orders(700,32,1)");
                 assert_eq!(p, "InStock(32,1)");
             }
             other => panic!("wrong record: {other:?}"),
         }
+    }
+
+    /// Every record kind's literal JSON, as the log has always stored it:
+    /// each decodes and re-encodes byte-identically, so logs written
+    /// before `Op` existed replay unchanged.
+    #[test]
+    fn every_record_kind_keeps_its_json() {
+        let pinned = [
+            r#"{"lsn":0,"record":{"DeclareAttribute":"Part"}}"#,
+            r#"{"lsn":2,"record":{"DeclareTypedRelation":["Price",["Part","Cost"]]}}"#,
+            r#"{"lsn":3,"record":{"AddDependency":{"name":"fd","num_vars":3,"body":[["Price",[{"V":0},{"V":1}]],["Price",[{"V":0},{"V":2}]]],"head":{"Eq":[{"V":1},{"V":2}]}}}}"#,
+            r#"{"lsn":4,"record":{"DeclareRelation":["R",1]}}"#,
+            r#"{"lsn":5,"record":{"LoadFact":["R",["1"]]}}"#,
+            r#"{"lsn":6,"record":{"LoadWff":"R(2) | R(3)"}}"#,
+            r#"{"lsn":2,"record":{"Apply":{"Insert":["R(2)","T"]}}}"#,
+            r#"{"lsn":8,"record":{"Apply":{"Delete":["R(1)","R(2)"]}}}"#,
+            r#"{"lsn":9,"record":{"Apply":{"Modify":["R(4)","R(5)","T"]}}}"#,
+            r#"{"lsn":10,"record":{"Apply":{"Assert":"R(5)"}}}"#,
+            r#"{"lsn":11,"record":{"Apply":{"Insert":["Price(a,10) & Part(a) & Cost(10)","T"]}}}"#,
+            r#"{"lsn":6,"record":{"Abort":1}}"#,
+            r#"{"lsn":14,"record":{"TxnBegin":14}}"#,
+            r#"{"lsn":4,"record":{"TxnOp":[3,{"LoadFact":["R",["1"]]}]}}"#,
+            r#"{"lsn":16,"record":{"TxnOp":[14,{"Apply":{"Insert":["R(7)","T"]}}]}}"#,
+            r#"{"lsn":17,"record":{"TxnOp":[14,{"DeclareRelation":["S",1]}]}}"#,
+            r#"{"lsn":18,"record":{"TxnOp":[14,{"DeclareAttribute":"A"}]}}"#,
+            r#"{"lsn":19,"record":{"TxnOp":[14,{"LoadWff":"S(1)"}]}}"#,
+            r#"{"lsn":20,"record":{"TxnCommit":14}}"#,
+            r#"{"lsn":22,"record":{"TxnAbort":21}}"#,
+        ];
+        for json in pinned {
+            let entry: WalEntry = serde_json::from_str(json).expect(json);
+            assert_eq!(serde_json::to_string(&entry).unwrap(), json);
+        }
+        // A marker nested in a transaction intent no longer type-checks.
+        let nested = r#"{"lsn":4,"record":{"TxnOp":[3,{"Abort":1}]}}"#;
+        assert!(serde_json::from_str::<WalEntry>(nested).is_err());
     }
 
     #[test]
@@ -2274,11 +2026,12 @@ mod tests {
         let mut storage = MemStorage::new();
         storage.append(WAL_FILE, &wal_header()).unwrap();
         let records = [
-            WalRecord::DeclareRelation("R".into(), 1),
-            WalRecord::Apply(UpdateDump::Insert("R(a)".into(), "T".into())),
-            WalRecord::Apply(UpdateDump::Insert("__pc_bad".into(), "T".into())),
-            WalRecord::Apply(UpdateDump::Insert("R(b)".into(), "T".into())),
-        ];
+            Op::DeclareRelation("R".into(), 1),
+            Op::Apply(UpdateDump::Insert("R(a)".into(), "T".into())),
+            Op::Apply(UpdateDump::Insert("__pc_bad".into(), "T".into())),
+            Op::Apply(UpdateDump::Insert("R(b)".into(), "T".into())),
+        ]
+        .map(WalRecord::Op);
         for (lsn, record) in records.into_iter().enumerate() {
             let entry = WalEntry {
                 lsn: lsn as u64,
@@ -2416,10 +2169,13 @@ mod tests {
         let (mut ddb, _) =
             DurableDatabase::open(MemStorage::new(), DbOptions::default(), opts_nocompact())
                 .unwrap();
-        let part = ddb.declare_attribute("PartNo").unwrap();
-        let quan = ddb.declare_attribute("Quan").unwrap();
-        ddb.declare_typed_relation("InStock", &[part, quan])
-            .unwrap();
+        for op in [
+            Op::DeclareAttribute("PartNo".into()),
+            Op::DeclareAttribute("Quan".into()),
+            Op::DeclareTypedRelation("InStock".into(), vec!["PartNo".into(), "Quan".into()]),
+        ] {
+            ddb.apply(op).unwrap();
+        }
         ddb.execute("INSERT InStock(32,5) WHERE T").unwrap();
         assert!(ddb.db().is_consistent());
         let live = world_set(ddb.db());
@@ -2435,10 +2191,11 @@ mod tests {
         let (mut ddb, _) =
             DurableDatabase::open(MemStorage::new(), DbOptions::default(), opts_nocompact())
                 .unwrap();
-        let p = ddb.declare_relation("Price", 2).unwrap();
-        ddb.add_dependency(Dependency::functional("price-fd", p, 2, &[0]).unwrap())
+        ddb.declare_relation("Price", 2).unwrap();
+        let fd = DependencyDump::functional("price-fd", "Price", 2, &[0]).unwrap();
+        ddb.apply(Op::AddDependency(fd)).unwrap();
+        ddb.apply(Op::LoadWff("Price(widget,10) | Price(widget,12)".into()))
             .unwrap();
-        ddb.load_wff("Price(widget,10) | Price(widget,12)").unwrap();
         let live = world_set(ddb.db());
         let (recovered, report) = reopen(ddb.into_storage());
         assert_eq!(report.replay_error, None);
@@ -2831,13 +2588,13 @@ mod tests {
         let overhead = {
             let probe = WalEntry {
                 lsn: 0,
-                record: WalRecord::LoadWff(String::new()),
+                record: WalRecord::Op(Op::LoadWff(String::new())),
             };
             serde_json::to_string(&probe).unwrap().len()
         };
         let entry = |n: usize| WalEntry {
             lsn: 0,
-            record: WalRecord::LoadWff("x".repeat(n)),
+            record: WalRecord::Op(Op::LoadWff("x".repeat(n))),
         };
         let fits = MAX_RECORD_LEN as usize - overhead;
         assert!(encode_entry(&entry(fits)).is_ok());
@@ -2856,7 +2613,7 @@ mod tests {
         let before = ddb.next_lsn();
         let wal_len = ddb.storage().get(WAL_FILE).unwrap().len();
         let huge = format!("InStock({},1)", "9".repeat(MAX_RECORD_LEN as usize));
-        let err = ddb.load_wff(&huge).unwrap_err();
+        let err = ddb.apply(Op::LoadWff(huge)).unwrap_err();
         assert!(matches!(err, DbError::RecordTooLarge { .. }), "{err:?}");
         // Nothing was appended, no LSN burned, and the database stays
         // fully usable.
@@ -2887,7 +2644,7 @@ mod tests {
         assert_eq!(batch.len(), 2, "{batch:?}");
         assert!(batch
             .iter()
-            .all(|e| matches!(e.record, WalRecord::Apply(_))));
+            .all(|e| matches!(e.record, WalRecord::Op(Op::Apply(_)))));
         // Drained means gone.
         assert!(ddb.drain_shipping().is_empty());
         // A follower replaying the batch (plus the pre-arm prefix via
@@ -2896,7 +2653,10 @@ mod tests {
         match ddb.catchup_from(0).unwrap() {
             Catchup::Suffix(entries) => {
                 for e in entries {
-                    replay_record(&mut follower, &e.record).unwrap();
+                    let WalRecord::Op(op) = e.record else {
+                        panic!("a plain log holds only ops: {e:?}");
+                    };
+                    apply_op(&mut follower, &op).unwrap();
                 }
             }
             other => panic!("no checkpoint yet, expected Suffix: {other:?}"),
@@ -2931,7 +2691,10 @@ mod tests {
                 let mut follower = LogicalDatabase::from_theory(theory, DbOptions::default());
                 for e in entries {
                     assert!(e.lsn >= boundary);
-                    replay_record(&mut follower, &e.record).unwrap();
+                    let WalRecord::Op(op) = e.record else {
+                        panic!("a plain log holds only ops: {e:?}");
+                    };
+                    apply_op(&mut follower, &op).unwrap();
                 }
                 follower.simplify(DbOptions::default().simplify);
                 assert_eq!(world_set(&follower), live);
@@ -3138,9 +2901,9 @@ mod tests {
     fn priced(db_options: DbOptions) -> DurableDatabase<MemStorage> {
         let (mut ddb, _) =
             DurableDatabase::open(MemStorage::new(), db_options, opts_nocompact()).unwrap();
-        let p = ddb.declare_relation("Price", 2).unwrap();
-        ddb.add_dependency(Dependency::functional("price-fd", p, 2, &[0]).unwrap())
-            .unwrap();
+        ddb.declare_relation("Price", 2).unwrap();
+        let fd = DependencyDump::functional("price-fd", "Price", 2, &[0]).unwrap();
+        ddb.apply(Op::AddDependency(fd)).unwrap();
         for i in 0..4 {
             ddb.execute(&format!("INSERT Price(w{i},10) | Price(w{i},12) WHERE T"))
                 .unwrap();
@@ -3195,12 +2958,12 @@ mod tests {
         WalEntry { lsn, record }
     }
 
-    fn relation(name: &str) -> WalRecord {
-        WalRecord::DeclareRelation(name.into(), 1)
+    fn relation(name: &str) -> Op {
+        Op::DeclareRelation(name.into(), 1)
     }
 
     fn intent(txn: u64, name: &str) -> WalRecord {
-        WalRecord::TxnOp(txn, Box::new(relation(name)))
+        WalRecord::TxnOp(txn, relation(name))
     }
 
     #[test]
@@ -3211,13 +2974,13 @@ mod tests {
         // A plain record journaled inside the transaction's window takes
         // effect at once, before the transaction's intents.
         assert_eq!(
-            settle.feed(at(2, relation("P"))),
-            Settled::Release(vec![at(2, relation("P"))])
+            settle.feed(at(2, WalRecord::Op(relation("P")))),
+            Settled::Release(vec![(2, relation("P"))])
         );
         assert_eq!(settle.feed(at(3, intent(0, "B"))), Settled::Hold);
         assert_eq!(
             settle.feed(at(4, WalRecord::TxnCommit(0))),
-            Settled::Release(vec![at(1, relation("A")), at(3, relation("B"))])
+            Settled::Release(vec![(1, relation("A")), (3, relation("B"))])
         );
         assert_eq!(settle.open().count(), 0);
     }
@@ -3254,7 +3017,7 @@ mod tests {
         settle.feed(at(7, intent(0, "B")));
         assert_eq!(
             settle.feed(at(8, WalRecord::TxnCommit(0))),
-            Settled::Release(vec![at(6, relation("A")), at(7, relation("B"))])
+            Settled::Release(vec![(6, relation("A")), (7, relation("B"))])
         );
     }
 

@@ -6,8 +6,11 @@
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
-use winslett_core::{DbOptions, DirStorage, MemStorage, SyncPolicy, WalOptions};
-use winslett_serve::{Client, CompactionPolicy, Server, ServerOptions};
+use winslett_core::persist::DependencyDump;
+use winslett_core::{
+    DbOptions, DirStorage, DurableDatabase, MemStorage, Op, SyncPolicy, UpdateDump, WalOptions,
+};
+use winslett_serve::{Client, ClientError, CompactionPolicy, ErrorKindWire, Server, ServerOptions};
 
 const USAGE: &str = "\
 winslett-serve — a concurrent LDML database server
@@ -321,11 +324,11 @@ fn cmd_repl(args: &[String]) -> Result<(), String> {
                     Ok(a) => client
                         .declare_relation(name.trim(), a)
                         .map(|x| format!("declared (lsn {})", x.lsn)),
-                    Err(_) => Err(winslett_serve::ClientError::Unexpected(format!(
+                    Err(_) => Err(ClientError::Unexpected(format!(
                         "bad arity in `{spec}` (want name/arity)"
                     ))),
                 },
-                None => Err(winslett_serve::ClientError::Unexpected(format!(
+                None => Err(ClientError::Unexpected(format!(
                     "bad declare `{spec}` (want name/arity)"
                 ))),
             },
@@ -340,7 +343,7 @@ fn cmd_repl(args: &[String]) -> Result<(), String> {
     }
 }
 
-fn print_outcome(outcome: Result<String, winslett_serve::ClientError>) {
+fn print_outcome(outcome: Result<String, ClientError>) {
     match outcome {
         Ok(text) => println!("{text}"),
         Err(e) => eprintln!("error: {e}"),
@@ -350,8 +353,10 @@ fn print_outcome(outcome: Result<String, winslett_serve::ClientError>) {
 // ----- smoke ----------------------------------------------------------------
 
 /// The `make serve-smoke` gate: an in-process server on an ephemeral
-/// port, one scripted session exercising every request kind, exact
-/// assertions on the replies.
+/// port, one scripted session sending every op kind — the §3.5 axiom
+/// declarations included — plus pins, reads, stats, a checkpoint and a
+/// transaction, with exact assertions on the replies, then a reopen of
+/// the flushed storage that must agree.
 fn cmd_smoke() -> Result<(), String> {
     let (server, _report) = Server::bind(
         ("127.0.0.1", 0),
@@ -371,99 +376,127 @@ fn cmd_smoke() -> Result<(), String> {
     let addr = server.local_addr();
     let running = std::thread::spawn(move || server.run());
 
-    let mut c = Client::connect(addr).map_err(|e| format!("connect: {e}"))?;
-    c.ping().map_err(|e| format!("ping: {e}"))?;
+    let mut c = call("connect", Client::connect(addr))?;
+    call("ping", c.ping())?;
 
     // Schema + facts + a branching update through the journaled writer.
-    c.declare_relation("Orders", 3)
-        .map_err(|e| format!("declare: {e}"))?;
-    c.declare_relation("InStock", 2)
-        .map_err(|e| format!("declare: {e}"))?;
-    c.load_fact("Orders", &["700", "32", "9"])
-        .map_err(|e| format!("load: {e}"))?;
-    c.load_fact("InStock", &["32", "1"])
-        .map_err(|e| format!("load: {e}"))?;
-    let exec = c
-        .execute("INSERT Orders(100,32,1) | Orders(100,32,7) WHERE T")
-        .map_err(|e| format!("insert: {e}"))?;
+    call("declare", c.declare_relation("Orders", 3))?;
+    call("declare", c.declare_relation("InStock", 2))?;
+    call("load", c.load_fact("Orders", &["700", "32", "9"]))?;
+    call("load", c.load_fact("InStock", &["32", "1"]))?;
+    let exec = call(
+        "insert",
+        c.execute("INSERT Orders(100,32,1) | Orders(100,32,7) WHERE T"),
+    )?;
     expect(exec.lsn == 4, "disjunctive insert should be lsn 4")?;
 
     // Pin a snapshot, then change the world under it.
-    let pinned = c.pin().map_err(|e| format!("pin: {e}"))?;
+    let pinned = call("pin", c.pin())?;
     expect(pinned.updates_applied == 5, "5 acknowledged writes")?;
-    let mut writer = Client::connect(addr).map_err(|e| format!("connect2: {e}"))?;
-    writer
-        .execute("ASSERT Orders(100,32,7) & !Orders(100,32,1)")
-        .map_err(|e| format!("assert: {e}"))?;
+    let mut writer = call("connect2", Client::connect(addr))?;
+    call(
+        "assert",
+        writer.execute("ASSERT Orders(100,32,7) & !Orders(100,32,1)"),
+    )?;
 
     // The pinned connection still sees the pre-ASSERT uncertainty...
-    let t = c
-        .check("Orders(100,32,1)")
-        .map_err(|e| format!("check: {e}"))?;
+    let t = call("check", c.check("Orders(100,32,1)"))?;
     expect(
         t.possible && !t.certain && t.generation == pinned.generation,
         "pinned read must see the branching state at its generation",
     )?;
-    let rows = c
-        .query("Orders(?o, 32, ?q)")
-        .map_err(|e| format!("query: {e}"))?;
+    let rows = call("query", c.query("Orders(?o, 32, ?q)"))?;
     expect(
         rows.certain.len() == 1 && rows.possible.len() == 3,
         "pinned query: 1 certain, 3 possible rows",
     )?;
 
     // ...while an unpinned connection sees the ASSERT's pruning.
-    let now = writer
-        .check("Orders(100,32,7)")
-        .map_err(|e| format!("check2: {e}"))?;
+    let now = call("check2", writer.check("Orders(100,32,7)"))?;
     expect(
         now.certain && now.generation > pinned.generation,
         "latest read must see the ASSERT",
     )?;
-    let ex = writer
-        .explain("Orders(100,32,1)")
-        .map_err(|e| format!("explain: {e}"))?;
+    let ex = call("explain", writer.explain("Orders(100,32,1)"))?;
     expect(
         ex.verdict == winslett_serve::WireVerdict::Impossible,
         "ASSERT made Orders(100,32,1) impossible",
     )?;
 
-    c.unpin().map_err(|e| format!("unpin: {e}"))?;
-    let after = c
-        .check("Orders(100,32,7)")
-        .map_err(|e| format!("check3: {e}"))?;
+    call("unpin", c.unpin())?;
+    let after = call("check3", c.check("Orders(100,32,7)"))?;
     expect(after.certain, "after unpin the read follows the latest")?;
 
-    let stats = c.stats().map_err(|e| format!("stats: {e}"))?;
+    let stats = call("stats", c.stats())?;
     expect(stats.updates == 6, "6 acknowledged writes in stats")?;
     expect(stats.accepted == 2, "two connections accepted")?;
 
-    let ckpt = c.checkpoint().map_err(|e| format!("checkpoint: {e}"))?;
+    let ckpt = call("checkpoint", c.checkpoint())?;
     expect(ckpt.lsn == 6, "checkpoint current through lsn 6")?;
 
     // A multi-statement transaction: invisible until commit, atomic and
     // durable after.
-    let txn = c.begin().map_err(|e| format!("begin: {e}"))?;
-    c.execute("INSERT InStock(700,9) WHERE T")
-        .map_err(|e| format!("txn insert: {e}"))?;
-    let peek = writer
-        .check("InStock(700,9)")
-        .map_err(|e| format!("txn peek: {e}"))?;
+    let txn = call("begin", c.begin())?;
+    call("txn insert", c.execute("INSERT InStock(700,9) WHERE T"))?;
+    let peek = call("txn peek", writer.check("InStock(700,9)"))?;
     expect(
         !peek.possible,
         "uncommitted transaction effects must be invisible to other connections",
     )?;
-    let committed = c.commit().map_err(|e| format!("commit: {e}"))?;
+    let committed = call("commit", c.commit())?;
     expect(
         committed.txn == txn.txn && committed.statements == 1,
         "commit acknowledges the one-statement transaction",
     )?;
-    let seen = writer
-        .check("InStock(700,9)")
-        .map_err(|e| format!("post-commit check: {e}"))?;
+    let seen = call("post-commit check", writer.check("InStock(700,9)"))?;
     expect(seen.certain, "committed transaction effects are visible")?;
 
-    c.shutdown().map_err(|e| format!("shutdown: {e}"))?;
+    // The §3.5 axioms over the wire: two attributes, a relation typed by
+    // them under a functional dependency, and a raw disjunctive wff.
+    let fd = DependencyDump::functional("fd", "Price", 2, &[0]).map_err(|e| e.to_string())?;
+    for op in [
+        Op::DeclareAttribute("Part".into()),
+        Op::DeclareAttribute("Cost".into()),
+        Op::DeclareTypedRelation("Price".into(), vec!["Part".into(), "Cost".into()]),
+        Op::AddDependency(fd),
+        Op::LoadWff("InStock(33,1) | InStock(33,2)".into()),
+    ] {
+        call("axiom write", c.write(op))?;
+    }
+    // Step 2′: the typed tuples' attribute atoms enter the completion
+    // axioms beside the tuples — two tuples, three attribute atoms.
+    let priced = call(
+        "typed insert",
+        c.execute("INSERT Price(gear,10) | Price(gear,12) WHERE T"),
+    )?;
+    expect(
+        priced.completion_added == 5,
+        "a typed insert registers its attribute atoms",
+    )?;
+    // Only the FD rules out the world holding both prices.
+    let probes = [
+        "Price(gear,10) & Price(gear,12)",
+        "Price(gear,10)",
+        "Part(gear) & Cost(12)",
+        "InStock(33,1)",
+    ];
+    let mut served = Vec::new();
+    for probe in probes {
+        let t = call("axiom check", c.check(probe))?;
+        served.push((t.possible, t.certain));
+    }
+    expect(
+        served == [(false, false), (true, false), (true, true), (true, false)],
+        "the FD prunes the two-price world; attributes are certain",
+    )?;
+    // The journal form of a statement is not a client write.
+    let apply = Op::Apply(UpdateDump::Insert("Price(gear,11)".into(), "T".into()));
+    match c.write(apply) {
+        Err(ClientError::Server(e)) if e.kind == ErrorKindWire::BadRequest => {}
+        other => return Err(format!("a wire Apply must be a BadRequest, got {other:?}")),
+    }
+
+    call("shutdown", c.shutdown())?;
     let storage = running
         .join()
         .map_err(|_| "server thread panicked".to_string())?
@@ -471,26 +504,33 @@ fn cmd_smoke() -> Result<(), String> {
 
     // The group-commit buffer was flushed on shutdown: a reopen sees the
     // full state.
-    let (db, _) =
-        winslett_core::DurableDatabase::open(storage, DbOptions::default(), WalOptions::default())
-            .map_err(|e| format!("reopen: {e}"))?;
-    let mut db = db;
-    let certain = db
-        .db_mut()
-        .is_certain("Orders(100,32,7)")
-        .map_err(|e| format!("reopen check: {e}"))?;
-    expect(certain, "reopened database remembers the ASSERT")?;
-    let txn_fact = db
-        .db_mut()
-        .is_certain("InStock(700,9)")
-        .map_err(|e| format!("reopen txn check: {e}"))?;
+    let (mut db, _) = DurableDatabase::open(storage, DbOptions::default(), WalOptions::default())
+        .map_err(|e| format!("reopen: {e}"))?;
+    let mut certain = |wff: &str| db.db_mut().is_certain(wff).map_err(|e| e.to_string());
     expect(
-        txn_fact,
+        certain("Orders(100,32,7)")?,
+        "reopened database remembers the ASSERT",
+    )?;
+    expect(
+        certain("InStock(700,9)")?,
         "reopened database remembers the committed transaction",
     )?;
+    for (probe, verdict) in probes.iter().zip(served) {
+        let possible = db.db_mut().is_possible(probe).map_err(|e| e.to_string())?;
+        let certain = db.db_mut().is_certain(probe).map_err(|e| e.to_string())?;
+        expect(
+            (possible, certain) == verdict,
+            "reopened storage agrees with the served verdicts",
+        )?;
+    }
 
     println!("serve-smoke: ok");
     Ok(())
+}
+
+/// One client call's result, its error named after the step.
+fn call<T>(step: &str, result: Result<T, ClientError>) -> Result<T, String> {
+    result.map_err(|e| format!("{step}: {e}"))
 }
 
 fn expect(cond: bool, what: &str) -> Result<(), String> {

@@ -6,6 +6,7 @@ use crate::protocol::{
 };
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
+use winslett_core::Op;
 
 /// What a client call can fail with.
 #[derive(Clone, Debug, PartialEq)]
@@ -113,48 +114,29 @@ impl Client {
         }
     }
 
-    /// Executes one LDML / schema / load statement on the writer.
+    /// Sends one write — a statement, declaration or load — to the
+    /// writer; the reply carries the LSN that orders it.
+    pub fn write(&mut self, op: Op) -> Result<ExecReply, ClientError> {
+        self.expect(Request::Write(op), |r| match r {
+            Response::Executed(x) => Ok(x),
+            other => Err(other),
+        })
+    }
+
+    /// Executes one LDML statement ([`Op::Execute`]).
     pub fn execute(&mut self, src: &str) -> Result<ExecReply, ClientError> {
-        self.expect(Request::Execute(src.to_string()), |r| match r {
-            Response::Executed(x) => Ok(x),
-            other => Err(other),
-        })
+        self.write(Op::Execute(src.to_owned()))
     }
 
-    /// Declares an untyped relation.
+    /// Declares an untyped relation ([`Op::DeclareRelation`]).
     pub fn declare_relation(&mut self, name: &str, arity: u64) -> Result<ExecReply, ClientError> {
-        self.expect(
-            Request::DeclareRelation(name.to_string(), arity),
-            |r| match r {
-                Response::Executed(x) => Ok(x),
-                other => Err(other),
-            },
-        )
+        self.write(Op::DeclareRelation(name.to_owned(), arity as usize))
     }
 
-    /// Declares a unary attribute predicate.
-    pub fn declare_attribute(&mut self, name: &str) -> Result<ExecReply, ClientError> {
-        self.expect(Request::DeclareAttribute(name.to_string()), |r| match r {
-            Response::Executed(x) => Ok(x),
-            other => Err(other),
-        })
-    }
-
-    /// Loads a ground fact as certainly true.
+    /// Loads a ground fact as certainly true ([`Op::LoadFact`]).
     pub fn load_fact(&mut self, pred: &str, args: &[&str]) -> Result<ExecReply, ClientError> {
         let args = args.iter().map(|s| s.to_string()).collect();
-        self.expect(Request::LoadFact(pred.to_string(), args), |r| match r {
-            Response::Executed(x) => Ok(x),
-            other => Err(other),
-        })
-    }
-
-    /// Loads an arbitrary ground wff into the initial state.
-    pub fn load_wff(&mut self, src: &str) -> Result<ExecReply, ClientError> {
-        self.expect(Request::LoadWff(src.to_string()), |r| match r {
-            Response::Executed(x) => Ok(x),
-            other => Err(other),
-        })
+        self.write(Op::LoadFact(pred.to_owned(), args))
     }
 
     /// Runs a conjunctive query.

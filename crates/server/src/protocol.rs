@@ -17,7 +17,7 @@
 use serde::{Deserialize, Serialize};
 use std::io::{ErrorKind, Read, Write};
 use winslett_core::wal::crc32;
-use winslett_core::{WalEntry, WalSnapshot};
+use winslett_core::{Op, WalEntry, WalSnapshot};
 
 /// Hard ceiling on a frame payload (4 MiB): a length word above this is
 /// treated as garbage rather than obeyed as an allocation request.
@@ -373,18 +373,6 @@ impl OutBuf {
 /// One client request.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum Request {
-    /// Execute one LDML statement (`INSERT`/`DELETE`/`MODIFY`/`ASSERT`)
-    /// through the journaled write path.
-    Execute(String),
-    /// Declare an untyped relation `(name, arity)` (journaled).
-    DeclareRelation(String, u64),
-    /// Declare a unary attribute predicate (journaled).
-    DeclareAttribute(String),
-    /// Load a ground fact `(predicate, args)` as certainly true
-    /// (journaled).
-    LoadFact(String, Vec<String>),
-    /// Load an arbitrary ground wff into the initial state (journaled).
-    LoadWff(String),
     /// Run a conjunctive query (certain + possible answer sets).
     Query(String),
     /// Entailment check on a ground wff: `(possible, certain)`.
@@ -417,7 +405,7 @@ pub enum Request {
     /// nothing else afterwards. Only the primary accepts this.
     Subscribe(u64),
     /// Open a multi-statement transaction on this connection. Until
-    /// `Commit`/`Rollback`, every Execute/Declare/Load runs against a
+    /// `Commit`/`Rollback`, every `Write` runs against a
     /// private workspace under footprint-granularity locks; reads on the
     /// same connection still see the published snapshot (the transaction's
     /// own writes are visible only to its statements). One transaction per
@@ -428,9 +416,15 @@ pub enum Request {
     Commit,
     /// Abandon the connection's open transaction, releasing its locks.
     Rollback,
+    /// One journaled write, encoded as the [`Op`] alone
+    /// (`{"Execute":"INSERT R(1) WHERE T"}`). An `Apply` is refused: it
+    /// is the log's form of an `Execute`, and its parse admits predicate
+    /// constants.
+    #[serde(untagged)]
+    Write(Op),
 }
 
-/// What an [`Request::Execute`] did.
+/// What a [`Request::Write`] did.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ExecReply {
     /// LSN of the journaled record — the serialization order of this
@@ -841,16 +835,48 @@ mod tests {
         assert_eq!(read_frame(&mut r).unwrap_err(), FrameError::Closed);
     }
 
+    /// The literal JSON of every write kind, and of a few control kinds
+    /// beside the untagged variant: each decodes and re-encodes
+    /// byte-identically, so existing clients keep their wire format.
+    #[test]
+    fn every_request_kind_keeps_its_json() {
+        let writes = [
+            r#"{"Execute":"INSERT R(1) WHERE T"}"#,
+            r#"{"DeclareRelation":["R",1]}"#,
+            r#"{"DeclareAttribute":"A"}"#,
+            r#"{"LoadFact":["R",["1"]]}"#,
+            r#"{"LoadWff":"R(1) | R(2)"}"#,
+            r#"{"DeclareTypedRelation":["Price",["Part","Cost"]]}"#,
+            r#"{"AddDependency":{"name":"fd","num_vars":3,"body":[["Price",[{"V":0},{"V":1}]],["Price",[{"V":0},{"V":2}]]],"head":{"Eq":[{"V":1},{"V":2}]}}}"#,
+        ];
+        for json in writes {
+            let request: Request = serde_json::from_str(json).expect(json);
+            assert!(matches!(request, Request::Write(_)), "{json}");
+            assert_eq!(serde_json::to_string(&request).unwrap(), json);
+        }
+        for json in [
+            r#""Pin""#,
+            r#"{"PinAt":7}"#,
+            r#""Begin""#,
+            r#"{"Query":"R(?x)"}"#,
+        ] {
+            let request: Request = serde_json::from_str(json).expect(json);
+            assert!(!matches!(request, Request::Write(_)), "{json}");
+            assert_eq!(serde_json::to_string(&request).unwrap(), json);
+        }
+        let fd = winslett_core::persist::DependencyDump::functional("fd", "Price", 2, &[0]);
+        let request = Request::Write(Op::AddDependency(fd.unwrap()));
+        assert_eq!(serde_json::to_string(&request).unwrap(), writes[6]);
+    }
+
     #[test]
     fn request_response_roundtrip() {
         let mut buf = Vec::new();
-        send(&mut buf, &Request::Execute("INSERT R(1) WHERE T".into())).unwrap();
+        let write = Request::Write(Op::Execute("INSERT R(1) WHERE T".into()));
+        send(&mut buf, &write).unwrap();
         send(&mut buf, &Request::Pin).unwrap();
         let mut r = &buf[..];
-        assert_eq!(
-            recv::<Request>(&mut r).unwrap(),
-            Request::Execute("INSERT R(1) WHERE T".into())
-        );
+        assert_eq!(recv::<Request>(&mut r).unwrap(), write);
         assert_eq!(recv::<Request>(&mut r).unwrap(), Request::Pin);
 
         let resp = Response::Truth(TruthReply {
@@ -937,7 +963,7 @@ mod tests {
         let batch = Response::WalBatch(WalBatchReply {
             entries: vec![winslett_core::WalEntry {
                 lsn: 9,
-                record: winslett_core::WalRecord::LoadFact("R".into(), vec!["1".into()]),
+                record: winslett_core::WalRecord::Op(Op::LoadFact("R".into(), vec!["1".into()])),
             }],
         });
         let mut buf = Vec::new();

@@ -2,8 +2,8 @@
 //!
 //! A replica connects to a primary `winslett-serve`, subscribes to its
 //! WAL stream, and rebuilds the logical database by settling shipped
-//! records with [`TxnSettle`] and replaying what it releases through
-//! [`replay_record`] — the pair recovery uses. It then serves the
+//! records with [`TxnSettle`] and applying the ops it releases through
+//! [`apply_op`] — the pair recovery uses. It then serves the
 //! read half of the protocol (query / check / explain / pin) from its own
 //! snapshot chain; every write-shaped request is refused with a typed
 //! `ReadOnly` error.
@@ -52,7 +52,7 @@ use std::sync::{Arc, PoisonError, RwLock};
 use std::time::Duration;
 use winslett_core::snapshot::TheorySnapshot;
 use winslett_core::{
-    replay_record, restore_theory, DbError, DbOptions, LogicalDatabase, Settled, TxnSettle,
+    apply_op, restore_theory, DbError, DbOptions, LogicalDatabase, Settled, TxnSettle,
 };
 use winslett_gua::SimplifyLevel;
 
@@ -100,8 +100,8 @@ pub struct ReplicaStats {
     pub replica_records: AtomicU64,
     /// Catch-up bootstraps that carried a full checkpoint snapshot.
     pub replica_snapshots_loaded: AtomicU64,
-    /// Times the tailer re-established the primary connection after the
-    /// first successful subscription.
+    /// Subscriptions the tailer re-established after its first one: each
+    /// accepted `Subscribe` handshake but the first.
     pub replica_reconnects: AtomicU64,
     /// Shipped records the replayer had to skip because applying them
     /// failed — mirrors recovery's deterministic-error accounting and
@@ -304,11 +304,7 @@ impl Role for ReplicaRole {
     fn handle(&self, _token: u64, _seq: u64, _draining: bool, request: Request) -> RoleAction {
         RoleAction::Reply(match request {
             Request::Stats => Response::Stats(Box::new(stats_reply(&self.shared))),
-            Request::Execute(_)
-            | Request::DeclareRelation(..)
-            | Request::DeclareAttribute(_)
-            | Request::LoadFact(..)
-            | Request::LoadWff(_)
+            Request::Write(_)
             | Request::Checkpoint
             | Request::Begin
             | Request::Commit
@@ -345,21 +341,19 @@ fn run_tailer(shared: &ReplicaShared, db_options: DbOptions) {
     let mut db = LogicalDatabase::with_options(replay_options);
     let mut next_lsn: u64 = 0;
     let mut settle = TxnSettle::default();
-    let mut ever_connected = false;
+    let mut subscribed = false;
     while !shared.shutdown.load(Ordering::SeqCst) {
-        match tail_once(shared, &db_options, &mut db, &mut next_lsn, &mut settle) {
+        match tail_once(
+            shared,
+            &db_options,
+            &mut db,
+            &mut next_lsn,
+            &mut settle,
+            &mut subscribed,
+        ) {
             TailExit::Shutdown => return,
-            TailExit::StreamLost => {
-                if ever_connected {
-                    shared
-                        .stats
-                        .replica_reconnects
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            TailExit::NeverConnected => {}
+            TailExit::Redial => {}
         }
-        ever_connected = ever_connected || next_lsn > 0;
         // Backoff before redialing; shutdown cuts the wait short.
         let backoff = shared.options.reconnect_backoff;
         let step = Duration::from_millis(10).min(backoff);
@@ -374,21 +368,20 @@ fn run_tailer(shared: &ReplicaShared, db_options: DbOptions) {
 enum TailExit {
     /// Shutdown was requested; do not reconnect.
     Shutdown,
-    /// The subscription was established and then lost; reconnect.
-    StreamLost,
-    /// The dial or handshake itself failed; retry without counting a
-    /// reconnect.
-    NeverConnected,
+    /// The dial, the handshake or the stream failed; reconnect.
+    Redial,
 }
 
 /// One subscription lifetime: dial, handshake, apply until the stream
-/// dies or shutdown lands.
+/// dies or shutdown lands. `subscribed` records that a handshake was
+/// ever accepted; each accepted one after the first is a reconnect.
 fn tail_once(
     shared: &ReplicaShared,
     db_options: &DbOptions,
     db: &mut LogicalDatabase,
     next_lsn: &mut u64,
     settle: &mut TxnSettle,
+    subscribed: &mut bool,
 ) -> TailExit {
     // The primary heartbeats every HEARTBEAT_INTERVAL while idle; four
     // missed beats means the stream (or the primary) is gone — the
@@ -399,15 +392,21 @@ fn tail_once(
         Some(HEARTBEAT_INTERVAL * 4),
     ) {
         Ok(c) => c.into_stream(),
-        Err(_) => return TailExit::NeverConnected,
+        Err(_) => return TailExit::Redial,
     };
     if send(&mut stream, &Request::Subscribe(*next_lsn)).is_err() {
-        return TailExit::NeverConnected;
+        return TailExit::Redial;
     }
     let catchup: CatchupReply = match recv::<Response>(&mut stream) {
         Ok(Response::Catchup(c)) => *c,
-        Ok(Response::Error(_)) | Ok(_) | Err(_) => return TailExit::NeverConnected,
+        Ok(Response::Error(_)) | Ok(_) | Err(_) => return TailExit::Redial,
     };
+    if std::mem::replace(subscribed, true) {
+        shared
+            .stats
+            .replica_reconnects
+            .fetch_add(1, Ordering::Relaxed);
+    }
     // A snapshot past the frame cap arrives as CatchupChunk frames after
     // a `chunked: true` announcement; reassemble before restoring.
     let snapshot = if catchup.chunked {
@@ -421,12 +420,12 @@ fn tail_once(
                         break;
                     }
                 }
-                Ok(_) | Err(_) => return TailExit::NeverConnected,
+                Ok(_) | Err(_) => return TailExit::Redial,
             }
         }
         match assemble_snapshot(&parts) {
             Ok(s) => Some(s),
-            Err(_) => return TailExit::NeverConnected,
+            Err(_) => return TailExit::Redial,
         }
     } else {
         catchup.snapshot
@@ -452,7 +451,7 @@ fn tail_once(
                     .fetch_add(1, Ordering::Relaxed);
                 republish(shared, db, *next_lsn);
             }
-            Err(_) => return TailExit::NeverConnected,
+            Err(_) => return TailExit::Redial,
         }
     }
     loop {
@@ -463,13 +462,13 @@ fn tail_once(
             Ok(p) => p,
             Err(FrameError::TimedOut) => {
                 // Heartbeats stopped: treat the stream as lost.
-                return TailExit::StreamLost;
+                return TailExit::Redial;
             }
-            Err(_) => return TailExit::StreamLost,
+            Err(_) => return TailExit::Redial,
         };
         let batch: WalBatchReply = match crate::protocol::decode::<Response>(&payload) {
             Ok(Response::WalBatch(b)) => b,
-            Ok(_) | Err(_) => return TailExit::StreamLost,
+            Ok(_) | Err(_) => return TailExit::Redial,
         };
         if batch.entries.is_empty() {
             continue; // heartbeat
@@ -483,13 +482,13 @@ fn tail_once(
             let Settled::Release(records) = settle.feed(entry) else {
                 continue;
             };
-            for e in records {
+            for (_, op) in records {
                 // The stream is the effective log: holes at abort sites
-                // are expected. A record that still refuses mirrors
+                // are expected. An op that still refuses mirrors
                 // recovery's deterministic-refusal accounting — it was
                 // journaled but deterministically refused, so skipping
                 // keeps us aligned with the primary.
-                if replay_record(db, &e.record).is_err() {
+                if apply_op(db, &op).is_err() {
                     shared
                         .stats
                         .replica_apply_errors

@@ -47,14 +47,14 @@ use crate::reactor::{
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError, RwLock, Weak};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock, Weak};
 use std::time::{Duration, Instant};
-use winslett_analyze::ConflictAnalyzer;
+use winslett_analyze::{constrained_predicates, ConflictAnalyzer};
 use winslett_core::explain::Verdict;
 use winslett_core::snapshot::TheorySnapshot;
 use winslett_core::wal::{Catchup, DurableDatabase, RecoveryReport, Storage, WalOptions};
-use winslett_core::{DbError, DbOptions, LockRequest, LockTable, WalEntry};
-use winslett_gua::SimplifyLevel;
+use winslett_core::{DbError, DbOptions, LockRequest, LockTable, Op, WalEntry};
+use winslett_gua::{SimplifyLevel, UpdateReport};
 use winslett_logic::AccessSet;
 use winslett_theory::Theory;
 
@@ -225,19 +225,19 @@ struct Shared<S: Storage> {
     txn_by_token: Mutex<HashMap<u64, Option<u64>>>,
 }
 
+impl<S: Storage> Shared<S> {
+    /// The `txn_by_token` map (its lock only guards map edits, so a
+    /// poisoned lock still holds a consistent value).
+    fn txn_slots(&self) -> MutexGuard<'_, HashMap<u64, Option<u64>>> {
+        self.txn_by_token
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 /// Upper bound on writes coalesced into one batch, so ack latency stays
 /// bounded under a deep queue.
 const MAX_BATCH: usize = 32;
-
-/// A write request in database terms, detached from its connection so the
-/// writer thread can apply it on the submitter's behalf.
-enum WriteOp {
-    Execute(String),
-    DeclareRelation(String, u64),
-    DeclareAttribute(String),
-    LoadFact(String, Vec<String>),
-    LoadWff(String),
-}
 
 /// Where a write's reply goes: the reactor connection awaiting it.
 #[derive(Clone, Copy)]
@@ -255,7 +255,7 @@ impl WriteDone {
 
 /// One queued write plus the connection its reply goes back to.
 struct WriteJob {
-    op: WriteOp,
+    op: Op,
     done: WriteDone,
 }
 
@@ -535,34 +535,6 @@ fn refresh_retained<S: Storage>(shared: &Shared<S>) -> u64 {
     count
 }
 
-/// Applies one write op to the database; `(nodes_added, completion_added)`
-/// feed the ack.
-fn apply_op<S: Storage>(db: &mut DurableDatabase<S>, op: &WriteOp) -> Result<(i64, u64), DbError> {
-    match op {
-        WriteOp::Execute(src) => {
-            let report = db.execute(src)?;
-            Ok((report.nodes_added as i64, report.completion_added as u64))
-        }
-        WriteOp::DeclareRelation(name, arity) => {
-            db.declare_relation(name, *arity as usize)?;
-            Ok((0, 0))
-        }
-        WriteOp::DeclareAttribute(name) => {
-            db.declare_attribute(name)?;
-            Ok((0, 0))
-        }
-        WriteOp::LoadFact(pred, args) => {
-            let refs: Vec<&str> = args.iter().map(String::as_str).collect();
-            db.load_fact(pred, &refs)?;
-            Ok((0, 0))
-        }
-        WriteOp::LoadWff(src) => {
-            db.load_wff(src)?;
-            Ok((0, 0))
-        }
-    }
-}
-
 /// Slices one accumulated run of writes into batches of consecutive
 /// pairwise-independent `Execute` statements and flushes each. Statements
 /// are *never reordered* — the footprint analysis only decides where one
@@ -580,7 +552,7 @@ fn apply_batched<S: Storage>(shared: &Shared<S>, db: &mut DurableDatabase<S>, jo
     let mut feet: Vec<AccessSet> = Vec::new();
     for job in jobs {
         let footprint = match &job.op {
-            WriteOp::Execute(src) => analyzer.footprint(src),
+            Op::Execute(src) => analyzer.footprint(src),
             _ => None,
         };
         match footprint {
@@ -618,25 +590,17 @@ fn flush_batch<S: Storage>(shared: &Shared<S>, db: &mut DurableDatabase<S>, batc
     let mut applied = 0u64;
     let mut last_lsn = None;
     for job in batch {
-        if let Some(e) = plain_write_conflict(shared, &job.op) {
+        if let Some(e) = plain_write_conflict(shared, db.db().theory(), &job.op) {
             results.push((job.done, Err(e)));
             continue;
         }
         let lsn = db.next_lsn();
-        match apply_op(db, &job.op) {
-            Ok((nodes_added, completion_added)) => {
+        match db.apply(job.op) {
+            Ok(report) => {
                 applied += 1;
                 last_lsn = Some(lsn);
                 let generation = db.db().theory().generation();
-                results.push((
-                    job.done,
-                    Ok(ExecReply {
-                        lsn,
-                        generation,
-                        nodes_added,
-                        completion_added,
-                    }),
-                ));
+                results.push((job.done, Ok(exec_reply(lsn, generation, &report))));
             }
             Err(e) => results.push((job.done, Err(e))),
         }
@@ -753,16 +717,31 @@ pub(crate) fn chunk_entries(entries: Vec<WalEntry>) -> Vec<Vec<WalEntry>> {
 
 // ----- transactions ----------------------------------------------------------
 
-/// Lock requests for one write op, at footprint-atom granularity where
-/// the analyzer can prove them (Theorem 4: updates with disjoint
-/// footprints commute) and the global key where it cannot. Keys are the
-/// atoms' textual rendering, stable across analyzer instances, so a
-/// `LoadFact` and an `Execute` touching the same ground atom contend.
-fn lock_requests_for(op: &WriteOp) -> Vec<LockRequest> {
+/// Lock requests for one write op against the live `theory`, at
+/// footprint-atom granularity where the analyzer can prove them
+/// (Theorem 4: updates with disjoint footprints commute) and the global
+/// key where it cannot. Keys are the atoms' textual rendering, stable
+/// across analyzer instances, so a `LoadFact` and an `Execute` touching
+/// the same ground atom contend. An op that writes a predicate the
+/// theory's §3.5 axioms constrain takes the global key: rule 3 filtering
+/// couples it to atoms it never names (an FD makes `DELETE Price(a,10)`
+/// and `INSERT Price(a,12)` order-sensitive), so no finer lock is sound —
+/// the analyzer's own widening (`winslett_analyze::statement_footprint`).
+/// `Execute` is judged by its write atoms, `LoadFact` by its predicate.
+/// The constrained set is read from `theory` on every call.
+fn lock_requests(op: &Op, theory: &Theory) -> Vec<LockRequest> {
+    let constrained = constrained_predicates(theory);
+    let coupled = |pred: &str| {
+        let found = theory.vocab.find_predicate(pred);
+        found.is_some_and(|p| constrained.contains(&p))
+    };
     match op {
-        WriteOp::Execute(src) => {
+        Op::Execute(src) => {
             let profile = ConflictAnalyzer::default().lock_profile(src);
-            if profile.global {
+            // A key renders its atom as `Pred(args)`.
+            let coupled_key = |k: &String| coupled(k.split('(').next().unwrap_or(k));
+            let writes_coupled = profile.writes.iter().any(coupled_key);
+            if profile.global || writes_coupled {
                 return vec![LockRequest::global()];
             }
             profile
@@ -772,13 +751,15 @@ fn lock_requests_for(op: &WriteOp) -> Vec<LockRequest> {
                 .chain(profile.reads.iter().map(|k| LockRequest::shared(k.clone())))
                 .collect()
         }
-        WriteOp::LoadFact(pred, args) if !args.is_empty() => {
+        Op::LoadFact(pred, args) if !coupled(pred) && args.is_empty() => {
+            vec![LockRequest::exclusive(pred.clone())]
+        }
+        Op::LoadFact(pred, args) if !coupled(pred) => {
             vec![LockRequest::exclusive(format!(
                 "{pred}({})",
                 args.join(",")
             ))]
         }
-        WriteOp::LoadFact(pred, _) => vec![LockRequest::exclusive(pred.clone())],
         // Declarations and raw wffs change the language itself.
         _ => vec![LockRequest::global()],
     }
@@ -788,11 +769,15 @@ fn lock_requests_for(op: &WriteOp) -> Vec<LockRequest> {
 /// locks held by an open transaction. Waiting is not an option here:
 /// plain writes are applied by the writer thread, the same thread that
 /// processes the commits that would release the locks.
-fn plain_write_conflict<S: Storage>(shared: &Shared<S>, op: &WriteOp) -> Option<DbError> {
+fn plain_write_conflict<S: Storage>(
+    shared: &Shared<S>,
+    theory: &Theory,
+    op: &Op,
+) -> Option<DbError> {
     if shared.locks.holders() == 0 {
         return None; // fast path: no transaction holds anything
     }
-    let key = shared.locks.would_block(&lock_requests_for(op))?;
+    let key = shared.locks.would_block(&lock_requests(op, theory))?;
     shared.stats.txn_conflicts.fetch_add(1, Ordering::Relaxed);
     Some(DbError::TxnConflict {
         message: format!(
@@ -800,6 +785,16 @@ fn plain_write_conflict<S: Storage>(shared: &Shared<S>, op: &WriteOp) -> Option<
              retry after it finishes"
         ),
     })
+}
+
+/// The acknowledgement of one applied write.
+fn exec_reply(lsn: u64, generation: u64, report: &UpdateReport) -> ExecReply {
+    ExecReply {
+        lsn,
+        generation,
+        nodes_added: report.nodes_added as i64,
+        completion_added: report.completion_added as u64,
+    }
 }
 
 /// Decrements a gauge without wrapping below zero (teardown paths can
@@ -841,45 +836,23 @@ fn txn_begin_shared<S: Storage>(shared: &Shared<S>) -> Response {
     .unwrap_or_else(Response::Error)
 }
 
-/// Applies one statement inside an open transaction. The caller already
-/// holds the transaction's locks on the statement's footprint; this
-/// journals the intent and grows the private workspace — the live
-/// database (and published snapshot) are untouched until commit.
-/// `covered` means every footprint lock was held *before* this
-/// statement acquired anything, so the workspace is provably current on
-/// every atom it touches and the clone-and-redo refresh is skipped.
-fn txn_apply<S: Storage>(shared: &Shared<S>, txn: u64, op: &WriteOp, covered: bool) -> Response {
+/// Applies one op inside an open transaction. The caller already holds
+/// the transaction's locks on the op's footprint; this journals the
+/// intent and grows the private workspace — the live database (and
+/// published snapshot) are untouched until commit. `covered` means every
+/// footprint lock was held *before* this statement acquired anything, so
+/// the workspace is provably current on every atom it touches and the
+/// clone-and-redo refresh is skipped.
+fn txn_apply<S: Storage>(shared: &Shared<S>, txn: u64, op: Op, covered: bool) -> Response {
     with_writer(shared, |db| {
         let lsn = db.next_lsn();
-        let result = match op {
-            WriteOp::Execute(src) if covered => db
-                .txn_execute_covered(txn, src)
-                .map(|r| (r.nodes_added as i64, r.completion_added as u64)),
-            WriteOp::Execute(src) => db
-                .txn_execute(txn, src)
-                .map(|r| (r.nodes_added as i64, r.completion_added as u64)),
-            WriteOp::DeclareRelation(name, arity) => db
-                .txn_declare_relation(txn, name, *arity as usize)
-                .map(|_| (0, 0)),
-            WriteOp::DeclareAttribute(name) => db.txn_declare_attribute(txn, name).map(|_| (0, 0)),
-            WriteOp::LoadFact(pred, args) => {
-                let refs: Vec<&str> = args.iter().map(String::as_str).collect();
-                db.txn_load_fact(txn, pred, &refs).map(|_| (0, 0))
-            }
-            WriteOp::LoadWff(src) => db.txn_load_wff(txn, src).map(|_| (0, 0)),
-        };
-        match result {
-            Ok((nodes_added, completion_added)) => {
+        match db.txn_apply(txn, op, covered) {
+            Ok(report) => {
                 let generation = db
                     .txn_view(txn)
                     .map(|w| w.theory().generation())
                     .unwrap_or_default();
-                Response::Executed(ExecReply {
-                    lsn,
-                    generation,
-                    nodes_added,
-                    completion_added,
-                })
+                Response::Executed(exec_reply(lsn, generation, &report))
             }
             // A refused statement does not kill the transaction: its
             // compensation is journaled and the workspace is unchanged.
@@ -995,12 +968,15 @@ enum WriterWork {
     /// never block on locks (it is the only thread that releases
     /// them), so a contended statement parks and retries until
     /// `deadline`, then aborts the transaction with a typed timeout.
+    /// `waited` is set once it has parked, so a statement counts as one
+    /// lock wait however often it retries.
     TxnStatement {
         token: u64,
         seq: u64,
         txn: u64,
-        op: WriteOp,
+        op: Op,
         deadline: Instant,
+        waited: bool,
     },
     /// `Commit`.
     TxnCommit { token: u64, seq: u64, txn: u64 },
@@ -1176,10 +1152,7 @@ fn run_txn_work<S: Storage>(
     match work {
         WriterWork::TxnBegin { token, seq } => {
             let resp = txn_begin_shared(shared);
-            let mut map = shared
-                .txn_by_token
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
+            let mut map = shared.txn_slots();
             match &resp {
                 // Fill the slot the reactor reserved — unless the
                 // connection already died and `TxnAbandon` cleared it
@@ -1192,10 +1165,7 @@ fn run_txn_work<S: Storage>(
                     let txn = r.txn;
                     drop(map);
                     txn_rollback_shared(shared, txn);
-                    map = shared
-                        .txn_by_token
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner);
+                    map = shared.txn_slots();
                 }
                 _ => {
                     map.remove(&token);
@@ -1210,6 +1180,7 @@ fn run_txn_work<S: Storage>(
             txn,
             op,
             deadline,
+            waited,
         } => {
             if !txn_mapping_current(shared, token, txn) {
                 // Aborted underneath us (drain or timeout on an earlier
@@ -1218,34 +1189,39 @@ fn run_txn_work<S: Storage>(
                 completions.post(token, seq, Done::Resp(Response::Error(wire_error(&e))));
                 return;
             }
-            let requests = lock_requests_for(&op);
+            let requests = match with_writer(shared, |db| lock_requests(&op, db.db().theory())) {
+                Ok(requests) => requests,
+                Err(e) => {
+                    completions.post(token, seq, Done::Resp(Response::Error(e)));
+                    return;
+                }
+            };
             // Checked before acquisition: locks taken for *this*
             // statement must not count as "already held" (refresh skip).
             let covered = shared.locks.holds_all(txn, &requests);
             match shared.locks.try_lock(txn, &requests) {
                 Ok(()) => {
-                    let resp = txn_apply(shared, txn, &op, covered);
+                    let resp = txn_apply(shared, txn, op, covered);
                     completions.post(token, seq, Done::Resp(resp));
                 }
                 Err(_) if Instant::now() < deadline => {
-                    shared.locks.stats.waits.fetch_add(1, Ordering::Relaxed);
+                    if !waited {
+                        shared.locks.stats.waits.fetch_add(1, Ordering::Relaxed);
+                    }
                     parked.push(WriterWork::TxnStatement {
                         token,
                         seq,
                         txn,
                         op,
                         deadline,
+                        waited: true,
                     });
                 }
                 Err(key) => {
                     // Deadline passed: abort the transaction so its held
                     // locks cannot wedge the system (deadlock avoidance).
                     shared.locks.stats.timeouts.fetch_add(1, Ordering::Relaxed);
-                    shared
-                        .txn_by_token
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .remove(&token);
+                    shared.txn_slots().remove(&token);
                     txn_rollback_shared(shared, txn);
                     let e = DbError::TxnTimeout {
                         message: format!(
@@ -1259,11 +1235,7 @@ fn run_txn_work<S: Storage>(
         }
         WriterWork::TxnCommit { token, seq, txn } => {
             let resp = if txn_mapping_current(shared, token, txn) {
-                shared
-                    .txn_by_token
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .remove(&token);
+                shared.txn_slots().remove(&token);
                 txn_commit_shared(shared, txn)
             } else {
                 Response::Error(no_open_txn())
@@ -1272,11 +1244,7 @@ fn run_txn_work<S: Storage>(
         }
         WriterWork::TxnRollback { token, seq, txn } => {
             let resp = if txn_mapping_current(shared, token, txn) {
-                shared
-                    .txn_by_token
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .remove(&token);
+                shared.txn_slots().remove(&token);
                 txn_rollback_shared(shared, txn)
             } else {
                 Response::Error(no_open_txn())
@@ -1284,11 +1252,7 @@ fn run_txn_work<S: Storage>(
             completions.post(token, seq, Done::Resp(resp));
         }
         WriterWork::TxnAbandon { token } => {
-            let txn = shared
-                .txn_by_token
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .remove(&token);
+            let txn = shared.txn_slots().remove(&token);
             // Queue order guarantees the `TxnBegin` that reserved the
             // slot ran before us, so a pending (`None`) mapping cannot be
             // observed here.
@@ -1303,12 +1267,7 @@ fn run_txn_work<S: Storage>(
 /// Whether `token` still owns `txn` — false once a drain abort, timeout
 /// abort, or abandon has dissolved the binding.
 fn txn_mapping_current<S: Storage>(shared: &Shared<S>, token: u64, txn: u64) -> bool {
-    shared
-        .txn_by_token
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .get(&token)
-        == Some(&Some(txn))
+    shared.txn_slots().get(&token) == Some(&Some(txn))
 }
 
 /// Applies one accumulated run of writes under the writer lock, through
@@ -1401,6 +1360,12 @@ fn subscription_start<S: Storage>(
 
 // ----- the primary's reactor role ---------------------------------------------
 
+/// A typed refusal, answered on the reactor thread.
+fn refuse(kind: ErrorKindWire, message: impl Into<String>) -> RoleAction {
+    let message = message.into();
+    RoleAction::Reply(Response::Error(WireError { kind, message }))
+}
+
 /// The primary half of the reactor: writes, stats, checkpoints, and
 /// subscriptions go to the writer thread; everything else the reactor
 /// already owns.
@@ -1410,7 +1375,7 @@ struct PrimaryRole<S: Storage> {
 }
 
 impl<S: Storage> PrimaryRole<S> {
-    fn defer_write(&self, token: u64, seq: u64, draining: bool, op: WriteOp) -> RoleAction {
+    fn defer_write(&self, token: u64, seq: u64, draining: bool, op: Op) -> RoleAction {
         let txn = self.open_txn(token);
         if draining {
             if txn.is_some() {
@@ -1420,10 +1385,10 @@ impl<S: Storage> PrimaryRole<S> {
                 self.chan.push(WriterWork::TxnAbandon { token });
                 return RoleAction::Reply(Response::Error(drain_abort()));
             }
-            return RoleAction::Reply(Response::Error(WireError {
-                kind: ErrorKindWire::ShuttingDown,
-                message: "server is draining; write refused".into(),
-            }));
+            return refuse(
+                ErrorKindWire::ShuttingDown,
+                "server is draining; write refused",
+            );
         }
         if let Some(txn) = txn {
             self.chan.push(WriterWork::TxnStatement {
@@ -1432,6 +1397,7 @@ impl<S: Storage> PrimaryRole<S> {
                 txn,
                 op,
                 deadline: Instant::now() + self.shared.options.lock_timeout,
+                waited: false,
             });
             return RoleAction::Deferred;
         }
@@ -1446,13 +1412,7 @@ impl<S: Storage> PrimaryRole<S> {
     /// A reserved (`None`) slot cannot be observed here: the connection
     /// is parked in `Await` until the `TxnBegin` completion fills it.
     fn open_txn(&self, token: u64) -> Option<u64> {
-        self.shared
-            .txn_by_token
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&token)
-            .copied()
-            .flatten()
+        self.shared.txn_slots().get(&token).copied().flatten()
     }
 }
 
@@ -1490,34 +1450,24 @@ impl<S: Storage> Role for PrimaryRole<S> {
 
     fn handle(&self, token: u64, seq: u64, draining: bool, request: Request) -> RoleAction {
         match request {
-            Request::Execute(src) => self.defer_write(token, seq, draining, WriteOp::Execute(src)),
-            Request::DeclareRelation(name, arity) => {
-                self.defer_write(token, seq, draining, WriteOp::DeclareRelation(name, arity))
-            }
-            Request::DeclareAttribute(name) => {
-                self.defer_write(token, seq, draining, WriteOp::DeclareAttribute(name))
-            }
-            Request::LoadFact(pred, args) => {
-                self.defer_write(token, seq, draining, WriteOp::LoadFact(pred, args))
-            }
-            Request::LoadWff(src) => self.defer_write(token, seq, draining, WriteOp::LoadWff(src)),
+            Request::Write(Op::Apply(_)) => refuse(
+                ErrorKindWire::BadRequest,
+                "`Apply` is the log's form of an `Execute`; send the statement",
+            ),
+            Request::Write(op) => self.defer_write(token, seq, draining, op),
             Request::Begin => {
                 if draining {
-                    return RoleAction::Reply(Response::Error(WireError {
-                        kind: ErrorKindWire::ShuttingDown,
-                        message: "server is draining; transaction refused".into(),
-                    }));
+                    return refuse(
+                        ErrorKindWire::ShuttingDown,
+                        "server is draining; transaction refused",
+                    );
                 }
-                let mut map = self
-                    .shared
-                    .txn_by_token
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner);
+                let mut map = self.shared.txn_slots();
                 if map.contains_key(&token) {
-                    return RoleAction::Reply(Response::Error(WireError {
-                        kind: ErrorKindWire::BadRequest,
-                        message: "a transaction is already open on this connection".into(),
-                    }));
+                    return refuse(
+                        ErrorKindWire::BadRequest,
+                        "a transaction is already open on this connection",
+                    );
                 }
                 // Reserve the slot on the reactor thread so a close that
                 // races the writer's `TxnBegin` still finds (and can
@@ -1558,10 +1508,10 @@ impl<S: Storage> Role for PrimaryRole<S> {
             }
             Request::Subscribe(from_lsn) => {
                 if draining {
-                    return RoleAction::Reply(Response::Error(WireError {
-                        kind: ErrorKindWire::ShuttingDown,
-                        message: "server is draining; subscription refused".into(),
-                    }));
+                    return refuse(
+                        ErrorKindWire::ShuttingDown,
+                        "server is draining; subscription refused",
+                    );
                 }
                 self.chan.push(WriterWork::Subscribe {
                     token,
@@ -1571,10 +1521,10 @@ impl<S: Storage> Role for PrimaryRole<S> {
                 RoleAction::Deferred
             }
             // Reads, pins, liveness, and shutdown never reach the role.
-            other => RoleAction::Reply(Response::Error(WireError {
-                kind: ErrorKindWire::BadRequest,
-                message: format!("unroutable request: {other:?}"),
-            })),
+            other => refuse(
+                ErrorKindWire::BadRequest,
+                format!("unroutable request: {other:?}"),
+            ),
         }
     }
 
@@ -1587,12 +1537,7 @@ impl<S: Storage> Role for PrimaryRole<S> {
         // in flight — the slot is reserved before the push) hands it to
         // the writer thread for rollback; FIFO queue order guarantees
         // the abandon runs after any in-flight op of the same token.
-        let open = self
-            .shared
-            .txn_by_token
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .contains_key(&token);
+        let open = self.shared.txn_slots().contains_key(&token);
         if open {
             self.chan.push(WriterWork::TxnAbandon { token });
         }
@@ -1757,6 +1702,7 @@ pub(crate) fn wire_error(e: &DbError) -> WireError {
 mod tests {
     use super::*;
     use winslett_core::wal::MemStorage;
+    use winslett_core::WalRecord;
 
     /// A `Shared` with an open in-memory database, no listener attached —
     /// enough to drive the writer thread's flush path directly.
@@ -1795,7 +1741,7 @@ mod tests {
     /// Runs `ops` through the writer thread's flush path as one
     /// accumulated run (one connection token per op) and returns the
     /// replies in op order, read back from the completion queue.
-    fn flush(shared: &Arc<Shared<MemStorage>>, ops: Vec<WriteOp>) -> Vec<Response> {
+    fn flush(shared: &Arc<Shared<MemStorage>>, ops: Vec<Op>) -> Vec<Response> {
         let jobs = (1..)
             .zip(ops)
             .map(|(token, op)| WriteJob {
@@ -1817,8 +1763,8 @@ mod tests {
         replies.into_iter().map(|(_, r)| r).collect()
     }
 
-    fn execute(src: &str) -> WriteOp {
-        WriteOp::Execute(src.into())
+    fn execute(src: &str) -> Op {
+        Op::Execute(src.into())
     }
 
     #[test]
@@ -1949,7 +1895,7 @@ mod tests {
             vec![
                 execute("INSERT R(a) WHERE T"),
                 execute("INSERT R(b) WHERE T"),
-                WriteOp::DeclareRelation("S".into(), 1),
+                Op::DeclareRelation("S".into(), 1),
                 execute("INSERT S(x) WHERE T"),
                 execute("INSERT nonsense(("),
             ],
@@ -2031,7 +1977,7 @@ mod tests {
         let entries: Vec<WalEntry> = (0..5)
             .map(|i| WalEntry {
                 lsn: i,
-                record: winslett_core::WalRecord::LoadFact("R".into(), vec![format!("{i}")]),
+                record: WalRecord::Op(Op::LoadFact("R".into(), vec![format!("{i}")])),
             })
             .collect();
         let chunks = chunk_entries(entries.clone());
@@ -2042,7 +1988,7 @@ mod tests {
         let entries: Vec<WalEntry> = (0..3)
             .map(|i| WalEntry {
                 lsn: i,
-                record: winslett_core::WalRecord::LoadFact(big.clone(), Vec::new()),
+                record: WalRecord::Op(Op::LoadFact(big.clone(), Vec::new())),
             })
             .collect();
         let chunks = chunk_entries(entries);

@@ -16,10 +16,11 @@
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
+use winslett::db::persist::DependencyDump;
 use winslett::db::wal::{DurableDatabase, MemStorage, SyncPolicy, WalOptions};
 use winslett::db::DbOptions;
+use winslett::db::Op as Write;
 use winslett::gua::{simplify, SimplifyLevel};
-use winslett::theory::Dependency;
 
 const ITEMS: usize = 4;
 const FLAGS: usize = 2;
@@ -82,11 +83,15 @@ fn open_db() -> DurableDatabase<MemStorage> {
         DurableDatabase::open(MemStorage::new(), DbOptions::default(), options).unwrap();
     ddb.declare_relation("Item", 1).unwrap();
     ddb.declare_relation("Flag", 1).unwrap();
-    let part = ddb.declare_attribute("Part").unwrap();
-    let cost = ddb.declare_attribute("Cost").unwrap();
-    let price = ddb.declare_typed_relation("Price", &[part, cost]).unwrap();
-    ddb.add_dependency(Dependency::functional("fd", price, 2, &[0]).unwrap())
-        .unwrap();
+    let fd = DependencyDump::functional("fd", "Price", 2, &[0]).unwrap();
+    for op in [
+        Write::DeclareAttribute("Part".into()),
+        Write::DeclareAttribute("Cost".into()),
+        Write::DeclareTypedRelation("Price".into(), vec!["Part".into(), "Cost".into()]),
+        Write::AddDependency(fd),
+    ] {
+        ddb.apply(op).unwrap();
+    }
     for k in 0..ITEMS {
         ddb.db_mut().theory_mut().constant(&k.to_string());
     }

@@ -7,8 +7,10 @@
 use std::net::SocketAddr;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+use winslett::db::persist::DependencyDump;
 use winslett::db::{
-    DbError, DbOptions, DurableDatabase, LogicalDatabase, MemStorage, SyncPolicy, WalOptions,
+    apply_op, DbError, DbOptions, DurableDatabase, LogicalDatabase, MemStorage, Op, SyncPolicy,
+    WalOptions,
 };
 use winslett_serve::{Client, CompactionPolicy, Server, ServerOptions};
 
@@ -149,6 +151,103 @@ fn compaction_installs_and_checkpoints_under_overlapping_transactions() {
         DurableDatabase::open(shut_down(running), DbOptions::default(), wal_options())
             .expect("reopen");
     assert_eq!(report.rolled_back, 0);
+    let recovered: Vec<_> = probes
+        .iter()
+        .map(|wff| verdict(reopened.db_mut(), wff))
+        .collect();
+    assert_eq!(
+        recovered, want,
+        "recovered verdicts differ from the serial replay"
+    );
+}
+
+/// A relation typed by two attributes under a functional dependency,
+/// declared over the wire: every round compacts a theory carrying GUA's
+/// Step 5–6 axiom instances, and its answers must not move.
+#[test]
+fn compaction_of_an_fd_typed_relation_matches_serial_replay() {
+    let running = boot(ServerOptions {
+        compaction: Some(eager_compaction()),
+        ..ServerOptions::default()
+    });
+    let mut c = Client::connect(running.addr).expect("connect");
+    let setup = vec![
+        Op::DeclareRelation("Flag".into(), 1),
+        Op::DeclareAttribute("Part".into()),
+        Op::DeclareAttribute("Cost".into()),
+        Op::DeclareTypedRelation("Price".into(), vec!["Part".into(), "Cost".into()]),
+        Op::AddDependency(DependencyDump::functional("fd", "Price", 2, &[0]).expect("fd")),
+    ];
+    for op in &setup {
+        c.write(op.clone()).expect("setup write");
+    }
+    let mut units: Vec<(u64, Vec<String>)> = Vec::new();
+    let src = "INSERT Flag(0) | Flag(1) WHERE T".to_owned();
+    units.push((c.execute(&src).expect("flag").lsn, vec![src]));
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut laps = 0;
+    let stats = loop {
+        let k = laps;
+        let src = format!("INSERT Price({k},10) | Price({k},12) WHERE Flag({})", k % 2);
+        units.push((c.execute(&src).expect("priced insert").lsn, vec![src]));
+        c.begin().expect("begin");
+        let mut stmts = Vec::new();
+        txn_exec(
+            &mut c,
+            format!("MODIFY Price({k},10) TO BE Price({k},11) WHERE T"),
+            &mut stmts,
+        );
+        txn_exec(
+            &mut c,
+            format!("DELETE Price({k},12) WHERE Flag(0)"),
+            &mut stmts,
+        );
+        units.push((c.commit().expect("commit").lsn, stmts));
+        laps += 1;
+        let stats = c.stats().expect("stats");
+        if (laps >= 6 && stats.compactions >= 2) || Instant::now() > deadline {
+            break stats;
+        }
+    };
+    assert!(stats.compactions > 0, "compactor never installed");
+    assert_eq!(stats.compaction_aborts, 0, "a swap was refused");
+
+    let mut replay = LogicalDatabase::new();
+    for op in &setup {
+        apply_op(&mut replay, op).expect("setup replays");
+    }
+    units.sort_by_key(|(lsn, _)| *lsn);
+    for src in units.iter().flat_map(|(_, stmts)| stmts) {
+        replay.execute(src).expect("serial replay");
+    }
+    let probes: Vec<String> = (0..laps)
+        .flat_map(|k| {
+            let cost = |v| format!("Price({k},{v})");
+            [
+                cost(10),
+                cost(11),
+                cost(12),
+                format!("Part({k})"),
+                format!("Flag({})", k % 2),
+            ]
+        })
+        .collect();
+    let want: Vec<_> = probes.iter().map(|wff| verdict(&mut replay, wff)).collect();
+    let served: Vec<_> = probes
+        .iter()
+        .map(|wff| {
+            c.check(wff)
+                .map_or((false, false), |t| (t.certain, t.possible))
+        })
+        .collect();
+    assert_eq!(
+        served, want,
+        "served verdicts differ from the serial replay"
+    );
+    drop(c);
+    let (mut reopened, _) =
+        DurableDatabase::open(shut_down(running), DbOptions::default(), wal_options())
+            .expect("reopen");
     let recovered: Vec<_> = probes
         .iter()
         .map(|wff| verdict(reopened.db_mut(), wff))

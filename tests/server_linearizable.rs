@@ -25,9 +25,10 @@ use std::net::SocketAddr;
 use std::sync::{Arc, Barrier};
 use std::thread::JoinHandle;
 use std::time::Duration;
+use winslett::db::persist::DependencyDump;
 use winslett::db::{
-    replay_updates, DbError, DbOptions, DurableDatabase, LogicalDatabase, MemStorage, SyncPolicy,
-    WalOptions,
+    apply_op, replay_updates, DbError, DbOptions, DurableDatabase, LogicalDatabase, MemStorage, Op,
+    SyncPolicy, WalOptions,
 };
 use winslett_serve::{Client, Replica, ReplicaHandle, ReplicaOptions, Server, ServerOptions};
 
@@ -48,6 +49,37 @@ const PROBES: &[&str] = &["R(1)", "S(1)"];
 
 /// Writes acknowledged before the concurrent phase (the two declares).
 const SETUP_WRITES: u64 = 2;
+
+/// The setup writes of the untyped pool: `R/1` and `S/1`.
+fn untyped_setup() -> Vec<Op> {
+    let relation = |name: &str| Op::DeclareRelation(name.into(), 1);
+    vec![relation("R"), relation("S")]
+}
+
+/// A relation typed by two attributes under a functional dependency,
+/// declared over the wire, so the served writer runs GUA Steps 2′ and
+/// 5–7.
+fn priced_setup() -> Vec<Op> {
+    let fd = DependencyDump::functional("fd", "Price", 2, &[0]).expect("fd");
+    vec![
+        Op::DeclareAttribute("Part".into()),
+        Op::DeclareAttribute("Cost".into()),
+        Op::DeclareTypedRelation("Price".into(), vec!["Part".into(), "Cost".into()]),
+        Op::AddDependency(fd),
+    ]
+}
+
+/// FD-coupled writes that keep the theory consistent in any order.
+const PRICED_POOL: &[&str] = &[
+    "INSERT Price(a,10) WHERE !Price(a,12)",
+    "INSERT Price(a,12) | Price(a,10) WHERE T",
+    "DELETE Price(a,10) WHERE T",
+    "MODIFY Price(a,12) TO BE Price(a,10) WHERE T",
+    "INSERT Price(b,12) WHERE T",
+    "DELETE Price(b,12) WHERE Price(a,10)",
+];
+
+const PRICED_PROBES: &[&str] = &["Price(a,10)", "Price(a,12)", "Part(a)", "Price(b,12)"];
 
 fn boot() -> (JoinHandle<Result<MemStorage, DbError>>, SocketAddr) {
     boot_on(([127, 0, 0, 1], 0).into(), MemStorage::new())
@@ -87,15 +119,20 @@ struct PinnedRead {
     truths: Vec<Option<(bool, bool)>>,
 }
 
-/// Replays the first `prefix` acknowledged updates in LSN order through
-/// the §4 path and returns a queryable database.
-fn replayed_prefix(sources: &[&str], prefix: usize) -> LogicalDatabase {
+/// Replays the setup, then the first `prefix` acknowledged updates in
+/// LSN order (§3.5-widened, as the server executes them) through the §4
+/// path, and returns a queryable database.
+fn replayed_prefix(setup: &[Op], sources: &[&str], prefix: usize) -> LogicalDatabase {
     let mut parse_db = LogicalDatabase::new();
-    parse_db.declare_relation("R", 1).expect("declare R");
-    parse_db.declare_relation("S", 1).expect("declare S");
+    for op in setup {
+        apply_op(&mut parse_db, op).expect("setup replays");
+    }
     let updates: Vec<_> = sources[..prefix]
         .iter()
-        .map(|src| parse_db.parse_update(src).expect("parse acked update"))
+        .map(|src| {
+            let update = parse_db.parse_update(src).expect("parse acked update");
+            parse_db.effective_update(&update)
+        })
         .collect();
     let theory = replay_updates(parse_db.theory(), &updates).expect("replay acked updates");
     LogicalDatabase::from_theory(theory, DbOptions::default())
@@ -105,13 +142,23 @@ fn world_set(db: &LogicalDatabase) -> BTreeSet<Vec<String>> {
     db.world_names().expect("worlds").into_iter().collect()
 }
 
-/// Runs one full scenario; returns nothing, panics on any violation.
-fn run_scenario(writer_scripts: Vec<Vec<usize>>, readers: usize) {
+/// Runs one full scenario: the `setup` writes, then `writer_scripts` of
+/// `pool` statements against `readers` pinned readers of `probes`.
+/// Returns nothing, panics on any violation.
+fn run_scenario(
+    setup_ops: &[Op],
+    pool: &'static [&'static str],
+    probes: &'static [&'static str],
+    writer_scripts: Vec<Vec<usize>>,
+    readers: usize,
+) {
     let (running, addr) = boot();
 
     let mut setup = Client::connect(addr).expect("connect setup");
-    setup.declare_relation("R", 1).expect("declare R");
-    setup.declare_relation("S", 1).expect("declare S");
+    for op in setup_ops {
+        setup.write(op.clone()).expect("setup write");
+    }
+    let setup_writes = setup_ops.len() as u64;
 
     let barrier = Arc::new(Barrier::new(writer_scripts.len() + readers));
     let mut writer_handles = Vec::new();
@@ -122,7 +169,7 @@ fn run_scenario(writer_scripts: Vec<Vec<usize>>, readers: usize) {
             barrier.wait();
             let mut acked: Vec<(u64, usize)> = Vec::new();
             for idx in script {
-                let reply = client.execute(POOL[idx]).expect("execute");
+                let reply = client.execute(pool[idx]).expect("execute");
                 acked.push((reply.lsn, idx));
             }
             acked
@@ -138,7 +185,7 @@ fn run_scenario(writer_scripts: Vec<Vec<usize>>, readers: usize) {
             for _ in 0..3 {
                 let pin = client.pin().expect("pin");
                 let mut truths = Vec::new();
-                for probe in PROBES {
+                for probe in probes {
                     match client.check(probe) {
                         Ok(t) => {
                             assert_eq!(
@@ -181,12 +228,12 @@ fn run_scenario(writer_scripts: Vec<Vec<usize>>, readers: usize) {
     let storage = running.join().expect("server thread").expect("run");
 
     // The acknowledged LSNs are the serialization witness: unique and
-    // contiguous after the two setup declares.
+    // contiguous after the setup writes.
     acked.sort();
     let lsns: Vec<u64> = acked.iter().map(|&(lsn, _)| lsn).collect();
-    let expected: Vec<u64> = (SETUP_WRITES..SETUP_WRITES + acked.len() as u64).collect();
+    let expected: Vec<u64> = (setup_writes..setup_writes + acked.len() as u64).collect();
     assert_eq!(lsns, expected, "acked LSNs must be a contiguous sequence");
-    let sources: Vec<&str> = acked.iter().map(|&(_, idx)| POOL[idx]).collect();
+    let sources: Vec<&str> = acked.iter().map(|&(_, idx)| pool[idx]).collect();
 
     // (1) Final state == serial replay of the acked updates in LSN order.
     // Reopening from the returned storage also proves the group-commit
@@ -195,7 +242,7 @@ fn run_scenario(writer_scripts: Vec<Vec<usize>>, readers: usize) {
         DurableDatabase::open(storage, DbOptions::default(), WalOptions::default())
             .expect("reopen");
     assert_eq!(report.truncated, None, "shutdown must not tear the WAL");
-    let serial = replayed_prefix(&sources, sources.len());
+    let serial = replayed_prefix(setup_ops, &sources, sources.len());
     assert_eq!(
         world_set(reopened.db()),
         world_set(&serial),
@@ -204,10 +251,10 @@ fn run_scenario(writer_scripts: Vec<Vec<usize>>, readers: usize) {
 
     // (2) Every pinned read saw exactly the LSN-prefix state it pinned.
     for read in &reads {
-        assert!(read.updates_applied >= SETUP_WRITES);
-        let prefix = (read.updates_applied - SETUP_WRITES) as usize;
-        let mut at_pin = replayed_prefix(&sources, prefix);
-        for (probe, got) in PROBES.iter().zip(&read.truths) {
+        assert!(read.updates_applied >= setup_writes);
+        let prefix = (read.updates_applied - setup_writes) as usize;
+        let mut at_pin = replayed_prefix(setup_ops, &sources, prefix);
+        for (probe, got) in probes.iter().zip(&read.truths) {
             let want = match (at_pin.is_possible(probe), at_pin.is_certain(probe)) {
                 (Ok(p), Ok(c)) => Some((p, c)),
                 _ => None,
@@ -231,7 +278,7 @@ proptest! {
         ),
         readers in 1..3usize,
     ) {
-        run_scenario(writer_scripts, readers);
+        run_scenario(&untyped_setup(), POOL, PROBES, writer_scripts, readers);
     }
 }
 
@@ -240,7 +287,15 @@ proptest! {
 #[test]
 fn dense_interleaving_linearizes() {
     let scripts = vec![vec![0, 1, 2, 3], vec![4, 5, 6, 0], vec![2, 1, 0, 5]];
-    run_scenario(scripts, 2);
+    run_scenario(&untyped_setup(), POOL, PROBES, scripts, 2);
+}
+
+/// The same witness with the §3.5 axioms on the served path: a typed
+/// relation under an FD, declared over the wire, and FD-coupled writers.
+#[test]
+fn fd_typed_relation_linearizes_over_the_wire() {
+    let scripts = vec![vec![0, 1, 2, 3], vec![4, 5, 0, 1], vec![3, 2, 5, 4]];
+    run_scenario(&priced_setup(), PRICED_POOL, PRICED_PROBES, scripts, 2);
 }
 
 // ----- cross-replica consistency --------------------------------------------
@@ -349,7 +404,7 @@ fn assert_read_matches_prefix(sources: &[&str], read: &ReplicaRead) {
         "replica pinned lsn {} beyond the acknowledged history",
         read.last_lsn
     );
-    let mut at_pin = replayed_prefix(sources, prefix);
+    let mut at_pin = replayed_prefix(&untyped_setup(), sources, prefix);
     for (probe, got) in PROBES.iter().zip(&read.truths) {
         let want = match (at_pin.is_possible(probe), at_pin.is_certain(probe)) {
             (Ok(p), Ok(c)) => Some((p, c)),
@@ -717,9 +772,11 @@ fn follower_reconnect_while_holding_intents_never_exposes_them() {
         );
     }
     on_replica.unpin().expect("unpin");
-    // R(2) reached the follower, so it resubscribed; it did so from its
-    // cursor, still holding the intents, not from a snapshot.
+    // R(2) reached the follower, so it resubscribed, and counted it; it
+    // did so from its cursor, still holding the intents, not from a
+    // snapshot.
     let stats = on_replica.stats().expect("replica stats");
+    assert!(stats.replica_reconnects >= 1, "{stats:?}");
     assert_eq!(stats.replica_snapshots_loaded, 0, "{stats:?}");
 
     drop(on_replica);

@@ -6,7 +6,7 @@ use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::thread::JoinHandle;
 use std::time::Duration;
-use winslett::db::{DbError, DbOptions, MemStorage, WalOptions};
+use winslett::db::{DbError, DbOptions, MemStorage, Op, UpdateDump, WalOptions};
 use winslett_core::wal::crc32;
 use winslett_serve::protocol::{recv, write_frame};
 use winslett_serve::{Client, ClientError, ErrorKindWire, Response, Server, ServerOptions};
@@ -131,6 +131,35 @@ fn unknown_request_kind_keeps_connection_usable() {
     write_frame(&mut raw, br#""Ping""#).expect("send ping");
     let resp: Response = recv(&mut raw).expect("pong");
     assert_eq!(resp, Response::Pong);
+    shut_down(running);
+}
+
+/// `Apply` is the log's form of an `Execute`, and its parse admits
+/// GUA's predicate constants: a client sending it gets a typed
+/// `BadRequest`, inside a transaction too, and nothing is journaled.
+#[test]
+fn wire_apply_is_refused_as_a_bad_request() {
+    let running = boot(default_options());
+    let mut c = Client::connect(running.addr).expect("connect");
+    c.declare_relation("R", 1).expect("declare");
+    let mut raw = TcpStream::connect(running.addr).expect("connect raw");
+    write_frame(&mut raw, br#"{"Apply":{"Insert":["R(1)","T"]}}"#).expect("send");
+    match recv::<Response>(&mut raw).expect("typed error expected") {
+        Response::Error(e) => assert_eq!(e.kind, ErrorKindWire::BadRequest),
+        other => panic!("expected error, got {other:?}"),
+    }
+    let apply = || Op::Apply(UpdateDump::Insert("__p0_R_1_".into(), "T".into()));
+    let refused = |r: Result<_, ClientError>| match r {
+        Err(ClientError::Server(e)) => assert_eq!(e.kind, ErrorKindWire::BadRequest),
+        other => panic!("expected BadRequest, got {other:?}"),
+    };
+    refused(c.write(apply()));
+    c.begin().expect("begin");
+    refused(c.write(apply()));
+    c.commit().expect("commit");
+    let stats = c.stats().expect("stats");
+    assert_eq!((stats.next_lsn, stats.updates), (3, 1), "{stats:?}");
+    drop((raw, c));
     shut_down(running);
 }
 

@@ -25,13 +25,12 @@ use std::net::SocketAddr;
 use std::sync::{Arc, Barrier};
 use std::thread::JoinHandle;
 use std::time::Duration;
+use winslett::db::persist::DependencyDump;
 use winslett::db::wal::FailpointStorage;
 use winslett::db::{
-    replay_updates, DbError, DbOptions, DurableDatabase, LogicalDatabase, MemStorage, Storage,
+    replay_updates, DbError, DbOptions, DurableDatabase, LogicalDatabase, MemStorage, Op, Storage,
     SyncPolicy, WalOptions,
 };
-use winslett::logic::PredId;
-use winslett::theory::Dependency;
 use winslett_serve::{Client, ClientError, ErrorKindWire, Server, ServerOptions};
 
 /// The statement pool: consistent-by-construction LDML over a tiny
@@ -230,26 +229,23 @@ fn apply_top<S: Storage>(
     slots: &mut [Option<u64>],
     op: &TOp,
 ) -> Result<(), DbError> {
-    // The script declares a predicate before naming it, and a run stops
-    // at its first failed op, so the lookup cannot miss.
-    let pred = |ddb: &DurableDatabase<S>, name: &str| -> PredId {
-        ddb.db()
-            .theory()
-            .vocab
-            .find_predicate(name)
-            .expect("declared earlier in the script")
-    };
     match op {
         TOp::Declare(name, arity) => ddb.declare_relation(name, *arity).map(|_| ()),
-        TOp::DeclareAttribute(name) => ddb.declare_attribute(name).map(|_| ()),
+        TOp::DeclareAttribute(name) => ddb.apply(Op::DeclareAttribute(name.to_string())).map(drop),
         TOp::DeclareTyped(name, attrs) => {
-            let attrs: Vec<PredId> = attrs.iter().map(|a| pred(ddb, a)).collect();
-            ddb.declare_typed_relation(name, &attrs).map(|_| ())
+            let attrs = attrs.iter().map(|a| a.to_string()).collect();
+            ddb.apply(Op::DeclareTypedRelation(name.to_string(), attrs))
+                .map(drop)
         }
         TOp::AddFd(name, key) => {
-            let p = pred(ddb, name);
-            let arity = ddb.db().theory().vocab.predicate(p).arity;
-            ddb.add_dependency(Dependency::functional("fd", p, arity, key)?)
+            // The script declares a relation before naming it, and a run
+            // stops at its first failed op, so the lookup cannot miss.
+            let vocab = &ddb.db().theory().vocab;
+            let p = vocab
+                .find_predicate(name)
+                .expect("declared earlier in the script");
+            let fd = DependencyDump::functional("fd", name, vocab.predicate(p).arity, key)?;
+            ddb.apply(Op::AddDependency(fd)).map(drop)
         }
         TOp::Load(pred, args) => ddb.load_fact(pred, args).map(|_| ()),
         TOp::Exec(src) => ddb.execute(src).map(|_| ()),

@@ -1,6 +1,6 @@
 //! Wire-level multi-statement transactions, end to end.
 //!
-//! `Begin` / `Commit` / `Rollback` group Execute/Declare/Load requests on
+//! `Begin` / `Commit` / `Rollback` group `Write` requests on
 //! one connection into an atomic, isolated unit: effects are invisible to
 //! every other connection until the commit marker lands, and a rollback
 //! (or any abort path) leaves no trace. Transactions with disjoint
@@ -10,20 +10,26 @@
 //! against the epoll reactor, whose writer thread parks contended
 //! statements and retries them until their deadline.
 
-use std::time::Duration;
-use winslett_core::{DbOptions, DurableDatabase, MemStorage, SyncPolicy, WalOptions};
+use std::time::{Duration, Instant};
+use winslett_core::persist::DependencyDump;
+use winslett_core::{
+    apply_op, DbOptions, DurableDatabase, LogicalDatabase, MemStorage, Op, SyncPolicy, WalOptions,
+};
 use winslett_serve::{Client, ClientError, ErrorKindWire, Server, ServerHandle, ServerOptions};
 
-fn boot(
+type Running = std::thread::JoinHandle<Result<MemStorage, winslett_core::DbError>>;
+
+fn boot(lock_timeout: Duration) -> (Running, ServerHandle, std::net::SocketAddr) {
+    boot_on(MemStorage::new(), lock_timeout)
+}
+
+fn boot_on(
+    storage: MemStorage,
     lock_timeout: Duration,
-) -> (
-    std::thread::JoinHandle<Result<MemStorage, winslett_core::DbError>>,
-    ServerHandle,
-    std::net::SocketAddr,
-) {
+) -> (Running, ServerHandle, std::net::SocketAddr) {
     let (server, _report) = Server::bind(
         ("127.0.0.1", 0),
-        MemStorage::new(),
+        storage,
         DbOptions::default(),
         WalOptions {
             policy: SyncPolicy::GroupCommit(4),
@@ -403,4 +409,178 @@ fn drain_aborts_open_transactions() {
 #[test]
 fn drain_aborts_open_transactions_reactor() {
     drain_aborts_open_transactions();
+}
+
+// ----- §3.5 axioms under the lock table ----------------------------------------
+
+/// `Price/2` under a functional dependency on column 0, holding
+/// `Price(a,10)`.
+fn priced_seed() -> Vec<Op> {
+    let fd = DependencyDump::functional("fd", "Price", 2, &[0]).expect("fd");
+    vec![
+        Op::DeclareRelation("Price".into(), 2),
+        Op::AddDependency(fd),
+        Op::LoadFact("Price".into(), vec!["a".into(), "10".into()]),
+    ]
+}
+
+const PRICE_PROBES: [&str; 3] = ["Price(a,10)", "Price(a,12)", "Price(a,10) | Price(a,12)"];
+
+/// Every probe's `(possible, certain)` verdict on `db`.
+fn verdicts(db: &mut LogicalDatabase) -> Vec<(bool, bool)> {
+    let verdict = |db: &mut LogicalDatabase, p| (db.is_possible(p), db.is_certain(p));
+    PRICE_PROBES
+        .iter()
+        .map(|p| match verdict(db, p) {
+            (Ok(possible), Ok(certain)) => (possible, certain),
+            other => panic!("verdict on {p}: {other:?}"),
+        })
+        .collect()
+}
+
+/// Shuts the server down and checks its final served verdicts against
+/// both the reopened storage and the §4 serial replay of the seed and
+/// the acknowledged units in LSN order.
+fn assert_final_state(
+    running: Running,
+    mut client: Client,
+    seed: &[Op],
+    mut acked: Vec<(u64, &str)>,
+) -> Vec<(bool, bool)> {
+    let served: Vec<(bool, bool)> = PRICE_PROBES
+        .iter()
+        .map(|p| {
+            client
+                .check(p)
+                .map(|t| (t.possible, t.certain))
+                .expect("check")
+        })
+        .collect();
+    client.shutdown().expect("shutdown");
+    let storage = running.join().expect("server thread").expect("run");
+    let (mut reopened, _) =
+        DurableDatabase::open(storage, DbOptions::default(), WalOptions::default())
+            .expect("reopen");
+    assert_eq!(served, verdicts(reopened.db_mut()), "served vs reopened");
+    let mut replay = LogicalDatabase::new();
+    for op in seed {
+        apply_op(&mut replay, op).expect("seed replays");
+    }
+    acked.sort_by_key(|(lsn, _)| *lsn);
+    for (_, src) in acked {
+        replay.execute(src).expect("acknowledged unit replays");
+    }
+    assert_eq!(served, verdicts(&mut replay), "served vs serial replay");
+    served
+}
+
+/// Serves the priced seed from storage the library wrote.
+fn boot_priced(lock_timeout: Duration) -> (Running, std::net::SocketAddr) {
+    let (mut db, _) = DurableDatabase::open(
+        MemStorage::new(),
+        DbOptions::default(),
+        WalOptions::default(),
+    )
+    .expect("open");
+    for op in priced_seed() {
+        db.apply(op).expect("seed");
+    }
+    let (running, _handle, addr) = boot_on(db.close().expect("close"), lock_timeout);
+    (running, addr)
+}
+
+/// A plain write into a predicate an FD constrains collides with an open
+/// transaction's write into the same predicate, although their atoms
+/// differ: rule 3 couples them, so commit order must be their order.
+/// Admitting it let the live state replay the two in an order the log
+/// does not, and recovery reached a different state.
+#[test]
+fn fd_coupled_plain_write_conflicts_with_an_open_transaction() {
+    let (running, addr) = boot_priced(Duration::from_secs(2));
+    let mut txn_conn = Client::connect(addr).expect("connect");
+    let mut plain = Client::connect(addr).expect("connect plain");
+    txn_conn.begin().expect("begin");
+    let delete = "DELETE Price(a,10) WHERE T";
+    assert_eq!(txn_conn.execute(delete).expect("txn delete").lsn, 4);
+    let insert = "INSERT Price(a,12) WHERE T";
+    assert_eq!(
+        kind_of(plain.execute(insert).unwrap_err()),
+        ErrorKindWire::TxnConflict
+    );
+    let committed = txn_conn.commit().expect("commit");
+    // Once the transaction is gone, the same write is admitted after it.
+    let retried = plain.execute(insert).expect("retry after commit");
+    assert!(retried.lsn > committed.lsn);
+    let acked = vec![(committed.lsn, delete), (retried.lsn, insert)];
+    let served = assert_final_state(running, plain, &priced_seed(), acked);
+    assert_eq!(served, [(false, false), (true, true), (true, true)]);
+}
+
+/// Two transactions writing FD-coupled atoms: the second one's statement
+/// waits for the first one's commit, and commit order is the serial order.
+#[test]
+fn fd_coupled_transaction_waits_for_the_first_commit() {
+    let (running, addr) = boot_priced(Duration::from_secs(5));
+    let mut first = Client::connect(addr).expect("connect first");
+    first.begin().expect("begin first");
+    first.execute("DELETE Price(a,10) WHERE T").expect("delete");
+    let second = std::thread::spawn(move || {
+        let mut second = Client::connect(addr).expect("connect second");
+        second.begin().expect("begin second");
+        second
+            .execute("INSERT Price(a,12) WHERE T")
+            .expect("insert");
+        second.commit().expect("commit second")
+    });
+    await_parked(&mut first);
+    let committed = first.commit().expect("commit first");
+    let later = second.join().expect("second thread");
+    assert!(later.lsn > committed.lsn);
+    assert_eq!(first.stats().expect("stats").lock_waits, 1);
+    let acked = vec![
+        (committed.lsn, "DELETE Price(a,10) WHERE T"),
+        (later.lsn, "INSERT Price(a,12) WHERE T"),
+    ];
+    let served = assert_final_state(running, first, &priced_seed(), acked);
+    assert_eq!(served, [(false, false), (true, true), (true, true)]);
+}
+
+/// Returns once some statement has parked behind a held lock.
+fn await_parked(client: &mut Client) {
+    let start = Instant::now();
+    while client.stats().expect("stats").lock_waits == 0 {
+        assert!(start.elapsed() < Duration::from_secs(10), "nothing parked");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// `lock_waits` counts statements that had to wait, not the writer's
+/// retries: one statement parked for about 100 ms is one wait.
+#[test]
+fn a_parked_statement_counts_one_lock_wait() {
+    let (running, _handle, addr) = boot(Duration::from_secs(5));
+    let mut holder = Client::connect(addr).expect("connect holder");
+    holder.declare_relation("R", 1).expect("declare R");
+    holder.begin().expect("begin holder");
+    holder
+        .execute("INSERT R(1) WHERE T")
+        .expect("holder insert");
+    let waiter = std::thread::spawn(move || {
+        let mut waiter = Client::connect(addr).expect("connect waiter");
+        waiter.begin().expect("begin waiter");
+        waiter
+            .execute("DELETE R(1) WHERE T")
+            .expect("parked delete");
+        waiter.commit().expect("commit waiter");
+    });
+    await_parked(&mut holder);
+    // The writer retries a parked statement every few milliseconds.
+    std::thread::sleep(Duration::from_millis(100));
+    holder.commit().expect("commit holder");
+    waiter.join().expect("waiter thread");
+    let stats = holder.stats().expect("stats");
+    assert_eq!(stats.lock_waits, 1, "{stats:?}");
+    assert_eq!(stats.txn_committed, 2);
+    holder.shutdown().expect("shutdown");
+    running.join().expect("server thread").expect("run");
 }

@@ -14,12 +14,12 @@
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
+use winslett::db::persist::DependencyDump;
 use winslett::db::wal::{
     DurableDatabase, FailpointStorage, MemStorage, Storage, SyncPolicy, WalOptions,
 };
 use winslett::db::{DbOptions, LogicalDatabase};
-use winslett::logic::{ModelLimit, PredId};
-use winslett::theory::Dependency;
+use winslett::logic::ModelLimit;
 use winslett::worlds::WorldsEngine;
 
 /// One scripted operation against a durable database.
@@ -40,26 +40,26 @@ fn apply_op<S: Storage>(
     ddb: &mut DurableDatabase<S>,
     op: &Op,
 ) -> Result<(), winslett::db::DbError> {
-    // Scripts declare a predicate before naming it, and a run stops at
-    // its first failed op, so the lookup cannot miss.
-    let pred = |ddb: &DurableDatabase<S>, name: &str| -> PredId {
-        ddb.db()
-            .theory()
-            .vocab
-            .find_predicate(name)
-            .expect("declared earlier in the script")
-    };
+    use winslett::db::Op as Write;
     match op {
         Op::DeclareRelation(name, arity) => ddb.declare_relation(name, *arity).map(|_| ()),
-        Op::DeclareAttribute(name) => ddb.declare_attribute(name).map(|_| ()),
+        Op::DeclareAttribute(name) => ddb
+            .apply(Write::DeclareAttribute(name.to_string()))
+            .map(drop),
         Op::DeclareTypedRelation(name, attrs) => {
-            let attrs: Vec<PredId> = attrs.iter().map(|a| pred(ddb, a)).collect();
-            ddb.declare_typed_relation(name, &attrs).map(|_| ())
+            let attrs = attrs.iter().map(|a| a.to_string()).collect();
+            ddb.apply(Write::DeclareTypedRelation(name.to_string(), attrs))
+                .map(drop)
         }
         Op::AddFd(name, key) => {
-            let p = pred(ddb, name);
-            let arity = ddb.db().theory().vocab.predicate(p).arity;
-            ddb.add_dependency(Dependency::functional("fd", p, arity, key)?)
+            // Scripts declare a relation before naming it, and a run
+            // stops at its first failed op, so the lookup cannot miss.
+            let vocab = &ddb.db().theory().vocab;
+            let p = vocab
+                .find_predicate(name)
+                .expect("declared earlier in the script");
+            let fd = DependencyDump::functional("fd", name, vocab.predicate(p).arity, key)?;
+            ddb.apply(Write::AddDependency(fd)).map(drop)
         }
         Op::LoadFact(pred, args) => ddb.load_fact(pred, args).map(|_| ()),
         Op::Exec(src) => ddb.execute(src).map(|_| ()),
