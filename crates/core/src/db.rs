@@ -169,10 +169,17 @@ impl LogicalDatabase {
 
     /// Loads an arbitrary ground wff into the non-axiomatic section
     /// (initial state — e.g. disjunctive information), parsed permissively
-    /// for constants but strictly for predicates.
+    /// for constants but strictly for predicates. Each tuple of a typed
+    /// relation the wff mentions brings its §3.5 type-axiom instance
+    /// `P(c⃗) → A₁(c₁) ∧ … ∧ Aₙ(cₙ)`, so the theory stays legal.
     pub fn load_wff(&mut self, src: &str) -> Result<(), DbError> {
         let wff = self.engine.parse_wff(src)?;
         self.engine.theory.assert_wff(&wff);
+        for atom in wff.atom_set() {
+            if let Some(instance) = self.engine.theory.type_axiom_instance(atom) {
+                self.engine.theory.assert_wff(&instance);
+            }
+        }
         Ok(())
     }
 
@@ -538,6 +545,31 @@ mod tests {
         assert!(db
             .is_certain("Orders(701,33,5) | Orders(701,34,5)")
             .unwrap());
+    }
+
+    /// `Price(Part, Cost)`, typed by two attributes.
+    fn priced_db() -> LogicalDatabase {
+        let mut db = LogicalDatabase::new();
+        let part = db.declare_attribute("Part").unwrap();
+        let cost = db.declare_attribute("Cost").unwrap();
+        db.declare_typed_relation("Price", &[part, cost]).unwrap();
+        db
+    }
+
+    #[test]
+    fn load_wff_keeps_the_type_axiom() {
+        let mut db = priced_db();
+        db.load_wff("Price(gear,10)").unwrap();
+        assert!(db.is_certain("Part(gear)").unwrap());
+        assert!(db.is_certain("Cost(10)").unwrap());
+
+        let mut db = priced_db();
+        db.load_wff("Price(gear,11) | Price(gear,12)").unwrap();
+        assert!(db.is_certain("Part(gear)").unwrap());
+        assert!(db.is_possible("Cost(11)").unwrap());
+        assert!(!db.is_certain("Cost(11)").unwrap());
+        assert!(db.is_certain("Price(gear,11) -> Cost(11)").unwrap());
+        db.engine.theory.check_axioms_redundant().unwrap();
     }
 
     #[test]

@@ -2187,6 +2187,32 @@ mod tests {
     }
 
     #[test]
+    fn a_typed_wff_recovers_with_its_type_axiom_instances() {
+        let (mut ddb, _) =
+            DurableDatabase::open(MemStorage::new(), DbOptions::default(), opts_nocompact())
+                .unwrap();
+        for op in [
+            Op::DeclareAttribute("Part".into()),
+            Op::DeclareAttribute("Cost".into()),
+            Op::DeclareTypedRelation("Price".into(), vec!["Part".into(), "Cost".into()]),
+            Op::LoadWff("Price(gear,10) | Price(gear,12)".into()),
+        ] {
+            ddb.apply(op).unwrap();
+        }
+        let live = world_set(ddb.db());
+        assert!(live.iter().all(|w| w.contains(&"Part(gear)".to_string())));
+        let (recovered, report) = reopen(ddb.into_storage());
+        assert_eq!(report.replay_error, None);
+        assert_eq!(world_set(recovered.db()), live);
+        let mut recovered = recovered;
+        assert!(recovered.db_mut().is_certain("Part(gear)").unwrap());
+        assert!(recovered
+            .db_mut()
+            .is_certain("Price(gear,10) -> Cost(10)")
+            .unwrap());
+    }
+
+    #[test]
     fn dependencies_and_wffs_are_journaled() {
         let (mut ddb, _) =
             DurableDatabase::open(MemStorage::new(), DbOptions::default(), opts_nocompact())

@@ -58,7 +58,10 @@ pub struct SimplifyReport {
     pub formulas_before: usize,
     /// Live formulas after.
     pub formulas_after: usize,
-    /// Unit literals propagated.
+    /// Unit-propagation work: the number of (formula, unit atom) pairs
+    /// substituted, plus the literals forced-literal extraction split out
+    /// of small formulas. A count of work, not of output: two passes that
+    /// store the same section may report different counts.
     pub units_propagated: usize,
     /// Predicate constants eliminated (pure or confined).
     pub pcs_eliminated: usize,
@@ -130,6 +133,9 @@ pub fn simplify(theory: &mut Theory, level: SimplifyLevel) -> SimplifyReport {
                 break 'rounds;
             }
             if !units.is_empty() {
+                // One walk finds the units a formula mentions; one
+                // simultaneous assignment then rewrites it.
+                let mut hits: Vec<AtomId> = Vec::new();
                 let mut next: Vec<Wff> = Vec::with_capacity(wffs.len());
                 for w in wffs.drain(..) {
                     let unit_shape = matches!(&w, Formula::Atom(_))
@@ -138,14 +144,21 @@ pub fn simplify(theory: &mut Theory, level: SimplifyLevel) -> SimplifyReport {
                         next.push(w);
                         continue;
                     }
-                    let mut rewritten = w.clone();
-                    for (&a, &v) in &units {
-                        if rewritten.contains_atom(a) {
-                            rewritten = rewritten.assign(a, v);
-                            report.units_propagated += 1;
-                            changed = true;
+                    hits.clear();
+                    w.for_each_atom(&mut |a| {
+                        if units.contains_key(a) {
+                            hits.push(*a);
                         }
-                    }
+                    });
+                    let rewritten = if hits.is_empty() {
+                        w
+                    } else {
+                        hits.sort_unstable();
+                        hits.dedup();
+                        report.units_propagated += hits.len();
+                        changed = true;
+                        w.assign_with(|a| units.get(a).copied())
+                    };
                     if rewritten != Wff::t() {
                         next.push(rewritten);
                     }
@@ -188,10 +201,11 @@ pub fn simplify(theory: &mut Theory, level: SimplifyLevel) -> SimplifyReport {
 
             // ---- duplicate removal ----------------------------------------
             {
-                let mut seen: FxHashSet<Wff> = FxHashSet::default();
-                let before = wffs.len();
-                wffs.retain(|w| seen.insert(w.clone()));
-                if wffs.len() != before {
+                let mut seen: FxHashSet<&Wff> = FxHashSet::default();
+                let keep: Vec<bool> = wffs.iter().map(|w| seen.insert(w)).collect();
+                if keep.contains(&false) {
+                    let mut keep = keep.into_iter();
+                    wffs.retain(|_| keep.next().unwrap_or(true));
                     changed = true;
                 }
             }
@@ -201,20 +215,18 @@ pub fn simplify(theory: &mut Theory, level: SimplifyLevel) -> SimplifyReport {
             let mut polarity: FxHashMap<AtomId, Polarity> = FxHashMap::default();
             let mut occurrences: FxHashMap<AtomId, usize> = FxHashMap::default();
             for (idx, w) in wffs.iter().enumerate() {
-                for a in w.atom_set() {
+                for (a, p) in w.polarities() {
                     if !is_pc(theory, a) {
                         continue;
                     }
-                    if let Some(p) = w.polarity_of(a) {
-                        polarity
-                            .entry(a)
-                            .and_modify(|q| {
-                                if *q != p {
-                                    *q = Polarity::Both;
-                                }
-                            })
-                            .or_insert(p);
-                    }
+                    polarity
+                        .entry(a)
+                        .and_modify(|q| {
+                            if *q != p {
+                                *q = Polarity::Both;
+                            }
+                        })
+                        .or_insert(p);
                     // Track the single formula index holding the atom, encoded
                     // as idx+1; 0 = multiple.
                     occurrences
@@ -244,12 +256,13 @@ pub fn simplify(theory: &mut Theory, level: SimplifyLevel) -> SimplifyReport {
                 changed = true;
                 let mut next: Vec<Wff> = Vec::with_capacity(wffs.len());
                 for w in wffs.drain(..) {
-                    let mut rewritten = w;
-                    for (&a, &v) in &assigned {
-                        if rewritten.contains_atom(a) {
-                            rewritten = rewritten.assign(a, v);
-                        }
-                    }
+                    let mut mentioned = false;
+                    w.for_each_atom(&mut |a| mentioned |= assigned.contains_key(a));
+                    let rewritten = if mentioned {
+                        w.assign_with(|a| assigned.get(a).copied())
+                    } else {
+                        w
+                    };
                     if rewritten != Wff::t() {
                         next.push(rewritten);
                     }

@@ -258,41 +258,62 @@ impl<A: Copy + Ord> Formula<A> {
         found
     }
 
+    /// Visits every atom leaf with the polarity of that occurrence:
+    /// `Positive` under an even number of negations, `Negative` under an
+    /// odd number, and `Both` anywhere inside `↔`. The antecedent of `→`
+    /// counts as negated. The one place the polarity rules live.
+    fn for_each_polarity<F: FnMut(A, Polarity)>(&self, f: &mut F) {
+        fn go<A: Copy, F: FnMut(A, Polarity)>(w: &Formula<A>, pol: Polarity, f: &mut F) {
+            match w {
+                Formula::Truth(_) => {}
+                Formula::Atom(x) => f(*x, pol),
+                Formula::Not(x) => go(x, pol.flip(), f),
+                Formula::And(xs) | Formula::Or(xs) => {
+                    for x in xs {
+                        go(x, pol, f);
+                    }
+                }
+                Formula::Implies(l, r) => {
+                    go(l, pol.flip(), f);
+                    go(r, pol, f);
+                }
+                // Each side occurs both positively and negatively.
+                Formula::Iff(l, r) => {
+                    go(l, Polarity::Both, f);
+                    go(r, Polarity::Both, f);
+                }
+            }
+        }
+        go(self, Polarity::Positive, f)
+    }
+
+    /// Occurrence polarity of every distinct atom, in ascending atom order
+    /// (the order of [`Formula::atom_set`]), from one walk.
+    pub fn polarities(&self) -> Vec<(A, Polarity)> {
+        let mut occurrences = Vec::new();
+        self.for_each_polarity(&mut |a, p| occurrences.push((a, p)));
+        occurrences.sort_unstable_by_key(|&(a, _)| a);
+        occurrences.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 = kept.1.join(later.1);
+            }
+            same
+        });
+        occurrences
+    }
+
     /// Occurrence polarity of `a`, or `None` if it does not occur.
     ///
     /// `↔` and the antecedents of `→` mix polarities in the usual way.
     pub fn polarity_of(&self, a: A) -> Option<Polarity> {
-        fn go<A: Copy + Ord>(f: &Formula<A>, a: A, pol: Polarity) -> Option<Polarity> {
-            match f {
-                Formula::Truth(_) => None,
-                Formula::Atom(x) => (*x == a).then_some(pol),
-                Formula::Not(x) => go(x, a, pol.flip()),
-                Formula::And(xs) | Formula::Or(xs) => {
-                    let mut acc: Option<Polarity> = None;
-                    for x in xs {
-                        if let Some(p) = go(x, a, pol) {
-                            acc = Some(acc.map_or(p, |q| q.join(p)));
-                        }
-                    }
-                    acc
-                }
-                Formula::Implies(l, r) => {
-                    let left = go(l, a, pol.flip());
-                    let right = go(r, a, pol);
-                    match (left, right) {
-                        (Some(p), Some(q)) => Some(p.join(q)),
-                        (x, None) => x,
-                        (None, y) => y,
-                    }
-                }
-                Formula::Iff(l, r) => {
-                    // Each side occurs both positively and negatively.
-                    let any = l.contains_atom(a) || r.contains_atom(a);
-                    any.then_some(Polarity::Both)
-                }
+        let mut acc: Option<Polarity> = None;
+        self.for_each_polarity(&mut |x, p| {
+            if x == a {
+                acc = Some(acc.map_or(p, |q| q.join(p)));
             }
-        }
-        go(self, a, Polarity::Positive)
+        });
+        acc
     }
 
     /// Substitutes atom `from` by atom `to` throughout. This is the paper's
@@ -306,14 +327,17 @@ impl<A: Copy + Ord> Formula<A> {
     /// Shannon cofactor used by simplification and predicate-constant
     /// elimination.
     pub fn assign(&self, a: A, value: bool) -> Formula<A> {
-        self.subst_atoms(&mut |x| {
-            if *x == a {
-                Formula::Truth(value)
-            } else {
-                Formula::Atom(*x)
-            }
-        })
-        .fold_constants()
+        self.assign_with(|x| (*x == a).then_some(value))
+    }
+
+    /// Assigns every atom for which `value` answers `Some` that truth value,
+    /// then constant-folds: one substitution walk and one fold, whatever
+    /// the number of atoms assigned. Equal to a chain of
+    /// [`Formula::assign`] calls over the same atoms in any order, because
+    /// folding only drops `Truth` nodes and flattens `∧`/`∨`.
+    pub fn assign_with<F: FnMut(&A) -> Option<bool>>(&self, mut value: F) -> Formula<A> {
+        self.subst_atoms(&mut |x| value(x).map_or(Formula::Atom(*x), Formula::Truth))
+            .fold_constants()
     }
 
     /// Propagates truth constants: `T ∧ x ⇒ x`, `¬F ⇒ T`, etc. The result

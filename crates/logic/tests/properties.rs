@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use winslett_logic::cnf::{self, Tseitin};
 use winslett_logic::{
     display_wff, enumerate_models, enumerate_models_brute, parse_wff, AtomTable, BitSet, Formula,
-    Lit, ModelLimit, ParseContext, SatResult, Solver, Var, Vocabulary, Wff,
+    Lit, ModelLimit, ParseContext, Polarity, SatResult, Solver, Var, Vocabulary, Wff,
 };
 use winslett_logic::{AtomId, Valuation};
 
@@ -95,6 +95,53 @@ proptest! {
         );
         for mask in 0u32..(1 << NUM_ATOMS) {
             prop_assert_eq!(eval_mask(&w, mask), eval_mask(&expansion, mask));
+        }
+    }
+
+    /// One simultaneous `assign_with` builds the same tree as a chain of
+    /// single-atom `assign`s over the same atoms, in either order: the
+    /// identity the simplifier's one-walk unit propagation relies on.
+    #[test]
+    fn assign_with_equals_chained_assigns(
+        w in wff_strategy(),
+        set in 0u32..(1 << NUM_ATOMS),
+        values in 0u32..(1 << NUM_ATOMS),
+    ) {
+        let bit = |m: u32, i: u32| (m >> i) & 1 == 1;
+        let simultaneous = w.assign_with(|a: &AtomId| bit(set, a.0).then_some(bit(values, a.0)));
+        let chain = |order: Vec<u32>| {
+            order
+                .into_iter()
+                .filter(|&i| bit(set, i))
+                .fold(w.fold_constants(), |acc, i| acc.assign(AtomId(i), bit(values, i)))
+        };
+        prop_assert_eq!(&simultaneous, &chain((0..NUM_ATOMS as u32).collect()));
+        prop_assert_eq!(&simultaneous, &chain((0..NUM_ATOMS as u32).rev().collect()));
+    }
+
+    /// `polarities` lists `atom_set` in order with `polarity_of` beside
+    /// each atom, and a one-sided polarity is semantically sound: `w` is
+    /// monotone in a `Positive` atom and antitone in a `Negative` one
+    /// (what pure predicate-constant elimination relies on).
+    #[test]
+    fn polarities_are_sound_and_ordered(w in wff_strategy()) {
+        let listed = w.polarities();
+        let expected: Vec<(AtomId, Polarity)> = w
+            .atom_set()
+            .into_iter()
+            .map(|a| (a, w.polarity_of(a).expect("occurs")))
+            .collect();
+        prop_assert_eq!(&listed, &expected);
+        for (a, p) in listed {
+            let (lo, hi) = (w.assign(a, false), w.assign(a, true));
+            for mask in 0u32..(1 << NUM_ATOMS) {
+                let (l, h) = (eval_mask(&lo, mask), eval_mask(&hi, mask));
+                match p {
+                    Polarity::Positive => prop_assert!(!l || h, "{:?} not monotone in {:?}", w, a),
+                    Polarity::Negative => prop_assert!(!h || l, "{:?} not antitone in {:?}", w, a),
+                    Polarity::Both => {}
+                }
+            }
         }
     }
 
