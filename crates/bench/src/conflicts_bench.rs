@@ -10,8 +10,8 @@
 //! * **disjoint** — `w` writer connections toggle atoms of private pools,
 //!   so their statements are pairwise independent by footprint and the
 //!   writer thread may coalesce queued writes into one batch: one
-//!   snapshot publication (and under group commit one sync) per batch
-//!   instead of one per write.
+//!   snapshot publication and one sync per batch instead of one per
+//!   write.
 //! * **hot** — the same writers all toggle one atom, so every write
 //!   conflicts with the one before it and runs in a batch of its own:
 //!   the one-publication-per-write baseline.
@@ -234,7 +234,7 @@ pub fn run_conflicts_bench(writers: usize, window_ms: u64) -> ConflictsBench {
         experiment: "conflicts".to_owned(),
         workload: format!(
             "{writers} writers + {READERS} snapshot readers for {window_ms} ms \
-             against winslett-serve (MemStorage, group commit 8), disjoint \
+             against winslett-serve (MemStorage, one sync per writer pass), disjoint \
              pools vs one hot atom"
         ),
         window_ms,

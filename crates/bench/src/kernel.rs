@@ -3,8 +3,9 @@
 //!
 //! Each driver keeps its own workload, pacing and [`ServerOptions`], so
 //! its numbers stay comparable across runs. The kernel boots the server
-//! (MemStorage, group commit 8), applies one [`Seed`] description both
-//! over the wire and to the oracle, runs the timed closed-loop window,
+//! (MemStorage, one sync per writer pass), applies one [`Seed`]
+//! description both over the wire and to the oracle, runs the timed
+//! closed-loop window,
 //! summarizes latencies, and ends every run with one final-state check:
 //! the pinned served verdicts must equal both the reopened storage's and
 //! those of the paper's §4 strawman, a serial replay of the acknowledged
@@ -18,8 +19,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use winslett_core::{
-    apply_op, DbError, DbOptions, DurableDatabase, LogicalDatabase, MemStorage, Op, SyncPolicy,
-    WalOptions,
+    apply_op, DbError, DbOptions, DurableDatabase, LogicalDatabase, MemStorage, Op, WalOptions,
 };
 use winslett_serve::{Client, Server, ServerOptions, StatsReply};
 
@@ -86,18 +86,14 @@ pub struct Served {
     running: JoinHandle<Result<MemStorage, DbError>>,
 }
 
-/// Boots one server on an ephemeral port (MemStorage, group commit 8,
-/// the driver's own `options`) and loads `seed` through the wire.
+/// Boots one server on an ephemeral port (MemStorage, the calling
+/// bench's own `options`) and loads `seed` through the wire.
 pub fn boot(options: ServerOptions, seed: &Seed) -> Served {
-    let wal = WalOptions {
-        policy: SyncPolicy::GroupCommit(8),
-        ..WalOptions::default()
-    };
     let (server, _report) = Server::bind(
         ("127.0.0.1", 0),
         MemStorage::new(),
         DbOptions::default(),
-        wal,
+        WalOptions::default(),
         options,
     )
     .expect("bench server bind");

@@ -353,9 +353,11 @@ pub fn run_catchup_sweep() -> CatchupSweep {
                                // Recover the torn storage, then prove a follower catching up
                                // from 0 lands on exactly the recovered primary's worlds.
         let survivor = fp.survivor();
-        let (recovered, _report) =
+        let (mut recovered, _report) =
             DurableDatabase::open(survivor, DbOptions::default(), WalOptions::default())
                 .expect("recovery tolerates every torn tail");
+        // The recovered log tail is released to catch-up once synced.
+        recovered.sync().expect("sync after recovery");
         let catchup = recovered.catchup_from(0).expect("catch-up after recovery");
         let follower = follower_from_catchup(catchup);
         if world_set(&follower) != world_set(recovered.db()) {
@@ -469,7 +471,7 @@ pub fn run_replication_bench(replica_levels: &[usize], window_ms: u64) -> Replic
         experiment: "replication".to_owned(),
         workload: format!(
             "{} replica levels × {window_ms} ms against one winslett-serve \
-             primary (MemStorage, group commit 8); kill-byte catch-up sweep",
+             primary (MemStorage, one sync per writer pass); kill-byte catch-up sweep",
             replica_levels.len()
         ),
         window_ms,

@@ -171,7 +171,7 @@ pub fn run_server_bench(reader_levels: &[usize], window_ms: u64) -> ServerBench 
         experiment: "server".to_owned(),
         workload: format!(
             "{} reader levels × {window_ms} ms against one winslett-serve \
-             instance (MemStorage, group commit 8)",
+             instance (MemStorage, one sync per writer pass)",
             reader_levels.len()
         ),
         window_ms,

@@ -246,7 +246,7 @@ pub fn run_txn_bench(writers: usize, window_ms: u64) -> TxnBench {
         experiment: "txn".to_owned(),
         workload: format!(
             "{writers} writers × {window_ms} ms per shape against winslett-serve \
-             (MemStorage, group commit 8, lock timeout \
+             (MemStorage, one sync per writer pass, lock timeout \
              {} ms): plain statements vs {TXN_LEN}-statement transactions over \
              disjoint vs contended footprints",
             LOCK_TIMEOUT.as_millis()

@@ -171,14 +171,31 @@ impl LogicalDatabase {
     /// (initial state — e.g. disjunctive information), parsed permissively
     /// for constants but strictly for predicates. Each tuple of a typed
     /// relation the wff mentions brings its §3.5 type-axiom instance
-    /// `P(c⃗) → A₁(c₁) ∧ … ∧ Aₙ(cₙ)`, so the theory stays legal.
+    /// `P(c⃗) → A₁(c₁) ∧ … ∧ Aₙ(cₙ)`, and each atom triggers the
+    /// dependency-axiom instances it takes part in (as GUA's Step 6
+    /// does for an update's atoms), so the theory stays legal.
     pub fn load_wff(&mut self, src: &str) -> Result<(), DbError> {
         let wff = self.engine.parse_wff(src)?;
         self.engine.theory.assert_wff(&wff);
-        for atom in wff.atom_set() {
+        let atoms = wff.atom_set();
+        for &atom in &atoms {
             if let Some(instance) = self.engine.theory.type_axiom_instance(atom) {
                 self.engine.theory.assert_wff(&instance);
             }
+        }
+        let theory = &mut self.engine.theory;
+        let mut instances = Vec::new();
+        for dep in &theory.deps {
+            for &atom in &atoms {
+                for instance in dep.instantiate(&theory.registry, &mut theory.atoms, Some(atom)) {
+                    if !instances.contains(&instance) {
+                        instances.push(instance);
+                    }
+                }
+            }
+        }
+        for instance in &instances {
+            theory.assert_wff(instance);
         }
         Ok(())
     }
@@ -569,6 +586,26 @@ mod tests {
         assert!(db.is_possible("Cost(11)").unwrap());
         assert!(!db.is_certain("Cost(11)").unwrap());
         assert!(db.is_certain("Price(gear,11) -> Cost(11)").unwrap());
+        db.engine.theory.check_axioms_redundant().unwrap();
+    }
+
+    #[test]
+    fn load_wff_keeps_the_dependency_axioms() {
+        use winslett_theory::Dependency;
+        let mut db = LogicalDatabase::new();
+        let p = db.declare_relation("Price", 2).unwrap();
+        db.add_dependency(Dependency::functional("fd", p, 2, &[0]).unwrap());
+        db.load_wff("Price(gear,11) | Price(gear,12)").unwrap();
+        // Under the FD on column 0 the part has one price: no world holds
+        // both tuples.
+        assert_eq!(
+            db.world_names().unwrap(),
+            vec![
+                vec!["Price(gear,11)".to_string()],
+                vec!["Price(gear,12)".to_string()]
+            ]
+        );
+        assert!(!db.is_possible("Price(gear,11) & Price(gear,12)").unwrap());
         db.engine.theory.check_axioms_redundant().unwrap();
     }
 

@@ -47,6 +47,7 @@ use std::collections::BTreeMap;
 use std::collections::HashMap;
 use std::collections::HashSet;
 use std::collections::VecDeque;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use winslett_gua::{SimplifyLevel, SimplifyReport, UpdateReport};
 use winslett_ldml::Update;
 use winslett_logic::{AtomId, PredId};
@@ -240,17 +241,18 @@ impl Storage for DirStorage {
 /// that byte and fails every subsequent operation — a crash at a chosen
 /// kill point.
 ///
-/// State is shared across clones (`Rc<RefCell<…>>`), so a test can keep a
-/// sibling handle, hand the storage to a [`DurableDatabase`], and — even
-/// if the crash fires inside `open` itself — read the surviving on-disk
-/// image back out with [`FailpointStorage::survivor`].
+/// State is shared across clones (`Arc<Mutex<…>>`), so a test can keep a
+/// sibling handle, hand the storage to a [`DurableDatabase`] — or to a
+/// server's writer thread — and, even if the crash fires inside `open`
+/// itself, read the surviving on-disk image back out with
+/// [`FailpointStorage::survivor`].
 ///
 /// `replace` is modeled as atomic (temp-file-plus-rename semantics): its
 /// bytes are charged against the budget, but if the budget runs out the
 /// old contents survive untouched rather than being half-overwritten.
 #[derive(Clone, Debug)]
 pub struct FailpointStorage {
-    state: std::rc::Rc<std::cell::RefCell<FailState>>,
+    state: Arc<Mutex<FailState>>,
 }
 
 #[derive(Debug)]
@@ -279,7 +281,7 @@ impl FailpointStorage {
     /// written (appends tear mid-record; replaces fail atomically).
     pub fn new(kill_after_bytes: u64) -> Self {
         FailpointStorage {
-            state: std::rc::Rc::new(std::cell::RefCell::new(FailState {
+            state: Arc::new(Mutex::new(FailState {
                 inner: MemStorage::new(),
                 durable: MemStorage::new(),
                 budget: kill_after_bytes,
@@ -295,34 +297,40 @@ impl FailpointStorage {
         Self::new(u64::MAX)
     }
 
+    /// The shared state (a panic while holding it cannot leave it
+    /// half-updated, so a poisoned lock still holds a consistent value).
+    fn state(&self) -> MutexGuard<'_, FailState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Total bytes accepted so far (torn prefixes included).
     pub fn bytes_written(&self) -> u64 {
-        self.state.borrow().bytes_written
+        self.state().bytes_written
     }
 
     /// Whether the injected crash has fired.
     pub fn crashed(&self) -> bool {
-        self.state.borrow().dead
+        self.state().dead
     }
 
     /// A copy of the surviving on-disk state, as recovery would see it
     /// after a **process** crash (the OS lived on, so buffered appends
     /// reached the files even if never fsynced).
     pub fn survivor(&self) -> MemStorage {
-        self.state.borrow().inner.clone()
+        self.state().inner.clone()
     }
 
     /// A copy of the surviving on-disk state after a **power loss**: only
     /// what a [`Storage::sync`] or an atomic [`Storage::replace`] made
     /// durable. Appends that were never synced are gone.
     pub fn power_loss_survivor(&self) -> MemStorage {
-        self.state.borrow().durable.clone()
+        self.state().durable.clone()
     }
 }
 
 impl Storage for FailpointStorage {
     fn read(&self, name: &str) -> Result<Option<Vec<u8>>, DbError> {
-        let st = self.state.borrow();
+        let st = self.state();
         if st.dead {
             return Err(st.injected());
         }
@@ -330,7 +338,7 @@ impl Storage for FailpointStorage {
     }
 
     fn append(&mut self, name: &str, data: &[u8]) -> Result<(), DbError> {
-        let mut st = self.state.borrow_mut();
+        let mut st = self.state();
         if st.dead {
             return Err(st.injected());
         }
@@ -349,7 +357,7 @@ impl Storage for FailpointStorage {
     }
 
     fn sync(&mut self, name: &str) -> Result<(), DbError> {
-        let mut st = self.state.borrow_mut();
+        let mut st = self.state();
         if st.dead {
             return Err(st.injected());
         }
@@ -362,7 +370,7 @@ impl Storage for FailpointStorage {
     }
 
     fn replace(&mut self, name: &str, data: &[u8]) -> Result<(), DbError> {
-        let mut st = self.state.borrow_mut();
+        let mut st = self.state();
         if st.dead {
             return Err(st.injected());
         }
@@ -707,12 +715,19 @@ fn read_log<S: Storage>(storage: &S, snapshot_lsn: u64) -> Result<ParsedWal, DbE
 /// When WAL appends are made durable.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SyncPolicy {
-    /// fsync after every record: smallest loss window, highest latency.
+    /// fsync every record an acknowledgment can promise is durable: each
+    /// plain op, commit, rollback and abort marker as it is appended. A
+    /// transaction's begin marker and intents are not synced on their
+    /// own — they are durable only through the transaction's commit,
+    /// whose fsync covers them — so a transaction of k statements costs
+    /// one fsync, and a plain op one.
     EveryRecord,
     /// fsync once per `n` records (group commit), and at every explicit
-    /// [`DurableDatabase::sync`] or checkpoint.
+    /// [`DurableDatabase::sync`], commit, rollback or checkpoint.
     GroupCommit(usize),
-    /// fsync only on explicit [`DurableDatabase::sync`] and checkpoints.
+    /// fsync only on explicit [`DurableDatabase::sync`] and checkpoints:
+    /// the owner syncs before it acknowledges anything, commits included
+    /// (the server syncs once per writer pass).
     Manual,
 }
 
@@ -840,7 +855,14 @@ pub struct DurableDatabase<S: Storage> {
     wal_options: WalOptions,
     next_lsn: u64,
     snapshot_lsn: u64,
-    unsynced: usize,
+    /// The synced-LSN watermark: every record below it is durable (an
+    /// fsync or a checkpoint's atomic replace covered it). Shipping and
+    /// catch-up release nothing at or above it, so no follower holds a
+    /// record a power loss can take back — recovery would reuse its LSN.
+    /// After [`DurableDatabase::open`] the recovered log tail counts as
+    /// unsynced: a process crash leaves unsynced appends in the page
+    /// cache, and recovery replays them.
+    synced_lsn: u64,
     nodes_at_snapshot: usize,
     /// `Some` while a background-compaction capture is outstanding: the
     /// capture's LSN, and the records
@@ -931,7 +953,7 @@ impl<S: Storage> DurableDatabase<S> {
                 wal_options,
                 next_lsn: 0,
                 snapshot_lsn: 0,
-                unsynced: 0,
+                synced_lsn: 0,
                 nodes_at_snapshot: nodes,
                 compaction_tail: None,
                 shipping_tail: None,
@@ -956,7 +978,7 @@ impl<S: Storage> DurableDatabase<S> {
             wal_options,
             next_lsn,
             snapshot_lsn,
-            unsynced: 0,
+            synced_lsn: snapshot_lsn,
             nodes_at_snapshot: 0,
             compaction_tail: None,
             shipping_tail: None,
@@ -1067,25 +1089,38 @@ impl<S: Storage> DurableDatabase<S> {
     }
 
     fn append_entry(&mut self, record: WalRecord) -> Result<u64, DbError> {
+        // An intent promises nothing until its transaction commits.
+        let intent = matches!(record, WalRecord::TxnBegin(_) | WalRecord::TxnOp(..));
         let entry = WalEntry {
             lsn: self.next_lsn,
             record,
         };
         let bytes = encode_entry(&entry)?;
         self.storage_mut().append(WAL_FILE, &bytes)?;
-        self.unsynced += 1;
         self.stats.bytes_appended += bytes.len() as u64;
         let lsn = self.logged(entry);
         match self.wal_options.policy {
-            SyncPolicy::EveryRecord => self.sync()?,
+            SyncPolicy::EveryRecord if !intent => self.sync()?,
             SyncPolicy::GroupCommit(n) => {
-                if self.unsynced >= n.max(1) {
+                if self.next_lsn - self.synced_lsn >= n.max(1) as u64 {
                     self.sync()?;
                 }
             }
-            SyncPolicy::Manual => {}
+            SyncPolicy::EveryRecord | SyncPolicy::Manual => {}
         }
         Ok(lsn)
+    }
+
+    /// The sync an acknowledgment needs — after a commit, a rollback, or
+    /// the abort marker that compensates a refused op — unless the owner
+    /// syncs ([`SyncPolicy::Manual`]). Syncing right after a compensation
+    /// keeps an intent and its abort marker on the same side of the
+    /// synced watermark, so a drain never ships one without the other.
+    fn ack_point(&mut self) -> Result<(), DbError> {
+        match self.wal_options.policy {
+            SyncPolicy::Manual => Ok(()),
+            _ => self.sync(),
+        }
     }
 
     /// Books an entry that reached the log: retained for an outstanding
@@ -1125,7 +1160,7 @@ impl<S: Storage> DurableDatabase<S> {
                 // state: live and recovered views must agree.
                 self.db = before;
                 if self.append_entry(WalRecord::Abort(lsn)).is_ok() {
-                    let _ = self.sync();
+                    let _ = self.ack_point();
                 }
                 Err(e)
             }
@@ -1341,7 +1376,7 @@ impl<S: Storage> DurableDatabase<S> {
             }
             Err(e) => {
                 if self.append_entry(WalRecord::Abort(lsn)).is_ok() {
-                    let _ = self.sync();
+                    let _ = self.ack_point();
                 }
                 self.rebuild_workspace(state)
                     .map_err(TxnJournalErr::Broken)?;
@@ -1378,7 +1413,7 @@ impl<S: Storage> DurableDatabase<S> {
         match result {
             Err(TxnJournalErr::Broken(e)) => {
                 if self.append_entry(WalRecord::TxnAbort(txn)).is_ok() {
-                    let _ = self.sync();
+                    let _ = self.ack_point();
                 }
                 Err(e)
             }
@@ -1402,8 +1437,9 @@ impl<S: Storage> DurableDatabase<S> {
     /// foreign commit landed since its last rebuild — then it is one
     /// clone-and-redo refresh), installs it as the live database, appends
     /// the commit marker, and makes it durable (the transaction's single
-    /// fsync point). The install is sound because every live mutation
-    /// bumps `applied_version`, so a current-basis workspace *is* the
+    /// fsync point, which covers its begin and intents; under
+    /// [`SyncPolicy::Manual`] the owner takes it). The install is sound
+    /// because every live mutation bumps `applied_version`, so a current-basis workspace *is* the
     /// live database plus this transaction's redo list — the same state
     /// the old re-apply-at-commit loop computed, without cloning the
     /// live theory on the happy path. Returns the commit LSN and the
@@ -1415,7 +1451,7 @@ impl<S: Storage> DurableDatabase<S> {
         let mut state = self.txns.remove(&txn).ok_or(DbError::TxnUnknown { txn })?;
         if let Err(e) = self.refresh_workspace(&mut state) {
             if self.append_entry(WalRecord::TxnAbort(txn)).is_ok() {
-                let _ = self.sync();
+                let _ = self.ack_point();
             }
             return Err(e);
         }
@@ -1440,7 +1476,7 @@ impl<S: Storage> DurableDatabase<S> {
                 return Err(e);
             }
         };
-        self.sync()?;
+        self.ack_point()?;
         self.applied_version += 1;
         // The redo list is the delta other open workspaces need to catch
         // up on this commit — one version group.
@@ -1453,20 +1489,25 @@ impl<S: Storage> DurableDatabase<S> {
 
     /// Rolls `txn` back: the workspace is dropped, the abort marker is
     /// journaled, and the live database is untouched (nothing to undo —
-    /// intents never applied to it).
+    /// intents never applied to it). Under [`SyncPolicy::Manual`] the
+    /// marker is left unsynced: recovery rolls back a transaction that
+    /// has no commit marker anyway.
     pub fn txn_rollback(&mut self, txn: u64) -> Result<(), DbError> {
         let state = self.txns.remove(&txn).ok_or(DbError::TxnUnknown { txn })?;
         drop(state);
         self.append_entry(WalRecord::TxnAbort(txn))?;
-        self.sync()
+        self.ack_point()
     }
 
-    /// Durably flushes all appended records (a group-commit sync point).
+    /// Durably flushes every record below [`DurableDatabase::next_lsn`]
+    /// — those appended since the last sync, and after `open` the
+    /// recovered log tail — and advances the synced watermark, releasing
+    /// them to shipping and catch-up. A no-op when nothing is unsynced.
     pub fn sync(&mut self) -> Result<(), DbError> {
-        if self.unsynced > 0 {
+        if self.synced_lsn < self.next_lsn {
             self.storage_mut().sync(WAL_FILE)?;
             self.stats.syncs += 1;
-            self.unsynced = 0;
+            self.synced_lsn = self.next_lsn;
         }
         Ok(())
     }
@@ -1523,7 +1564,8 @@ impl<S: Storage> DurableDatabase<S> {
             self.logged(entry);
         }
         self.snapshot_lsn = lsn;
-        self.unsynced = 0;
+        // Both files were replaced atomically: everything is durable.
+        self.synced_lsn = self.next_lsn;
         self.nodes_at_snapshot = self.db.theory().store_nodes();
         self.stats.checkpoints += 1;
         Ok(())
@@ -1542,16 +1584,26 @@ impl<S: Storage> DurableDatabase<S> {
         }
     }
 
-    /// Takes the records retained since the last drain, reduced to the
-    /// *effective* log (abort records and the records they annul are
-    /// removed — a refused operation completes its journal pair before
-    /// the owning write returns, so pairs never straddle a drain). The
-    /// caller fans these out to subscribed followers. Empty when shipping
-    /// is not armed or nothing was appended.
+    /// Takes the retained records below the synced watermark, reduced to
+    /// the *effective* log (abort records and the records they annul are
+    /// removed — a refused operation completes its journal pair, and
+    /// syncs after it unless the owner syncs, before the owning write
+    /// returns, so pairs never straddle a drain). Records not yet
+    /// synced stay retained for a later drain: a follower must never
+    /// hold a record a power loss can take back. The caller fans these
+    /// out to subscribed followers. Empty when shipping is not armed or
+    /// nothing synced was appended.
     pub fn drain_shipping(&mut self) -> Vec<WalEntry> {
+        let synced = self.synced_lsn;
         match self.shipping_tail.as_mut() {
-            Some(tail) if !tail.is_empty() => effective_entries(std::mem::take(tail)),
-            _ => Vec::new(),
+            Some(tail) => {
+                let ready = tail.partition_point(|e| e.lsn < synced);
+                if ready == 0 {
+                    return Vec::new();
+                }
+                effective_entries(tail.drain(..ready).collect())
+            }
+            None => Vec::new(),
         }
     }
 
@@ -1559,11 +1611,12 @@ impl<S: Storage> DurableDatabase<S> {
     /// needs in order to catch up: the effective log suffix alone if the
     /// cursor is at or past the on-storage checkpoint, or the checkpoint
     /// snapshot plus the suffix when the log no longer reaches back that
-    /// far. Enforces the same boundary contract as recovery — a log whose
-    /// first surviving record skips past the checkpoint's LSN is a typed
-    /// [`DbError::LsnGap`], never a silently wrong suffix — and refuses a
-    /// cursor from the future (a follower of some other primary) the same
-    /// way.
+    /// far. The suffix stops at the synced watermark, like
+    /// [`DurableDatabase::drain_shipping`]. Enforces the same boundary
+    /// contract as recovery — a log whose first surviving record skips
+    /// past the checkpoint's LSN is a typed [`DbError::LsnGap`], never a
+    /// silently wrong suffix — and refuses a cursor from the future (a
+    /// follower of some other primary) the same way.
     pub fn catchup_from(&self, from_lsn: u64) -> Result<Catchup, DbError> {
         if from_lsn > self.next_lsn {
             return Err(DbError::LsnGap {
@@ -1579,7 +1632,9 @@ impl<S: Storage> DurableDatabase<S> {
                 message: format!("wal tail unreadable during catch-up: {reason}"),
             });
         }
-        let entries = effective_entries(parsed.entries);
+        let synced = self.synced_lsn;
+        let mut entries = effective_entries(parsed.entries);
+        entries.retain(|e| e.lsn < synced);
         if from_lsn >= self.snapshot_lsn {
             Ok(Catchup::Suffix(
                 entries.into_iter().filter(|e| e.lsn >= from_lsn).collect(),
@@ -1750,10 +1805,10 @@ impl<S: Storage> DurableDatabase<S> {
         self.storage.take().expect("storage moved out")
     }
 
-    /// Graceful shutdown: durably flushes any group-commit buffered
-    /// records, then returns the storage. Under
-    /// [`SyncPolicy::GroupCommit`] records appended since the last sync
-    /// point are only in the OS cache; a process that exits without this
+    /// Graceful shutdown: durably flushes any unsynced records, then
+    /// returns the storage. Under [`SyncPolicy::GroupCommit`] and
+    /// [`SyncPolicy::Manual`] records appended since the last sync point
+    /// are only in the OS cache; a process that exits without this
     /// call leans on the best-effort [`Drop`] flush, which cannot report
     /// failure. Call `close` on every orderly shutdown path.
     pub fn close(mut self) -> Result<S, DbError> {
@@ -1767,7 +1822,7 @@ impl<S: Storage> Drop for DurableDatabase<S> {
     /// is no one to report them to in `drop`); shutdown paths that need
     /// the sync to be *confirmed* must call [`DurableDatabase::close`].
     fn drop(&mut self) {
-        if self.unsynced > 0 {
+        if self.synced_lsn < self.next_lsn {
             if let Some(storage) = self.storage.as_mut() {
                 let _ = storage.sync(WAL_FILE);
             }
@@ -2237,6 +2292,23 @@ mod tests {
     }
 
     #[test]
+    fn a_wff_under_a_dependency_recovers_with_its_instances() {
+        let (mut ddb, _) =
+            DurableDatabase::open(MemStorage::new(), DbOptions::default(), opts_nocompact())
+                .unwrap();
+        ddb.declare_relation("Price", 2).unwrap();
+        let fd = DependencyDump::functional("price-fd", "Price", 2, &[0]).unwrap();
+        ddb.apply(Op::AddDependency(fd)).unwrap();
+        ddb.apply(Op::LoadWff("Price(gear,11) | Price(gear,12)".into()))
+            .unwrap();
+        let live = world_set(ddb.db());
+        assert_eq!(live.len(), 2, "the FD leaves one price per world");
+        let (recovered, report) = reopen(ddb.into_storage());
+        assert_eq!(report.replay_error, None);
+        assert_eq!(world_set(recovered.db()), live);
+    }
+
+    #[test]
     fn dir_storage_roundtrip() {
         let dir = std::env::temp_dir().join(format!("winslett-wal-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -2334,6 +2406,110 @@ mod tests {
         drop(ddb); // no close(): the Drop impl must still flush
         let (recovered, _) = reopen(fp.power_loss_survivor());
         assert_eq!(world_set(recovered.db()), live);
+    }
+
+    /// A database on `fp` under `policy`, holding one relation and one
+    /// fact.
+    fn fp_open(fp: &FailpointStorage, policy: SyncPolicy) -> DurableDatabase<FailpointStorage> {
+        let options = WalOptions {
+            policy,
+            ..opts_nocompact()
+        };
+        let (mut ddb, _) =
+            DurableDatabase::open(fp.clone(), DbOptions::default(), options).unwrap();
+        ddb.declare_relation("Orders", 3).unwrap();
+        ddb.load_fact("Orders", &["700", "32", "9"]).unwrap();
+        ddb
+    }
+
+    #[test]
+    fn every_record_syncs_a_transaction_once_at_its_commit() {
+        let fp = FailpointStorage::unlimited();
+        let mut ddb = fp_open(&fp, SyncPolicy::EveryRecord);
+        let syncs = ddb.stats().syncs;
+        ddb.execute("INSERT Orders(1,1,1) WHERE T").unwrap();
+        assert_eq!(ddb.stats().syncs, syncs + 1, "a plain op costs one sync");
+        let base = world_set(ddb.db());
+
+        let txn = ddb.txn_begin().unwrap();
+        for i in 2..5 {
+            ddb.txn_execute(txn, &format!("INSERT Orders({i},{i},{i}) WHERE T"))
+                .unwrap();
+        }
+        assert_eq!(ddb.stats().syncs, syncs + 1, "intents are not synced");
+        // Power loss before the commit: whatever of the transaction
+        // survived, recovery rolls it back.
+        for image in [fp.power_loss_survivor(), fp.survivor()] {
+            let (cold, report) = reopen(image);
+            assert_eq!(world_set(cold.db()), base);
+            assert!(report.rolled_back <= 1);
+        }
+        ddb.txn_commit(txn).unwrap();
+        assert_eq!(ddb.stats().syncs, syncs + 2, "k statements, one sync");
+        // Power loss after the commit: all of it survives.
+        let live = world_set(ddb.db());
+        let (cold, report) = reopen(fp.power_loss_survivor());
+        assert_eq!(report.rolled_back, 0);
+        assert_eq!(world_set(cold.db()), live);
+    }
+
+    #[test]
+    fn shipping_and_catchup_stop_at_the_synced_watermark() {
+        let fp = FailpointStorage::unlimited();
+        let mut ddb = fp_open(&fp, SyncPolicy::Manual);
+        ddb.enable_shipping();
+        ddb.sync().unwrap();
+        let synced = ddb.next_lsn();
+        let txn = ddb.txn_begin().unwrap();
+        ddb.txn_execute(txn, "INSERT Orders(1,1,1) WHERE T")
+            .unwrap();
+        ddb.txn_commit(txn).unwrap();
+        ddb.execute("INSERT Orders(2,2,2) WHERE T").unwrap();
+        // Nothing appended since the last sync is released.
+        assert_eq!(ddb.synced_lsn, synced);
+        assert!(ddb.drain_shipping().is_empty());
+        let suffix = |ddb: &DurableDatabase<FailpointStorage>| match ddb.catchup_from(0).unwrap() {
+            Catchup::Suffix(entries) => entries,
+            other => panic!("no checkpoint, expected Suffix: {other:?}"),
+        };
+        assert!(suffix(&ddb).iter().all(|e| e.lsn < synced));
+        assert_eq!(suffix(&ddb).len() as u64, synced);
+        // After one sync, all of it.
+        ddb.sync().unwrap();
+        let shipped = ddb.drain_shipping();
+        assert_eq!(
+            shipped.iter().map(|e| e.lsn).collect::<Vec<_>>(),
+            (synced..ddb.next_lsn()).collect::<Vec<_>>()
+        );
+        assert_eq!(suffix(&ddb).len() as u64, ddb.next_lsn());
+
+        // A process crash with an unsynced tail: the reopened database
+        // withholds the recovered tail until its first sync.
+        ddb.execute("INSERT Orders(3,3,3) WHERE T").unwrap();
+        let tail = ddb.next_lsn();
+        let live = world_set(ddb.db());
+        let _ = ddb.into_storage();
+        let (mut warm, _) = DurableDatabase::open(
+            fp.survivor(),
+            DbOptions::default(),
+            WalOptions {
+                policy: SyncPolicy::Manual,
+                ..opts_nocompact()
+            },
+        )
+        .unwrap();
+        assert_eq!(world_set(warm.db()), live);
+        warm.enable_shipping();
+        assert_eq!(warm.synced_lsn, 0);
+        assert_eq!(warm.catchup_from(0).unwrap(), Catchup::Suffix(vec![]));
+        warm.sync().unwrap();
+        match warm.catchup_from(0).unwrap() {
+            Catchup::Suffix(entries) => assert_eq!(entries.len() as u64, tail),
+            other => panic!("expected Suffix: {other:?}"),
+        }
+        // The recovered tail was never retained for shipping: catch-up
+        // serves it, and the shipping tail starts after it.
+        assert!(warm.drain_shipping().is_empty());
     }
 
     #[test]

@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 use winslett_core::persist::DependencyDump;
 use winslett_core::{
-    DbOptions, DirStorage, DurableDatabase, MemStorage, Op, SyncPolicy, UpdateDump, WalOptions,
+    DbOptions, DirStorage, DurableDatabase, MemStorage, Op, UpdateDump, WalOptions,
 };
 use winslett_serve::{Client, ClientError, CompactionPolicy, ErrorKindWire, Server, ServerOptions};
 
@@ -17,8 +17,8 @@ winslett-serve — a concurrent LDML database server
 
 USAGE:
   winslett-serve serve --dir PATH [--addr HOST:PORT] [--idle-secs N]
-                       [--max-conns N] [--group-commit N]
-                       [--compact | --no-compact] [--lock-timeout-ms N]
+                       [--max-conns N] [--compact | --no-compact]
+                       [--lock-timeout-ms N]
   winslett-serve serve --replica-of HOST:PORT [--addr HOST:PORT]
                        [--idle-secs N] [--max-conns N]
   winslett-serve repl  --addr HOST:PORT
@@ -29,10 +29,10 @@ serve   Serve a durable database from PATH (created if missing).
         Shutdown request both drain connections and flush the WAL.
         One epoll reactor thread serves every connection; writes go to
         a single writer thread, SAT reads to a small worker pool.
-        Queued pairwise-independent writes are batched: a batch
-        publishes one snapshot. By default every WAL record is fsynced
-        as it is appended; with --group-commit N records are fsynced
-        every N records and once at the end of each batch.
+        The writer serves the requests that queued while it was busy
+        as one group: it fsyncs the WAL once, publishes one snapshot,
+        then acknowledges every write and commit of the group
+        (conflicting writes publish apart).
         --no-compact disables the background compactor (on by default /
         --compact): a thread that snapshots the theory, runs full
         simplification off the writer lock, and atomically swaps the
@@ -126,17 +126,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         return cmd_replica(primary, addr, idle_secs, max_conns);
     }
     let dir = flag_value(args, "--dir").ok_or("serve requires --dir PATH (or --replica-of)")?;
-    let group_commit: usize = parsed_flag(args, "--group-commit")?.unwrap_or(1);
-
     let storage = DirStorage::new(dir).map_err(|e| e.to_string())?;
-    let wal_options = WalOptions {
-        policy: if group_commit <= 1 {
-            SyncPolicy::EveryRecord
-        } else {
-            SyncPolicy::GroupCommit(group_commit)
-        },
-        ..WalOptions::default()
-    };
     // `--compact` is the (default) explicit opt-in, `--no-compact`
     // disables the background compactor thread.
     let compaction = if args.iter().any(|a| a == "--no-compact") {
@@ -155,7 +145,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         addr,
         storage,
         DbOptions::default(),
-        wal_options,
+        WalOptions::default(),
         server_options,
     )
     .map_err(|e| e.to_string())?;
@@ -362,10 +352,7 @@ fn cmd_smoke() -> Result<(), String> {
         ("127.0.0.1", 0),
         MemStorage::new(),
         DbOptions::default(),
-        WalOptions {
-            policy: SyncPolicy::GroupCommit(8),
-            ..WalOptions::default()
-        },
+        WalOptions::default(),
         ServerOptions {
             max_connections: 8,
             idle_timeout: Duration::from_secs(10),
@@ -502,8 +489,8 @@ fn cmd_smoke() -> Result<(), String> {
         .map_err(|_| "server thread panicked".to_string())?
         .map_err(|e| format!("run: {e}"))?;
 
-    // The group-commit buffer was flushed on shutdown: a reopen sees the
-    // full state.
+    // Shutdown synced whatever no pass had: a reopen sees the full
+    // state.
     let (mut db, _) = DurableDatabase::open(storage, DbOptions::default(), WalOptions::default())
         .map_err(|e| format!("reopen: {e}"))?;
     let mut certain = |wff: &str| db.db_mut().is_certain(wff).map_err(|e| e.to_string());

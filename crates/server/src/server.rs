@@ -9,18 +9,25 @@
 //!   (shared only with the background compactor). Each acknowledged
 //!   update is journaled (WAL) *before* GUA applies it, and its reply
 //!   carries the WAL LSN — the serialization order.
-//! * **Write batching**: the writer thread takes every write that
-//!   accumulated while it was busy as one run and passes the run's
-//!   statements through [`winslett_analyze::ConflictAnalyzer`],
-//!   coalescing consecutive pairwise-independent updates into one batch:
-//!   applied in arrival order (never reordered), published as **one
-//!   snapshot**, and made durable by one `sync` call, which is one
-//!   `fsync` when the WAL policy leaves records unsynced
-//!   (`SyncPolicy::GroupCommit`; under `EveryRecord` each record was
-//!   already fsynced on append). Conflicting or unanalyzable statements
-//!   close the batch, so a reader can only ever miss intermediate
-//!   states that provably-independent writes would have produced. Acks
-//!   are posted *after* the batch's sync.
+//! * **Group commit**: the database journals under
+//!   [`SyncPolicy::Manual`], and the writer's *pass*, not the WAL
+//!   record, is the unit of durability. The writer takes every request
+//!   that queued while it was busy as one run and serves it in two
+//!   passes: first the plain writes, commits and rollbacks of
+//!   connections with nothing earlier waiting in the run, then the
+//!   begins, transactional statements and whatever queued behind them.
+//!   No item of a run has been answered, so every order that keeps each
+//!   connection's own order is a legal serial order. A pass ends in at
+//!   most one *durability point* — one `fsync`, one snapshot
+//!   publication, one ship to subscribers, then the held acks — and
+//!   every ack that promises durability (a plain write, a commit) waits
+//!   for it. Begin, statement and rollback replies promise nothing
+//!   durable and go out at once. Plain `Execute` statements pass
+//!   through [`winslett_analyze::ConflictAnalyzer`]: a write that
+//!   conflicts with the open batch, or that the analyzer cannot judge,
+//!   closes it with a durability point of its own, so conflicting plain
+//!   writes still publish apart. A lone request costs what it always
+//!   did: one apply, one fsync, one capture, one reply.
 //! * **Reads** never take the writer lock. After every update the writer
 //!   publishes a [`TheorySnapshot`] (theory cloned once behind an `Arc`)
 //!   into an `RwLock` slot; each connection answers from a private
@@ -33,8 +40,8 @@
 //!   silent hang.
 //! * **Shutdown** (protocol request or [`ServerHandle::request_shutdown`])
 //!   stops accepting, drains live connections (bounded by the idle
-//!   timeout), then closes the durable database — flushing any
-//!   group-commit buffered WAL records — and hands the storage back.
+//!   timeout), then closes the durable database — syncing any records
+//!   no pass has synced yet — and hands the storage back.
 
 use crate::protocol::{
     catchup_frames, CheckpointReply, ErrorKindWire, ExecReply, Request, Response, StatsReply,
@@ -44,7 +51,7 @@ use crate::reactor::{
     Completions, Done, NetCounters, PublishedView, Reactor, ReactorConfig, Role, RoleAction,
     TOKEN_NONE,
 };
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock, Weak};
@@ -52,7 +59,9 @@ use std::time::{Duration, Instant};
 use winslett_analyze::{constrained_predicates, ConflictAnalyzer};
 use winslett_core::explain::Verdict;
 use winslett_core::snapshot::TheorySnapshot;
-use winslett_core::wal::{Catchup, DurableDatabase, RecoveryReport, Storage, WalOptions};
+use winslett_core::wal::{
+    Catchup, DurableDatabase, RecoveryReport, Storage, SyncPolicy, WalOptions,
+};
 use winslett_core::{DbError, DbOptions, LockRequest, LockTable, Op, WalEntry};
 use winslett_gua::{SimplifyLevel, UpdateReport};
 use winslett_logic::AccessSet;
@@ -226,6 +235,36 @@ struct Shared<S: Storage> {
 }
 
 impl<S: Storage> Shared<S> {
+    /// Shared state around an opened database, publishing its current
+    /// theory as the first snapshot.
+    fn new(
+        db: DurableDatabase<S>,
+        options: ServerOptions,
+        addr: SocketAddr,
+        completions: Arc<Completions>,
+    ) -> Arc<Self> {
+        let snapshot = TheorySnapshot::capture(db.db().theory());
+        let last_lsn = db.next_lsn().saturating_sub(1);
+        Arc::new(Shared {
+            writer: Mutex::new(Some(db)),
+            published: RwLock::new(Arc::new(Published {
+                snapshot,
+                updates_applied: 0,
+                last_lsn,
+            })),
+            subscribers: Mutex::new(Vec::new()),
+            stats: Arc::new(ServerStats::default()),
+            shutdown: Arc::new(AtomicBool::new(false)),
+            active: Arc::new(AtomicUsize::new(0)),
+            options,
+            addr,
+            completions,
+            retained: Mutex::new(Vec::new()),
+            locks: LockTable::new(),
+            txn_by_token: Mutex::new(HashMap::new()),
+        })
+    }
+
     /// The `txn_by_token` map (its lock only guards map edits, so a
     /// poisoned lock still holds a consistent value).
     fn txn_slots(&self) -> MutexGuard<'_, HashMap<u64, Option<u64>>> {
@@ -258,6 +297,10 @@ struct WriteJob {
     op: Op,
     done: WriteDone,
 }
+
+/// A reply held for its durability point: the response to post once the
+/// fsync covering it succeeds, or the item's own error.
+type HeldAck = (WriteDone, Result<Response, WireError>);
 
 /// A cheap, clonable handle for poking a running server from outside its
 /// event loop (signal handlers, tests, sibling threads).
@@ -306,6 +349,11 @@ pub struct Server<S: Storage + Send + 'static> {
 impl<S: Storage + Send + 'static> Server<S> {
     /// Binds `addr` (use port 0 for an ephemeral port) and opens (or
     /// recovers) the durable database on `storage`.
+    ///
+    /// The database journals under [`SyncPolicy::Manual`] whatever policy
+    /// `wal_options` names: the server owns durability and syncs once per
+    /// writer pass, before any ack that promises it. The other options
+    /// (auto-checkpointing) apply as given.
     pub fn bind(
         addr: impl ToSocketAddrs,
         storage: S,
@@ -315,32 +363,17 @@ impl<S: Storage + Send + 'static> Server<S> {
     ) -> Result<(Self, RecoveryReport), DbError> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
+        let wal_options = WalOptions {
+            policy: SyncPolicy::Manual,
+            ..wal_options
+        };
         let (mut db, report) = DurableDatabase::open(storage, db_options, wal_options)?;
         // Arm WAL shipping up front: the retained tail is drained to
-        // subscribers (or discarded when there are none) after every
-        // write batch, so the cost of arming before any replica connects
-        // is one Vec push per record.
+        // subscribers (or discarded when there are none) at every
+        // durability point, so the cost of arming before any replica
+        // connects is one Vec push per record.
         db.enable_shipping();
-        let snapshot = TheorySnapshot::capture(db.db().theory());
-        let last_lsn = db.next_lsn().saturating_sub(1);
-        let shared = Arc::new(Shared {
-            writer: Mutex::new(Some(db)),
-            published: RwLock::new(Arc::new(Published {
-                snapshot,
-                updates_applied: 0,
-                last_lsn,
-            })),
-            subscribers: Mutex::new(Vec::new()),
-            stats: Arc::new(ServerStats::default()),
-            shutdown: Arc::new(AtomicBool::new(false)),
-            active: Arc::new(AtomicUsize::new(0)),
-            options,
-            addr,
-            completions: Completions::new()?,
-            retained: Mutex::new(Vec::new()),
-            locks: LockTable::new(),
-            txn_by_token: Mutex::new(HashMap::new()),
-        });
+        let shared = Shared::new(db, options, addr, Completions::new()?);
         Ok((Server { listener, shared }, report))
     }
 
@@ -535,127 +568,170 @@ fn refresh_retained<S: Storage>(shared: &Shared<S>) -> u64 {
     count
 }
 
-/// Slices one accumulated run of writes into batches of consecutive
-/// pairwise-independent `Execute` statements and flushes each. Statements
-/// are *never reordered* — the footprint analysis only decides where one
-/// batch ends and the next begins, so coalescing is always semantically
-/// invisible; independence additionally guarantees that the intermediate
-/// snapshots a batch skips publishing are ones no reader could
-/// distinguish from a reordering of independent writes. Anything the
-/// analyzer cannot parse (or any non-`Execute` op, which changes the
-/// language itself) is a barrier that runs in a batch of its own.
-fn apply_batched<S: Storage>(shared: &Shared<S>, db: &mut DurableDatabase<S>, jobs: Vec<WriteJob>) {
-    // Fresh per run: footprints only need to be comparable within one
-    // run, and a long-lived analyzer would intern atoms forever.
-    let mut analyzer = ConflictAnalyzer::default();
-    let mut batch: Vec<WriteJob> = Vec::new();
-    let mut feet: Vec<AccessSet> = Vec::new();
-    for job in jobs {
-        let footprint = match &job.op {
-            Op::Execute(src) => analyzer.footprint(src),
-            _ => None,
-        };
-        match footprint {
-            Some(fp) if batch.len() < MAX_BATCH && feet.iter().all(|f| f.independent(&fp)) => {
-                batch.push(job);
-                feet.push(fp);
-            }
-            Some(fp) => {
-                flush_batch(shared, db, std::mem::take(&mut batch));
-                feet.clear();
-                batch.push(job);
-                feet.push(fp);
-            }
-            None => {
-                flush_batch(shared, db, std::mem::take(&mut batch));
-                feet.clear();
-                flush_batch(shared, db, vec![job]);
-            }
-        }
-    }
-    flush_batch(shared, db, batch);
+/// The open batch of one writer pass: what the pass applied to the live
+/// database since its last durability point, and the acks that wait for
+/// it. One analyzer per pass: footprints only need to be comparable
+/// within it, and a long-lived analyzer would intern atoms forever.
+#[derive(Default)]
+struct Batch {
+    analyzer: ConflictAnalyzer,
+    /// Footprints of the plain `Execute` writes in the open batch.
+    feet: Vec<AccessSet>,
+    /// Plain writes in the open batch, applied or refused.
+    writes: usize,
+    /// Updates applied to the live database since the last durability
+    /// point (a commit counts its statements).
+    applied: u64,
+    /// LSN of the last unit made live, if any: the batch then needs an
+    /// fsync and a publication before its acks.
+    last_lsn: Option<u64>,
+    /// Replies that promise durability, in the order they were computed.
+    acks: Vec<HeldAck>,
 }
 
-/// Applies one batch in arrival order, then makes it durable with a
-/// single sync and publishes a single snapshot before acking anyone.
-/// Per-job failures (parse errors, refused updates) ack individually and
-/// don't abort the rest of the batch — identical to serving the jobs
-/// back to back in batches of one.
-fn flush_batch<S: Storage>(shared: &Shared<S>, db: &mut DurableDatabase<S>, batch: Vec<WriteJob>) {
-    if batch.is_empty() {
-        return;
-    }
-    let size = batch.len();
-    let mut results: Vec<(WriteDone, Result<ExecReply, DbError>)> = Vec::with_capacity(size);
-    let mut applied = 0u64;
-    let mut last_lsn = None;
-    for job in batch {
-        if let Some(e) = plain_write_conflict(shared, db.db().theory(), &job.op) {
-            results.push((job.done, Err(e)));
-            continue;
+impl Batch {
+    /// Applies one plain write. Consecutive pairwise-independent
+    /// `Execute` statements share the open batch; a write that conflicts
+    /// with one of them closes it first, and one the analyzer cannot
+    /// judge (any other op changes the language itself) runs in a batch
+    /// of its own, so no publication skips the state between two
+    /// conflicting plain writes. A write may share a batch with a commit
+    /// it follows: every publication is still a serial prefix of the
+    /// acknowledged (LSN) order, and both acks wait for it.
+    fn write<S: Storage>(
+        &mut self,
+        shared: &Shared<S>,
+        db: &mut DurableDatabase<S>,
+        job: WriteJob,
+    ) {
+        let footprint = match &job.op {
+            Op::Execute(src) => self.analyzer.footprint(src),
+            _ => None,
+        };
+        let joins = footprint.as_ref().is_some_and(|fp| {
+            self.feet.len() < MAX_BATCH && self.feet.iter().all(|f| f.independent(fp))
+        });
+        if !joins {
+            self.close(shared, db);
         }
-        let lsn = db.next_lsn();
-        match db.apply(job.op) {
-            Ok(report) => {
-                applied += 1;
-                last_lsn = Some(lsn);
-                let generation = db.db().theory().generation();
-                results.push((job.done, Ok(exec_reply(lsn, generation, &report))));
+        self.writes += 1;
+        let result = match plain_write_conflict(shared, db.db().theory(), &job.op) {
+            Some(e) => Err(wire_error(&e)),
+            None => {
+                let lsn = db.next_lsn();
+                match db.apply(job.op) {
+                    Ok(report) => {
+                        self.applied += 1;
+                        self.last_lsn = Some(lsn);
+                        let generation = db.db().theory().generation();
+                        Ok(Response::Executed(exec_reply(lsn, generation, &report)))
+                    }
+                    Err(e) => Err(wire_error(&e)),
+                }
             }
-            Err(e) => results.push((job.done, Err(e))),
+        };
+        self.acks.push((job.done, result));
+        match footprint {
+            Some(fp) => self.feet.push(fp),
+            None => self.close(shared, db),
         }
     }
-    if let Some(last_lsn) = last_lsn {
-        // One durability point for the whole batch. If it fails, no ack
-        // may claim success: the records are applied in memory but not
-        // guaranteed on storage.
-        if let Err(e) = db.sync() {
-            let failure = wire_error(&e);
-            for (done, result) in results {
-                done.fill(
-                    shared,
-                    Response::Error(match result {
-                        Ok(_) => failure.clone(),
-                        Err(own) => wire_error(&own),
-                    }),
-                );
-            }
-            // The records are still the writer's live (and WAL-appended)
-            // state; followers track the live primary.
-            ship(shared, db);
+
+    /// Commits `txn` into the open batch: its ack waits for the batch's
+    /// durability point like a plain write's.
+    ///
+    /// Early lock release: the transaction's locks go now, before that
+    /// fsync, so a plain write later in the pass passes the conflict gate
+    /// and a statement parked on those locks can take them in the same
+    /// run. This is safe: whatever takes them journals after this commit
+    /// marker — a plain write's ack waits for the same fsync, and a
+    /// statement's transaction commits in a later pass — so no ack leaves
+    /// before the fsync that covers both.
+    fn commit<S: Storage>(
+        &mut self,
+        shared: &Shared<S>,
+        db: &mut DurableDatabase<S>,
+        done: WriteDone,
+        txn: u64,
+    ) {
+        if !txn_mapping_current(shared, done.token, txn) {
+            self.acks.push((done, Err(no_open_txn())));
             return;
         }
-        let snapshot = TheorySnapshot::capture(db.db().theory());
-        let updates_applied = read_published(shared).updates_applied + applied;
-        publish(
-            shared,
-            Published {
-                snapshot,
-                updates_applied,
-                last_lsn,
-            },
-        );
-        shared.stats.updates.fetch_add(applied, Ordering::Relaxed);
+        shared.txn_slots().remove(&done.token);
+        let result = match db.txn_commit(txn) {
+            Ok((lsn, ops)) => {
+                self.applied += ops as u64;
+                self.last_lsn = Some(lsn);
+                shared.stats.txn_committed.fetch_add(1, Ordering::Relaxed);
+                Ok(Response::TxnCommitted(TxnReply {
+                    txn,
+                    lsn,
+                    statements: ops as u64,
+                }))
+            }
+            Err(e) => {
+                // The core rolled the transaction back (reapply or
+                // journaling failure): surface the typed refusal.
+                shared.stats.txn_aborted.fetch_add(1, Ordering::Relaxed);
+                Err(wire_error(&e))
+            }
+        };
+        shared.locks.release_all(txn);
+        gauge_dec(&shared.stats.txn_active);
+        self.acks.push((done, result));
     }
-    shared.stats.write_batches.fetch_add(1, Ordering::Relaxed);
-    if size > 1 {
-        shared
-            .stats
-            .coalesced_writes
-            .fetch_add(size as u64, Ordering::Relaxed);
+
+    /// The durability point: one sync, one snapshot capture and
+    /// publication, one ship, then every held ack. If the sync fails no
+    /// ack may claim success and nothing ships: the batch is applied in
+    /// memory but not guaranteed on storage.
+    fn close<S: Storage>(&mut self, shared: &Shared<S>, db: &mut DurableDatabase<S>) {
+        let acks = std::mem::take(&mut self.acks);
+        let (writes, applied) = (self.writes, self.applied);
+        let last_lsn = self.last_lsn.take();
+        self.feet.clear();
+        self.writes = 0;
+        self.applied = 0;
+        if acks.is_empty() {
+            return;
+        }
+        if let Some(last_lsn) = last_lsn {
+            if let Err(e) = db.sync() {
+                let failure = wire_error(&e);
+                for (done, result) in acks {
+                    done.fill(
+                        shared,
+                        Response::Error(result.err().unwrap_or_else(|| failure.clone())),
+                    );
+                }
+                return;
+            }
+            let snapshot = TheorySnapshot::capture(db.db().theory());
+            let updates_applied = read_published(shared).updates_applied + applied;
+            publish(
+                shared,
+                Published {
+                    snapshot,
+                    updates_applied,
+                    last_lsn,
+                },
+            );
+            shared.stats.updates.fetch_add(applied, Ordering::Relaxed);
+        }
+        shared.stats.write_batches.fetch_add(1, Ordering::Relaxed);
+        if writes > 1 {
+            shared
+                .stats
+                .coalesced_writes
+                .fetch_add(writes as u64, Ordering::Relaxed);
+        }
+        // In commit order: the writer lock is still held.
+        ship(shared, db);
+        for (done, result) in acks {
+            done.fill(shared, result.unwrap_or_else(Response::Error));
+        }
     }
-    for (done, result) in results {
-        done.fill(
-            shared,
-            match result {
-                Ok(reply) => Response::Executed(reply),
-                Err(e) => Response::Error(wire_error(&e)),
-            },
-        );
-    }
-    // One shipped batch per flushed batch, in commit order (the writer
-    // lock is still held).
-    ship(shared, db);
 }
 
 /// Drains the shipping tail and fans it out to every live subscriber,
@@ -817,11 +893,11 @@ fn drain_abort() -> WireError {
     }
 }
 
-/// Opens a transaction on the shared writer: journals the begin marker
-/// and bumps the gauges. The reply carries the new id (its `TxnBegin`
-/// record's LSN).
-fn txn_begin_shared<S: Storage>(shared: &Shared<S>) -> Response {
-    with_writer(shared, |db| match db.txn_begin() {
+/// Opens a transaction: journals the begin marker (unsynced — it
+/// promises nothing until the commit) and bumps the gauges. The reply
+/// carries the new id (its `TxnBegin` record's LSN).
+fn txn_begin<S: Storage>(shared: &Shared<S>, db: &mut DurableDatabase<S>) -> Response {
+    match db.txn_begin() {
         Ok(txn) => {
             shared.stats.txn_begun.fetch_add(1, Ordering::Relaxed);
             shared.stats.txn_active.fetch_add(1, Ordering::Relaxed);
@@ -832,8 +908,7 @@ fn txn_begin_shared<S: Storage>(shared: &Shared<S>) -> Response {
             })
         }
         Err(e) => Response::Error(wire_error(&e)),
-    })
-    .unwrap_or_else(Response::Error)
+    }
 }
 
 /// Applies one op inside an open transaction. The caller already holds
@@ -843,75 +918,30 @@ fn txn_begin_shared<S: Storage>(shared: &Shared<S>) -> Response {
 /// footprint lock was held *before* this statement acquired anything, so
 /// the workspace is provably current on every atom it touches and the
 /// clone-and-redo refresh is skipped.
-fn txn_apply<S: Storage>(shared: &Shared<S>, txn: u64, op: Op, covered: bool) -> Response {
-    with_writer(shared, |db| {
-        let lsn = db.next_lsn();
-        match db.txn_apply(txn, op, covered) {
-            Ok(report) => {
-                let generation = db
-                    .txn_view(txn)
-                    .map(|w| w.theory().generation())
-                    .unwrap_or_default();
-                Response::Executed(exec_reply(lsn, generation, &report))
-            }
-            // A refused statement does not kill the transaction: its
-            // compensation is journaled and the workspace is unchanged.
-            Err(e) => Response::Error(wire_error(&e)),
+fn txn_apply<S: Storage>(db: &mut DurableDatabase<S>, txn: u64, op: Op, covered: bool) -> Response {
+    let lsn = db.next_lsn();
+    match db.txn_apply(txn, op, covered) {
+        Ok(report) => {
+            let generation = db
+                .txn_view(txn)
+                .map(|w| w.theory().generation())
+                .unwrap_or_default();
+            Response::Executed(exec_reply(lsn, generation, &report))
         }
-    })
-    .unwrap_or_else(Response::Error)
+        // A refused statement does not kill the transaction: its
+        // compensation is journaled and the workspace is unchanged.
+        Err(e) => Response::Error(wire_error(&e)),
+    }
 }
 
-/// Commits: reapplies the statements against the live database, journals
-/// the commit marker, syncs (the transaction's single durability point),
-/// publishes one snapshot, ships — then releases every lock the
-/// transaction held, whatever the outcome (strict two-phase locking).
-fn txn_commit_shared<S: Storage>(shared: &Shared<S>, txn: u64) -> Response {
-    let resp = with_writer(shared, |db| match db.txn_commit(txn) {
-        Ok((lsn, ops)) => {
-            let snapshot = TheorySnapshot::capture(db.db().theory());
-            let updates_applied = read_published(shared).updates_applied + ops as u64;
-            publish(
-                shared,
-                Published {
-                    snapshot,
-                    updates_applied,
-                    last_lsn: lsn,
-                },
-            );
-            shared
-                .stats
-                .updates
-                .fetch_add(ops as u64, Ordering::Relaxed);
-            shared.stats.txn_committed.fetch_add(1, Ordering::Relaxed);
-            ship(shared, db);
-            Response::TxnCommitted(TxnReply {
-                txn,
-                lsn,
-                statements: ops as u64,
-            })
-        }
-        Err(e) => {
-            // The core rolled the transaction back (reapply or
-            // journaling failure): surface the typed refusal.
-            shared.stats.txn_aborted.fetch_add(1, Ordering::Relaxed);
-            ship(shared, db);
-            Response::Error(wire_error(&e))
-        }
-    })
-    .unwrap_or_else(Response::Error);
-    shared.locks.release_all(txn);
-    gauge_dec(&shared.stats.txn_active);
-    resp
-}
-
-/// Rolls back: journals the abort marker and discards the workspace
-/// (the live database never saw the intents), then releases the locks.
-fn txn_rollback_shared<S: Storage>(shared: &Shared<S>, txn: u64) -> Response {
-    let resp = with_writer(shared, |db| match db.txn_rollback(txn) {
+/// Rolls `txn` back — journals the abort marker and discards the
+/// workspace (the live database never saw the intents) — then releases
+/// its locks. The marker needs no fsync of its own: recovery rolls back a
+/// transaction that has no commit marker.
+fn txn_rollback<S: Storage>(shared: &Shared<S>, db: &mut DurableDatabase<S>, txn: u64) -> Response {
+    let resp = match db.txn_rollback(txn) {
         Ok(()) => {
             shared.stats.txn_aborted.fetch_add(1, Ordering::Relaxed);
-            ship(shared, db);
             Response::TxnRolledBack(TxnReply {
                 txn,
                 lsn: 0,
@@ -919,8 +949,7 @@ fn txn_rollback_shared<S: Storage>(shared: &Shared<S>, txn: u64) -> Response {
             })
         }
         Err(e) => Response::Error(wire_error(&e)),
-    })
-    .unwrap_or_else(Response::Error);
+    };
     shared.locks.release_all(txn);
     gauge_dec(&shared.stats.txn_active);
     resp
@@ -939,11 +968,7 @@ fn rollback_orphans<S: Storage>(shared: &Shared<S>) {
         return;
     };
     for txn in db.txn_ids() {
-        if db.txn_rollback(txn).is_ok() {
-            shared.stats.txn_aborted.fetch_add(1, Ordering::Relaxed);
-        }
-        shared.locks.release_all(txn);
-        gauge_dec(&shared.stats.txn_active);
+        txn_rollback(shared, db, txn);
     }
 }
 
@@ -1050,11 +1075,68 @@ impl WriterChan {
     }
 }
 
-/// The server's writer thread: consumes [`WriterWork`] runs,
-/// flushing accumulated writes through the conflict-aware batcher and
-/// treating control ops as barriers. A panic while applying fails every
-/// sink in the run with a typed `Internal` error instead of wedging the
-/// connections awaiting completions.
+impl WriterWork {
+    /// The connection the work came from.
+    fn token(&self) -> u64 {
+        match self {
+            WriterWork::Write(job) => job.done.token,
+            WriterWork::Stats { token, .. }
+            | WriterWork::Checkpoint { token, .. }
+            | WriterWork::Subscribe { token, .. }
+            | WriterWork::TxnBegin { token, .. }
+            | WriterWork::TxnStatement { token, .. }
+            | WriterWork::TxnCommit { token, .. }
+            | WriterWork::TxnRollback { token, .. }
+            | WriterWork::TxnAbandon { token } => *token,
+        }
+    }
+
+    /// Where the reply goes; `None` for an abandon, which has none.
+    fn sink(&self) -> Option<WriteDone> {
+        match self {
+            WriterWork::Write(job) => Some(job.done),
+            WriterWork::TxnAbandon { .. } => None,
+            WriterWork::Stats { token, seq }
+            | WriterWork::Checkpoint { token, seq }
+            | WriterWork::Subscribe { token, seq, .. }
+            | WriterWork::TxnBegin { token, seq }
+            | WriterWork::TxnStatement { token, seq, .. }
+            | WriterWork::TxnCommit { token, seq, .. }
+            | WriterWork::TxnRollback { token, seq, .. } => Some(WriteDone {
+                token: *token,
+                seq: *seq,
+            }),
+        }
+    }
+
+    /// `Stats`, `Checkpoint` and `Subscribe`: barriers that keep their
+    /// place in the run, with a durability point before each.
+    fn is_control(&self) -> bool {
+        matches!(
+            self,
+            WriterWork::Stats { .. } | WriterWork::Checkpoint { .. } | WriterWork::Subscribe { .. }
+        )
+    }
+
+    /// Whether the work belongs to a segment's first pass: a plain write,
+    /// a commit or a rollback (an abandon is one). These never wait on a
+    /// lock, and commits and rollbacks release the locks the second
+    /// pass's statements may be parked on.
+    fn is_first_pass(&self) -> bool {
+        matches!(
+            self,
+            WriterWork::Write(_)
+                | WriterWork::TxnCommit { .. }
+                | WriterWork::TxnRollback { .. }
+                | WriterWork::TxnAbandon { .. }
+        )
+    }
+}
+
+/// The server's writer thread: consumes [`WriterWork`] runs through
+/// [`serve_run`]. A panic while applying fails every sink in the run
+/// with a typed `Internal` error instead of wedging the connections
+/// awaiting completions.
 fn run_writer<S: Storage>(shared: &Arc<Shared<S>>, chan: &WriterChan) {
     let completions = &shared.completions;
     // Contended transactional statements waiting for another
@@ -1075,54 +1157,13 @@ fn run_writer<S: Storage>(shared: &Arc<Shared<S>>, chan: &WriterChan) {
                 None => break,
             }
         };
-        // Retry parked statements first (their locks may have been
-        // released by work in the previous run), then the new arrivals.
+        // Parked statements first (their locks may have been released by
+        // work in the previous run), then the new arrivals.
         let work: Vec<WriterWork> = parked.drain(..).chain(run).collect();
         // Sinks copied out so the panic path can still reach them.
-        let sinks: Vec<WriteDone> = work
-            .iter()
-            .filter_map(|w| match w {
-                WriterWork::Write(job) => Some(job.done),
-                WriterWork::TxnAbandon { .. } => None,
-                WriterWork::Stats { token, seq }
-                | WriterWork::Checkpoint { token, seq }
-                | WriterWork::Subscribe { token, seq, .. }
-                | WriterWork::TxnBegin { token, seq }
-                | WriterWork::TxnStatement { token, seq, .. }
-                | WriterWork::TxnCommit { token, seq, .. }
-                | WriterWork::TxnRollback { token, seq, .. } => Some(WriteDone {
-                    token: *token,
-                    seq: *seq,
-                }),
-            })
-            .collect();
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut pending: Vec<WriteJob> = Vec::new();
-            let mut still_parked: Vec<WriterWork> = Vec::new();
-            for work in work {
-                match work {
-                    WriterWork::Write(job) => pending.push(job),
-                    txn @ (WriterWork::TxnBegin { .. }
-                    | WriterWork::TxnStatement { .. }
-                    | WriterWork::TxnCommit { .. }
-                    | WriterWork::TxnRollback { .. }
-                    | WriterWork::TxnAbandon { .. }) => {
-                        // Transactional ops are barriers too: plain
-                        // writes queued before them flush first, so the
-                        // conflict gate sees the lock table the client
-                        // observed when it pipelined the requests.
-                        flush_writes(shared, std::mem::take(&mut pending));
-                        run_txn_work(shared, txn, &mut still_parked);
-                    }
-                    control => {
-                        flush_writes(shared, std::mem::take(&mut pending));
-                        run_control(shared, control);
-                    }
-                }
-            }
-            flush_writes(shared, pending);
-            still_parked
-        }));
+        let sinks: Vec<WriteDone> = work.iter().filter_map(WriterWork::sink).collect();
+        let outcome =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| serve_run(shared, work)));
         match outcome {
             Ok(still_parked) => parked = still_parked,
             Err(_) => {
@@ -1140,38 +1181,128 @@ fn run_writer<S: Storage>(shared: &Arc<Shared<S>>, chan: &WriterChan) {
     }
 }
 
-/// One transactional op on the writer thread. This thread is the only
-/// one that releases locks, so acquisition here is strictly
-/// non-blocking: contended statements go back to `parked`.
-fn run_txn_work<S: Storage>(
-    shared: &Arc<Shared<S>>,
+/// Serves one run: control ops split it into segments, and each
+/// segment runs as two passes. The first holds every plain write,
+/// commit and rollback whose connection has nothing earlier still
+/// waiting in the segment; the second holds the begins, the
+/// transactional statements and whatever queued behind them. No item of
+/// a run has been answered, so all its items are concurrent and any
+/// order that keeps each connection's own order is a legal serial order.
+/// Running the plain writes first keeps their acks from waiting on the
+/// statements' work, and commits first release the locks the statements
+/// wait on. Returns the statements still parked on contended locks.
+fn serve_run<S: Storage>(shared: &Shared<S>, work: Vec<WriterWork>) -> Vec<WriterWork> {
+    let mut parked = Vec::new();
+    let mut segment = Vec::new();
+    for item in work {
+        if item.is_control() {
+            run_segment(shared, std::mem::take(&mut segment), &mut parked);
+            run_control(shared, item);
+        } else {
+            segment.push(item);
+        }
+    }
+    run_segment(shared, segment, &mut parked);
+    parked
+}
+
+/// Splits a segment into its two passes and serves them in order.
+fn run_segment<S: Storage>(
+    shared: &Shared<S>,
+    items: Vec<WriterWork>,
+    parked: &mut Vec<WriterWork>,
+) {
+    // A connection's items stay behind its earliest deferred item.
+    let mut deferred: HashSet<u64> = HashSet::new();
+    let (first, second): (Vec<_>, Vec<_>) = items.into_iter().partition(|item| {
+        let first = item.is_first_pass() && !deferred.contains(&item.token());
+        if !first {
+            deferred.insert(item.token());
+        }
+        first
+    });
+    run_pass(shared, first, parked);
+    run_pass(shared, second, parked);
+}
+
+/// Serves one pass under one writer-lock hold, in order, and ends it in
+/// at most one durability point (more only where a conflicting or
+/// unanalyzable plain write closes a batch early). Acks that promise
+/// durability wait for it; begin, statement and rollback replies go out
+/// as soon as they are computed.
+fn run_pass<S: Storage>(shared: &Shared<S>, items: Vec<WriterWork>, parked: &mut Vec<WriterWork>) {
+    if items.is_empty() {
+        return;
+    }
+    let mut guard = match shared.writer.lock() {
+        Ok(guard) => guard,
+        Err(_) => return refuse_pass(shared, items, poisoned_writer()),
+    };
+    let Some(db) = guard.as_mut() else {
+        return refuse_pass(shared, items, closed_writer());
+    };
+    let mut batch = Batch::default();
+    for item in items {
+        match item {
+            WriterWork::Write(job) => batch.write(shared, db, job),
+            WriterWork::TxnCommit { token, seq, txn } => {
+                batch.commit(shared, db, WriteDone { token, seq }, txn);
+            }
+            other => serve_txn_work(shared, db, other, parked),
+        }
+    }
+    batch.close(shared, db);
+}
+
+/// Answers every item of a pass the writer cannot serve (closed or
+/// poisoned) with `e`, releasing the transaction slots its begins
+/// reserved.
+fn refuse_pass<S: Storage>(shared: &Shared<S>, items: Vec<WriterWork>, e: WireError) {
+    for item in items {
+        if let WriterWork::TxnBegin { token, .. } = item {
+            shared.txn_slots().remove(&token);
+        }
+        if let Some(sink) = item.sink() {
+            sink.fill(shared, Response::Error(e.clone()));
+        }
+    }
+}
+
+/// One begin, statement, rollback or abandon inside a pass; its reply
+/// goes out at once. This thread is the only one that releases locks,
+/// so acquisition here is strictly non-blocking: contended statements go
+/// back to `parked`.
+fn serve_txn_work<S: Storage>(
+    shared: &Shared<S>,
+    db: &mut DurableDatabase<S>,
     work: WriterWork,
     parked: &mut Vec<WriterWork>,
 ) {
     let completions = &shared.completions;
     match work {
         WriterWork::TxnBegin { token, seq } => {
-            let resp = txn_begin_shared(shared);
-            let mut map = shared.txn_slots();
-            match &resp {
-                // Fill the slot the reactor reserved — unless the
-                // connection already died and `TxnAbandon` cleared it
-                // (impossible before this runs, since the abandon is
-                // queued behind us; the guard is cheap regardless).
-                Response::TxnBegun(r) if map.contains_key(&token) => {
-                    map.insert(token, Some(r.txn));
+            let resp = txn_begin(shared, db);
+            let orphan = {
+                let mut map = shared.txn_slots();
+                match &resp {
+                    // Fill the slot the reactor reserved — unless the
+                    // connection already died and `TxnAbandon` cleared it
+                    // (impossible before this runs, since the abandon is
+                    // queued behind us; the guard is cheap regardless).
+                    Response::TxnBegun(r) if map.contains_key(&token) => {
+                        map.insert(token, Some(r.txn));
+                        None
+                    }
+                    Response::TxnBegun(r) => Some(r.txn),
+                    _ => {
+                        map.remove(&token);
+                        None
+                    }
                 }
-                Response::TxnBegun(r) => {
-                    let txn = r.txn;
-                    drop(map);
-                    txn_rollback_shared(shared, txn);
-                    map = shared.txn_slots();
-                }
-                _ => {
-                    map.remove(&token);
-                }
+            };
+            if let Some(txn) = orphan {
+                txn_rollback(shared, db, txn);
             }
-            drop(map);
             completions.post(token, seq, Done::Resp(resp));
         }
         WriterWork::TxnStatement {
@@ -1189,19 +1320,13 @@ fn run_txn_work<S: Storage>(
                 completions.post(token, seq, Done::Resp(Response::Error(wire_error(&e))));
                 return;
             }
-            let requests = match with_writer(shared, |db| lock_requests(&op, db.db().theory())) {
-                Ok(requests) => requests,
-                Err(e) => {
-                    completions.post(token, seq, Done::Resp(Response::Error(e)));
-                    return;
-                }
-            };
+            let requests = lock_requests(&op, db.db().theory());
             // Checked before acquisition: locks taken for *this*
             // statement must not count as "already held" (refresh skip).
             let covered = shared.locks.holds_all(txn, &requests);
             match shared.locks.try_lock(txn, &requests) {
                 Ok(()) => {
-                    let resp = txn_apply(shared, txn, op, covered);
+                    let resp = txn_apply(db, txn, op, covered);
                     completions.post(token, seq, Done::Resp(resp));
                 }
                 Err(_) if Instant::now() < deadline => {
@@ -1222,7 +1347,7 @@ fn run_txn_work<S: Storage>(
                     // locks cannot wedge the system (deadlock avoidance).
                     shared.locks.stats.timeouts.fetch_add(1, Ordering::Relaxed);
                     shared.txn_slots().remove(&token);
-                    txn_rollback_shared(shared, txn);
+                    txn_rollback(shared, db, txn);
                     let e = DbError::TxnTimeout {
                         message: format!(
                             "lock `{key}` still contended at the deadline; \
@@ -1233,34 +1358,27 @@ fn run_txn_work<S: Storage>(
                 }
             }
         }
-        WriterWork::TxnCommit { token, seq, txn } => {
-            let resp = if txn_mapping_current(shared, token, txn) {
-                shared.txn_slots().remove(&token);
-                txn_commit_shared(shared, txn)
-            } else {
-                Response::Error(no_open_txn())
-            };
-            completions.post(token, seq, Done::Resp(resp));
-        }
         WriterWork::TxnRollback { token, seq, txn } => {
             let resp = if txn_mapping_current(shared, token, txn) {
                 shared.txn_slots().remove(&token);
-                txn_rollback_shared(shared, txn)
+                txn_rollback(shared, db, txn)
             } else {
                 Response::Error(no_open_txn())
             };
             completions.post(token, seq, Done::Resp(resp));
         }
         WriterWork::TxnAbandon { token } => {
-            let txn = shared.txn_slots().remove(&token);
             // Queue order guarantees the `TxnBegin` that reserved the
             // slot ran before us, so a pending (`None`) mapping cannot be
             // observed here.
-            if let Some(Some(txn)) = txn {
-                txn_rollback_shared(shared, txn);
+            let slot = shared.txn_slots().remove(&token);
+            if let Some(Some(txn)) = slot {
+                txn_rollback(shared, db, txn);
             }
         }
-        _ => {} // non-transactional work is routed by the caller
+        // Plain writes and commits join the pass's batch; control ops
+        // split the run into segments.
+        _ => {}
     }
 }
 
@@ -1270,34 +1388,11 @@ fn txn_mapping_current<S: Storage>(shared: &Shared<S>, token: u64, txn: u64) -> 
     shared.txn_slots().get(&token) == Some(&Some(txn))
 }
 
-/// Applies one accumulated run of writes under the writer lock, through
-/// the batcher.
-fn flush_writes<S: Storage>(shared: &Arc<Shared<S>>, mut jobs: Vec<WriteJob>) {
-    if jobs.is_empty() {
-        return;
-    }
-    let applied = with_writer(shared, |db| {
-        apply_batched(shared, db, std::mem::take(&mut jobs));
-    });
-    if let Err(e) = applied {
-        for job in jobs {
-            job.done.fill(shared, Response::Error(e.clone()));
-        }
-    }
-}
-
 /// One control op on the writer thread; the reply goes back to the
 /// reactor as a completion.
-fn run_control<S: Storage>(shared: &Arc<Shared<S>>, work: WriterWork) {
+fn run_control<S: Storage>(shared: &Shared<S>, work: WriterWork) {
     let completions = &shared.completions;
     match work {
-        // Writes and transaction work are routed by the caller.
-        WriterWork::Write(_)
-        | WriterWork::TxnBegin { .. }
-        | WriterWork::TxnStatement { .. }
-        | WriterWork::TxnCommit { .. }
-        | WriterWork::TxnRollback { .. }
-        | WriterWork::TxnAbandon { .. } => {}
         WriterWork::Stats { token, seq } => {
             let guard = shared.writer.lock().ok();
             let db = guard.as_ref().and_then(|g| g.as_ref());
@@ -1322,18 +1417,24 @@ fn run_control<S: Storage>(shared: &Arc<Shared<S>>, work: WriterWork) {
             Ok((frames, rx)) => completions.post(token, seq, Done::SubStart { frames, rx }),
             Err(e) => completions.post(token, seq, Done::RespClose(Response::Error(e))),
         },
+        // Writes and transaction work are served in passes.
+        _ => {}
     }
 }
 
-/// Registers a subscription under the writer lock: ships the tail to the
-/// existing subscribers so the registration point is exactly the storage
-/// state the catch-up reads, then plans the opening frames (catch-up,
-/// chunked if oversized, plus the backlog batches).
+/// Registers a subscription under the writer lock. A sync first makes
+/// every appended record shippable — the intents no pass has synced, and
+/// after a restart the recovered log tail, which was never retained for
+/// shipping. Then it ships the tail to the existing subscribers, so the
+/// registration point is exactly the storage state the catch-up reads,
+/// and plans the opening frames (catch-up, chunked if oversized, plus
+/// the backlog batches).
 fn subscription_start<S: Storage>(
-    shared: &Arc<Shared<S>>,
+    shared: &Shared<S>,
     from_lsn: u64,
 ) -> Result<(Vec<Response>, mpsc::Receiver<Vec<WalEntry>>), WireError> {
     let (catchup, next_lsn, rx) = with_writer(shared, |db| {
+        db.sync().map_err(|e| wire_error(&e))?;
         ship(shared, db);
         let catchup = db.catchup_from(from_lsn).map_err(|e| wire_error(&e))?;
         let (tx, rx) = mpsc::channel();
@@ -1704,52 +1805,36 @@ mod tests {
     use winslett_core::wal::MemStorage;
     use winslett_core::WalRecord;
 
-    /// A `Shared` with an open in-memory database, no listener attached —
-    /// enough to drive the writer thread's flush path directly.
-    fn shared_with_db(relations: &[(&str, usize)]) -> Arc<Shared<MemStorage>> {
-        let (mut db, _report) = DurableDatabase::open(
-            MemStorage::new(),
-            DbOptions::default(),
-            WalOptions::default(),
-        )
-        .expect("open");
+    /// A `Shared` around a database opened on `storage` the way
+    /// [`Server::bind`] opens it, no listener attached — enough to drive
+    /// the writer thread's passes directly.
+    fn shared_on<S: Storage>(
+        storage: S,
+        completions: Arc<Completions>,
+        relations: &[(&str, usize)],
+    ) -> Arc<Shared<S>> {
+        let wal_options = WalOptions {
+            policy: SyncPolicy::Manual,
+            ..WalOptions::default()
+        };
+        let (mut db, _report) =
+            DurableDatabase::open(storage, DbOptions::default(), wal_options).expect("open");
         for (name, arity) in relations {
             db.declare_relation(name, *arity).expect("declare");
         }
-        let snapshot = TheorySnapshot::capture(db.db().theory());
-        let last_lsn = db.next_lsn().saturating_sub(1);
-        Arc::new(Shared {
-            writer: Mutex::new(Some(db)),
-            published: RwLock::new(Arc::new(Published {
-                snapshot,
-                updates_applied: 0,
-                last_lsn,
-            })),
-            subscribers: Mutex::new(Vec::new()),
-            stats: Arc::new(ServerStats::default()),
-            shutdown: Arc::new(AtomicBool::new(false)),
-            active: Arc::new(AtomicUsize::new(0)),
-            options: ServerOptions::default(),
-            addr: "127.0.0.1:0".parse().expect("addr"),
-            completions: Completions::new().expect("completions"),
-            retained: Mutex::new(Vec::new()),
-            locks: LockTable::new(),
-            txn_by_token: Mutex::new(HashMap::new()),
-        })
+        db.sync().expect("sync");
+        db.enable_shipping();
+        let addr = "127.0.0.1:0".parse().expect("addr");
+        Shared::new(db, ServerOptions::default(), addr, completions)
     }
 
-    /// Runs `ops` through the writer thread's flush path as one
-    /// accumulated run (one connection token per op) and returns the
-    /// replies in op order, read back from the completion queue.
-    fn flush(shared: &Arc<Shared<MemStorage>>, ops: Vec<Op>) -> Vec<Response> {
-        let jobs = (1..)
-            .zip(ops)
-            .map(|(token, op)| WriteJob {
-                op,
-                done: WriteDone { token, seq: 0 },
-            })
-            .collect();
-        flush_writes(shared, jobs);
+    fn shared_with_db(relations: &[(&str, usize)]) -> Arc<Shared<MemStorage>> {
+        let completions = Completions::new().expect("completions");
+        shared_on(MemStorage::new(), completions, relations)
+    }
+
+    /// Every reply posted so far, by connection token.
+    fn replies<S: Storage>(shared: &Shared<S>) -> Vec<(u64, Response)> {
         let mut replies: Vec<(u64, Response)> = shared
             .completions
             .drain()
@@ -1760,7 +1845,24 @@ mod tests {
             })
             .collect();
         replies.sort_by_key(|(token, _)| *token);
-        replies.into_iter().map(|(_, r)| r).collect()
+        replies
+    }
+
+    /// Runs `ops` through the writer thread as one accumulated run (one
+    /// connection token per op) and returns the replies in op order,
+    /// read back from the completion queue.
+    fn flush(shared: &Arc<Shared<MemStorage>>, ops: Vec<Op>) -> Vec<Response> {
+        let run = (1..)
+            .zip(ops)
+            .map(|(token, op)| {
+                WriterWork::Write(WriteJob {
+                    op,
+                    done: WriteDone { token, seq: 0 },
+                })
+            })
+            .collect();
+        assert!(serve_run(shared, run).is_empty());
+        replies(shared).into_iter().map(|(_, r)| r).collect()
     }
 
     fn execute(src: &str) -> Op {
@@ -1969,6 +2071,223 @@ mod tests {
         shared.shutdown.store(false, Ordering::SeqCst);
         let replies = flush(&shared, vec![execute("INSERT R(b) WHERE T")]);
         assert!(matches!(replies[..], [Response::Executed(_)]));
+    }
+
+    /// The replies posted before each sync, one list per sync.
+    type BeforeSync = Arc<Mutex<Vec<Vec<(u64, Response)>>>>;
+
+    /// In-memory storage that, at every sync, takes the replies posted
+    /// so far (so a test can tell which left before an fsync), and fails
+    /// its syncs while `fail` is set.
+    struct SyncProbe {
+        inner: MemStorage,
+        completions: Arc<Completions>,
+        before_sync: BeforeSync,
+        fail: Arc<AtomicBool>,
+    }
+
+    impl Storage for SyncProbe {
+        fn read(&self, name: &str) -> Result<Option<Vec<u8>>, DbError> {
+            self.inner.read(name)
+        }
+        fn append(&mut self, name: &str, data: &[u8]) -> Result<(), DbError> {
+            self.inner.append(name, data)
+        }
+        fn sync(&mut self, name: &str) -> Result<(), DbError> {
+            if self.fail.load(Ordering::SeqCst) {
+                return Err(DbError::Storage {
+                    message: "injected fsync failure".into(),
+                });
+            }
+            let posted = self
+                .completions
+                .drain()
+                .into_iter()
+                .filter_map(|c| match c.done {
+                    Done::Resp(r) => Some((c.token, r)),
+                    _ => None,
+                })
+                .collect();
+            self.before_sync.lock().unwrap().push(posted);
+            self.inner.sync(name)
+        }
+        fn replace(&mut self, name: &str, data: &[u8]) -> Result<(), DbError> {
+            self.inner.replace(name, data)
+        }
+    }
+
+    type Probed = (Arc<Shared<SyncProbe>>, BeforeSync, Arc<AtomicBool>);
+
+    fn probed(relations: &[(&str, usize)]) -> Probed {
+        let completions = Completions::new().expect("completions");
+        let before_sync = Arc::new(Mutex::new(Vec::new()));
+        let fail = Arc::new(AtomicBool::new(false));
+        let storage = SyncProbe {
+            inner: MemStorage::new(),
+            completions: Arc::clone(&completions),
+            before_sync: Arc::clone(&before_sync),
+            fail: Arc::clone(&fail),
+        };
+        (
+            shared_on(storage, completions, relations),
+            before_sync,
+            fail,
+        )
+    }
+
+    fn syncs<S: Storage>(shared: &Shared<S>) -> u64 {
+        shared
+            .writer
+            .lock()
+            .unwrap()
+            .as_ref()
+            .unwrap()
+            .stats()
+            .syncs
+    }
+
+    fn write(token: u64, src: &str) -> WriterWork {
+        WriterWork::Write(WriteJob {
+            op: execute(src),
+            done: WriteDone { token, seq: 0 },
+        })
+    }
+
+    fn statement(token: u64, txn: u64, src: &str) -> WriterWork {
+        WriterWork::TxnStatement {
+            token,
+            seq: 0,
+            txn,
+            op: execute(src),
+            deadline: Instant::now() + Duration::from_secs(5),
+            waited: false,
+        }
+    }
+
+    /// Opens a transaction for `token` the way the reactor does (slot
+    /// reserved, then the writer's begin) and runs `statements` in it.
+    fn open_txn<S: Storage>(shared: &Shared<S>, token: u64, statements: &[&str]) -> u64 {
+        shared.txn_slots().insert(token, None);
+        serve_run(shared, vec![WriterWork::TxnBegin { token, seq: 0 }]);
+        let txn = shared.txn_slots()[&token].expect("begun");
+        let run = statements
+            .iter()
+            .map(|src| statement(token, txn, src))
+            .collect();
+        assert!(serve_run(shared, run).is_empty());
+        txn
+    }
+
+    #[test]
+    fn lone_writes_cost_one_sync_and_one_publication_each() {
+        let shared = shared_with_db(&[("R", 1)]);
+        let (syncs_before, published_before) = (
+            syncs(&shared),
+            shared.stats.snapshots_published.load(Ordering::Relaxed),
+        );
+        const N: u64 = 5;
+        for i in 0..N {
+            let replies = flush(&shared, vec![execute(&format!("INSERT R(c{i}) WHERE T"))]);
+            assert!(
+                matches!(replies[..], [Response::Executed(_)]),
+                "{replies:?}"
+            );
+        }
+        assert_eq!(syncs(&shared) - syncs_before, N);
+        let published = shared.stats.snapshots_published.load(Ordering::Relaxed);
+        assert_eq!(published - published_before, N);
+    }
+
+    #[test]
+    fn one_run_of_writes_commits_and_statements_syncs_once() {
+        let (shared, before_sync, _) = probed(&[("R", 1), ("S", 1), ("U", 1)]);
+        let t1 = open_txn(&shared, 11, &["INSERT S(1) WHERE T"]);
+        let t2 = open_txn(&shared, 12, &["INSERT S(2) WHERE T"]);
+        let t3 = open_txn(&shared, 13, &[]);
+        let t4 = open_txn(&shared, 14, &[]);
+        replies(&shared);
+        before_sync.lock().unwrap().clear();
+        let (syncs_before, published_before) = (
+            syncs(&shared),
+            shared.stats.snapshots_published.load(Ordering::Relaxed),
+        );
+        let run = vec![
+            write(1, "INSERT R(a) WHERE T"),
+            write(2, "INSERT R(b) WHERE T"),
+            write(3, "INSERT R(c) WHERE T"),
+            WriterWork::TxnCommit {
+                token: 11,
+                seq: 0,
+                txn: t1,
+            },
+            WriterWork::TxnCommit {
+                token: 12,
+                seq: 0,
+                txn: t2,
+            },
+            statement(13, t3, "INSERT U(p) WHERE T"),
+            statement(14, t4, "INSERT U(q) WHERE T"),
+        ];
+        assert!(serve_run(&shared, run).is_empty());
+        assert_eq!(syncs(&shared) - syncs_before, 1, "one fsync for the run");
+        let published = shared.stats.snapshots_published.load(Ordering::Relaxed);
+        assert_eq!(published - published_before, 1, "one publication");
+        // Nothing was answered before that fsync.
+        let at_sync = before_sync.lock().unwrap().clone();
+        assert_eq!(at_sync.len(), 1);
+        assert!(at_sync[0].is_empty(), "{:?}", at_sync[0]);
+        let replies = replies(&shared);
+        let tokens: Vec<u64> = replies.iter().map(|(t, _)| *t).collect();
+        assert_eq!(tokens, [1, 2, 3, 11, 12, 13, 14]);
+        for (token, reply) in &replies {
+            let ok = match token {
+                11 | 12 => matches!(reply, Response::TxnCommitted(_)),
+                _ => matches!(reply, Response::Executed(_)),
+            };
+            assert!(ok, "token {token}: {reply:?}");
+        }
+        // The published snapshot holds every write and both commits.
+        let mut reader = read_published(&shared).snapshot.reader();
+        for atom in ["R(a)", "R(b)", "R(c)", "S(1)", "S(2)"] {
+            assert!(reader.decide(atom).unwrap().1, "{atom} must be certain");
+        }
+    }
+
+    #[test]
+    fn a_failed_sync_fails_every_held_ack_and_ships_nothing() {
+        let (shared, _, fail) = probed(&[("R", 1), ("S", 1)]);
+        let (tx, rx) = mpsc::channel();
+        shared.subscribers.lock().unwrap().push(tx);
+        let t1 = open_txn(&shared, 11, &["INSERT S(1) WHERE T"]);
+        replies(&shared);
+        while rx.try_recv().is_ok() {}
+        let published = read_published(&shared).snapshot.generation();
+        fail.store(true, Ordering::SeqCst);
+        let run = vec![
+            write(1, "INSERT R(a) WHERE T"),
+            WriterWork::TxnCommit {
+                token: 11,
+                seq: 0,
+                txn: t1,
+            },
+        ];
+        serve_run(&shared, run);
+        for (token, reply) in replies(&shared) {
+            match reply {
+                Response::Error(e) => assert_eq!(e.kind, ErrorKindWire::Storage, "{token}"),
+                other => panic!("token {token} acked without a sync: {other:?}"),
+            }
+        }
+        assert!(rx.try_recv().is_err(), "nothing ships before it is synced");
+        assert_eq!(read_published(&shared).snapshot.generation(), published);
+        // Once syncs work again the records ship, in commit order.
+        fail.store(false, Ordering::SeqCst);
+        serve_run(&shared, vec![write(2, "INSERT R(b) WHERE T")]);
+        let shipped = rx.try_recv().expect("shipped after the sync");
+        assert!(shipped.windows(2).all(|w| w[0].lsn < w[1].lsn));
+        assert!(shipped
+            .iter()
+            .any(|e| matches!(e.record, WalRecord::TxnCommit(t) if t == t1)));
     }
 
     #[test]

@@ -15,9 +15,9 @@
 //!    returned exactly what the LSN-order prefix of length `k` entails —
 //!    snapshot reads are reads of a serial prefix, never a torn state.
 //!
-//! The server runs `SyncPolicy::GroupCommit`, so the final comparison
-//! also exercises the flush-on-close path: without it the reopened
-//! database would be missing the buffered WAL tail.
+//! The server journals under `SyncPolicy::Manual` and syncs once per
+//! writer pass, so the final comparison also exercises the sync-on-close
+//! path: without it the reopened database could miss the unsynced tail.
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -28,7 +28,7 @@ use std::time::Duration;
 use winslett::db::persist::DependencyDump;
 use winslett::db::{
     apply_op, replay_updates, DbError, DbOptions, DurableDatabase, LogicalDatabase, MemStorage, Op,
-    SyncPolicy, WalOptions,
+    WalOptions,
 };
 use winslett_serve::{Client, Replica, ReplicaHandle, ReplicaOptions, Server, ServerOptions};
 
@@ -94,10 +94,7 @@ fn boot_on(
         addr,
         storage,
         DbOptions::default(),
-        WalOptions {
-            policy: SyncPolicy::GroupCommit(4),
-            ..WalOptions::default()
-        },
+        WalOptions::default(),
         ServerOptions {
             max_connections: 32,
             idle_timeout: Duration::from_secs(10),
@@ -236,8 +233,8 @@ fn run_scenario(
     let sources: Vec<&str> = acked.iter().map(|&(_, idx)| pool[idx]).collect();
 
     // (1) Final state == serial replay of the acked updates in LSN order.
-    // Reopening from the returned storage also proves the group-commit
-    // buffer was flushed by the graceful shutdown.
+    // Reopening from the returned storage also proves the graceful
+    // shutdown synced the tail.
     let (reopened, report) =
         DurableDatabase::open(storage, DbOptions::default(), WalOptions::default())
             .expect("reopen");

@@ -55,10 +55,7 @@ fn boot() -> (JoinHandle<Result<MemStorage, DbError>>, SocketAddr) {
         ("127.0.0.1", 0),
         MemStorage::new(),
         DbOptions::default(),
-        WalOptions {
-            policy: SyncPolicy::GroupCommit(4),
-            ..WalOptions::default()
-        },
+        WalOptions::default(),
         ServerOptions {
             max_connections: 32,
             idle_timeout: Duration::from_secs(10),

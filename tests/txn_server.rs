@@ -13,7 +13,7 @@
 use std::time::{Duration, Instant};
 use winslett_core::persist::DependencyDump;
 use winslett_core::{
-    apply_op, DbOptions, DurableDatabase, LogicalDatabase, MemStorage, Op, SyncPolicy, WalOptions,
+    apply_op, DbOptions, DurableDatabase, LogicalDatabase, MemStorage, Op, WalOptions,
 };
 use winslett_serve::{Client, ClientError, ErrorKindWire, Server, ServerHandle, ServerOptions};
 
@@ -31,10 +31,7 @@ fn boot_on(
         ("127.0.0.1", 0),
         storage,
         DbOptions::default(),
-        WalOptions {
-            policy: SyncPolicy::GroupCommit(4),
-            ..WalOptions::default()
-        },
+        WalOptions::default(),
         ServerOptions {
             max_connections: 16,
             idle_timeout: Duration::from_secs(10),
