@@ -4,9 +4,11 @@
 //!
 //! A fixed script of `n` ground inserts over the Orders schema runs once
 //! with [`SyncPolicy::EveryRecord`] (one fsync per acknowledged update —
-//! the §4 "journal everything" discipline taken literally) and once with
-//! [`SyncPolicy::GroupCommit`] (fsync every `group` records plus one at
-//! the trailing `sync`). Both runs land in fresh temp directories. The
+//! the §4 "journal everything" discipline taken literally) and once as a
+//! group commit: under [`SyncPolicy::Manual`], with one
+//! [`DurableDatabase::sync`] every `group` updates and one at the end, as
+//! the server's writer syncs once per pass. Both runs land in fresh temp
+//! directories. The
 //! result records wall times, the WAL's own
 //! [`WalStats`](winslett_core::wal::WalStats) counters, and a recovery
 //! check: the `EveryRecord` directory is reopened and its recovered
@@ -65,7 +67,7 @@ pub struct WalBench {
     pub recovery_matches: bool,
     /// Wall time of that recovery (snapshot load + WAL replay), µs.
     pub recovery_us: f64,
-    /// EveryRecord per-update latency / GroupCommit per-update latency.
+    /// EveryRecord per-update latency / group-commit per-update latency.
     pub commit_speedup: f64,
     /// The one-fsync-per-update run.
     pub every_record: WalRun,
@@ -94,19 +96,24 @@ fn scratch_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-/// Runs the `n`-insert script under `policy` in a fresh directory and
-/// returns the run record, the final world set, and the directory (kept
-/// on disk so the caller can time recovery from it).
+/// Runs the `n`-insert script in a fresh directory — under
+/// [`SyncPolicy::EveryRecord`], or with `group` set under
+/// [`SyncPolicy::Manual`] with a sync every `group` updates — and returns
+/// the run record, the final world set, and the directory (kept on disk
+/// so the caller can time recovery from it).
 fn run_policy(
     n: usize,
-    policy: SyncPolicy,
+    group: Option<usize>,
     label: &str,
     tag: &str,
 ) -> (WalRun, BTreeSet<Vec<String>>, std::path::PathBuf) {
     let dir = scratch_dir(tag);
     let storage = DirStorage::new(&dir).expect("create bench scratch dir");
     let wal_options = WalOptions {
-        policy,
+        policy: match group {
+            Some(_) => SyncPolicy::Manual,
+            None => SyncPolicy::EveryRecord,
+        },
         // No auto-compaction: the measurement is append+fsync latency,
         // not snapshot cost.
         compact_growth_factor: None,
@@ -123,6 +130,9 @@ fn run_policy(
     for i in 0..n {
         let src = format!("INSERT InStock(p{i},{}) WHERE T", i % 10);
         ddb.execute(&src).expect("bench update");
+        if group.is_some_and(|g| (i + 1) % g == 0) {
+            ddb.sync().expect("group sync");
+        }
     }
     ddb.sync().expect("trailing sync");
     let total_us = start.elapsed().as_secs_f64() * 1e6;
@@ -143,10 +153,9 @@ fn run_policy(
 /// Measures both sync policies over `n` updates (batch size `group`) and
 /// assembles the `BENCH_wal.json` document.
 pub fn run_wal_bench(n: usize, group: usize) -> WalBench {
-    let (every_record, live_worlds, every_dir) =
-        run_policy(n, SyncPolicy::EveryRecord, "every-record", "every");
+    let (every_record, live_worlds, every_dir) = run_policy(n, None, "every-record", "every");
     let (group_commit, group_worlds, group_dir) =
-        run_policy(n, SyncPolicy::GroupCommit(group), "group-commit", "grouped");
+        run_policy(n, Some(group), "group-commit", "grouped");
 
     // Recovery: reopen the EveryRecord image cold and time snapshot load
     // plus WAL replay; the recovered world set must equal the live one.

@@ -574,6 +574,29 @@ mod tests {
     }
 
     #[test]
+    fn a_typed_relation_over_a_non_attribute_declares_nothing() {
+        use crate::op::{apply_op, Op};
+        use winslett_theory::TheoryError;
+        let not_an_attribute = TheoryError::NotAnAttribute {
+            name: "Part".into(),
+        };
+        let mut db = LogicalDatabase::new();
+        let part = db.declare_relation("Part", 1).unwrap();
+        assert_eq!(
+            db.declare_typed_relation("Price", &[part]),
+            Err(DbError::Theory(not_an_attribute.clone()))
+        );
+        let op = Op::DeclareTypedRelation("Price".into(), vec!["Part".into()]);
+        assert_eq!(
+            apply_op(&mut db, &op).map(drop),
+            Err(DbError::Theory(not_an_attribute))
+        );
+        // `Price` is still free: it declares at another arity.
+        assert_eq!(db.theory().vocab.find_predicate("Price"), None);
+        db.declare_relation("Price", 2).unwrap();
+    }
+
+    #[test]
     fn load_wff_keeps_the_type_axiom() {
         let mut db = priced_db();
         db.load_wff("Price(gear,10)").unwrap();

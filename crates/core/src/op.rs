@@ -68,6 +68,13 @@ pub enum Op {
 /// [`LogicalDatabase::simplify`], while workspaces and the compaction
 /// swap replay at the live level. Declarations and loads report no GUA
 /// work.
+///
+/// A refused op leaves the theory's store, registry, schema,
+/// dependencies and worlds as it found them; only names its parse
+/// interned may stay. GUA refuses before its Step 1, and declarations
+/// check before they declare. The journaled write paths, recovery and
+/// the replica tailer all rely on this rule: none of them undoes a
+/// refused op.
 pub fn apply_op(db: &mut LogicalDatabase, op: &Op) -> Result<UpdateReport, DbError> {
     match op {
         Op::DeclareAttribute(name) => {

@@ -722,9 +722,6 @@ pub enum SyncPolicy {
     /// whose fsync covers them — so a transaction of k statements costs
     /// one fsync, and a plain op one.
     EveryRecord,
-    /// fsync once per `n` records (group commit), and at every explicit
-    /// [`DurableDatabase::sync`], commit, rollback or checkpoint.
-    GroupCommit(usize),
     /// fsync only on explicit [`DurableDatabase::sync`] and checkpoints:
     /// the owner syncs before it acknowledges anything, commits included
     /// (the server syncs once per writer pass).
@@ -848,10 +845,7 @@ impl CompactionOutcome {
 #[derive(Clone, Debug)]
 pub struct DurableDatabase<S: Storage> {
     db: LogicalDatabase,
-    /// `None` only after [`DurableDatabase::close`] /
-    /// [`DurableDatabase::into_storage`] moved the storage out (which is
-    /// what lets those methods coexist with the flush-on-[`Drop`] impl).
-    storage: Option<S>,
+    storage: S,
     wal_options: WalOptions,
     next_lsn: u64,
     snapshot_lsn: u64,
@@ -898,6 +892,13 @@ pub struct DurableDatabase<S: Storage> {
     /// workspace whose basis fell below the floor takes the full
     /// clone-and-redo rebuild instead.
     recent_floor: u64,
+    /// `Some(cause)` once a sync has failed. The OS may have dropped the
+    /// unsynced pages, and a retried fsync can report success without
+    /// writing them, so the database stops there (fail-stop): every
+    /// later append, sync, checkpoint and compaction install is refused,
+    /// and only a reopen, which recovers from what storage holds, writes
+    /// again.
+    failed: Option<String>,
     stats: WalStats,
 }
 
@@ -921,16 +922,6 @@ struct OpenTxn {
     ops: Vec<Op>,
 }
 
-/// How a journaled transactional statement failed.
-enum TxnJournalErr {
-    /// The statement was refused; the workspace was restored and the
-    /// transaction stays open.
-    Refused(DbError),
-    /// The workspace could not be restored after a refused apply; the
-    /// transaction must self-abort.
-    Broken(DbError),
-}
-
 impl<S: Storage> DurableDatabase<S> {
     /// Opens a durable database on `storage`: recovers if a snapshot or
     /// WAL is present, otherwise initializes a fresh one. When recovery
@@ -949,7 +940,7 @@ impl<S: Storage> DurableDatabase<S> {
             let nodes = db.theory().store_nodes();
             let me = DurableDatabase {
                 db,
-                storage: Some(storage),
+                storage,
                 wal_options,
                 next_lsn: 0,
                 snapshot_lsn: 0,
@@ -961,6 +952,7 @@ impl<S: Storage> DurableDatabase<S> {
                 applied_version: 0,
                 recent: VecDeque::new(),
                 recent_floor: 0,
+                failed: None,
                 stats: WalStats::default(),
             };
             return Ok((me, RecoveryReport::default()));
@@ -974,7 +966,7 @@ impl<S: Storage> DurableDatabase<S> {
         }
         let mut me = DurableDatabase {
             db,
-            storage: Some(storage),
+            storage,
             wal_options,
             next_lsn,
             snapshot_lsn,
@@ -986,6 +978,7 @@ impl<S: Storage> DurableDatabase<S> {
             applied_version: 0,
             recent: VecDeque::new(),
             recent_floor: 0,
+            failed: None,
             stats: WalStats::default(),
         };
         me.nodes_at_snapshot = me.db.theory().store_nodes();
@@ -1081,14 +1074,21 @@ impl<S: Storage> DurableDatabase<S> {
 impl<S: Storage> DurableDatabase<S> {
     // ----- journaling core --------------------------------------------------
 
-    /// The storage, mutable. Panics only if called after `close`/
-    /// `into_storage` moved it out — impossible from safe client code,
-    /// since both consume `self`.
-    fn storage_mut(&mut self) -> &mut S {
-        self.storage.as_mut().expect("storage moved out")
+    /// The fail-stop gate: after a failed sync, a typed
+    /// [`DbError::Storage`] naming that first failure.
+    fn writable(&self) -> Result<(), DbError> {
+        match &self.failed {
+            Some(cause) => Err(DbError::Storage {
+                message: format!(
+                    "writes refused after a failed wal sync ({cause}); reopen to recover"
+                ),
+            }),
+            None => Ok(()),
+        }
     }
 
     fn append_entry(&mut self, record: WalRecord) -> Result<u64, DbError> {
+        self.writable()?;
         // An intent promises nothing until its transaction commits.
         let intent = matches!(record, WalRecord::TxnBegin(_) | WalRecord::TxnOp(..));
         let entry = WalEntry {
@@ -1096,17 +1096,11 @@ impl<S: Storage> DurableDatabase<S> {
             record,
         };
         let bytes = encode_entry(&entry)?;
-        self.storage_mut().append(WAL_FILE, &bytes)?;
+        self.storage.append(WAL_FILE, &bytes)?;
         self.stats.bytes_appended += bytes.len() as u64;
         let lsn = self.logged(entry);
-        match self.wal_options.policy {
-            SyncPolicy::EveryRecord if !intent => self.sync()?,
-            SyncPolicy::GroupCommit(n) => {
-                if self.next_lsn - self.synced_lsn >= n.max(1) as u64 {
-                    self.sync()?;
-                }
-            }
-            SyncPolicy::EveryRecord | SyncPolicy::Manual => {}
+        if self.wal_options.policy == SyncPolicy::EveryRecord && !intent {
+            self.sync()?;
         }
         Ok(lsn)
     }
@@ -1119,7 +1113,7 @@ impl<S: Storage> DurableDatabase<S> {
     fn ack_point(&mut self) -> Result<(), DbError> {
         match self.wal_options.policy {
             SyncPolicy::Manual => Ok(()),
-            _ => self.sync(),
+            SyncPolicy::EveryRecord => self.sync(),
         }
     }
 
@@ -1139,14 +1133,10 @@ impl<S: Storage> DurableDatabase<S> {
     }
 
     /// Journals the resolved op, then applies it to the inner database.
-    /// If GUA refuses the operation, a compensating [`WalRecord::Abort`]
-    /// is appended (best-effort) so recovery will not replay a state the
-    /// live database never reached; if that append is itself lost in a
-    /// crash, the refused record is the WAL tail and recovery's replay
-    /// stops at the same deterministic error.
+    /// A refused op changed nothing ([`apply_op`]'s rule), so only the log
+    /// needs undoing: [`DurableDatabase::annul`] appends its abort.
     fn journaled(&mut self, resolved: Resolved) -> Result<UpdateReport, DbError> {
         let lsn = self.append_entry(WalRecord::Op(resolved.journal.clone()))?;
-        let before = self.db.clone();
         match resolved.apply(&mut self.db) {
             Ok(report) => {
                 self.applied_version += 1;
@@ -1155,15 +1145,20 @@ impl<S: Storage> DurableDatabase<S> {
                 Ok(report)
             }
             Err(e) => {
-                // GUA's apply is not atomic in memory (a store-capacity
-                // error can strike mid-step), so restore the pre-intent
-                // state: live and recovered views must agree.
-                self.db = before;
-                if self.append_entry(WalRecord::Abort(lsn)).is_ok() {
-                    let _ = self.ack_point();
-                }
+                self.annul(lsn);
                 Err(e)
             }
+        }
+    }
+
+    /// Appends the [`WalRecord::Abort`] that annuls the refused intent at
+    /// `lsn` (best-effort), so recovery will not replay a state the live
+    /// database never reached. If that append is lost in a crash, the
+    /// refused record is the WAL tail, and recovery's replay stops at the
+    /// same error when the refusal is deterministic.
+    fn annul(&mut self, lsn: u64) {
+        if self.append_entry(WalRecord::Abort(lsn)).is_ok() {
+            let _ = self.ack_point();
         }
     }
 
@@ -1347,44 +1342,6 @@ impl<S: Storage> DurableDatabase<S> {
         Ok(())
     }
 
-    /// Journals one resolved intent for `txn` and applies it to the
-    /// workspace, with the same intent/compensation pairing as the plain
-    /// [`DurableDatabase::journaled`] path: a refused op appends
-    /// [`WalRecord::Abort`] for its own LSN, so recovery and followers
-    /// drop it even when the transaction later commits.
-    ///
-    /// Unlike the plain path, no defensive pre-apply clone is paid per
-    /// statement: a refused apply (which can strike mid-step) is undone
-    /// by rebuilding the workspace from the live database plus the redo
-    /// list — the rare failure pays the clone instead of every success.
-    /// If that rebuild itself fails, the workspace is unrecoverable and
-    /// the error is [`TxnJournalErr::Broken`]: the caller must not keep
-    /// the transaction open.
-    fn txn_journal(
-        &mut self,
-        state: &mut OpenTxn,
-        txn: u64,
-        resolved: Resolved,
-    ) -> Result<UpdateReport, TxnJournalErr> {
-        let lsn = self
-            .append_entry(WalRecord::TxnOp(txn, resolved.journal.clone()))
-            .map_err(TxnJournalErr::Refused)?;
-        match resolved.apply(&mut state.workspace) {
-            Ok(report) => {
-                state.ops.push(resolved.journal);
-                Ok(report)
-            }
-            Err(e) => {
-                if self.append_entry(WalRecord::Abort(lsn)).is_ok() {
-                    let _ = self.ack_point();
-                }
-                self.rebuild_workspace(state)
-                    .map_err(TxnJournalErr::Broken)?;
-                Err(TxnJournalErr::Refused(e))
-            }
-        }
-    }
-
     /// Journals `op` as an intent of `txn` — an `Execute` as its
     /// effective `Apply`, parsed against the transaction's workspace —
     /// and applies it to the workspace only. The workspace is first
@@ -1396,34 +1353,39 @@ impl<S: Storage> DurableDatabase<S> {
     /// path — so the workspace is current on every atom the op reads or
     /// writes and the clone-and-redo rebuild can be skipped even when
     /// other transactions committed in between. A refused op leaves the
-    /// transaction open, unless its workspace could not be restored: then
-    /// the transaction self-aborts (compensating marker journaled) exactly
-    /// like a failed re-application at commit.
+    /// workspace as it was ([`apply_op`]'s rule) and the transaction
+    /// open; as on the plain path, an op refused after journaling is
+    /// annulled by a [`WalRecord::Abort`] for its own LSN, so recovery
+    /// and followers drop it even when the transaction later commits.
     pub fn txn_apply(&mut self, txn: u64, op: Op, covered: bool) -> Result<UpdateReport, DbError> {
         let mut state = self.txns.remove(&txn).ok_or(DbError::TxnUnknown { txn })?;
-        let refreshed = if covered {
-            Ok(())
-        } else {
-            self.refresh_workspace(&mut state)
-        };
-        let result = refreshed
-            .and_then(|()| Resolved::new(op, &mut state.workspace))
-            .map_err(TxnJournalErr::Refused)
-            .and_then(|resolved| self.txn_journal(&mut state, txn, resolved));
-        match result {
-            Err(TxnJournalErr::Broken(e)) => {
-                if self.append_entry(WalRecord::TxnAbort(txn)).is_ok() {
-                    let _ = self.ack_point();
-                }
-                Err(e)
-            }
-            Err(TxnJournalErr::Refused(e)) => {
-                self.txns.insert(txn, state);
-                Err(e)
-            }
+        let result = self.txn_statement(&mut state, txn, op, covered);
+        self.txns.insert(txn, state);
+        result
+    }
+
+    /// The body of [`DurableDatabase::txn_apply`], with the transaction's
+    /// state taken out of the table.
+    fn txn_statement(
+        &mut self,
+        state: &mut OpenTxn,
+        txn: u64,
+        op: Op,
+        covered: bool,
+    ) -> Result<UpdateReport, DbError> {
+        if !covered {
+            self.refresh_workspace(state)?;
+        }
+        let resolved = Resolved::new(op, &mut state.workspace)?;
+        let lsn = self.append_entry(WalRecord::TxnOp(txn, resolved.journal.clone()))?;
+        match resolved.apply(&mut state.workspace) {
             Ok(report) => {
-                self.txns.insert(txn, state);
+                state.ops.push(resolved.journal);
                 Ok(report)
+            }
+            Err(e) => {
+                self.annul(lsn);
+                Err(e)
             }
         }
     }
@@ -1445,7 +1407,7 @@ impl<S: Storage> DurableDatabase<S> {
     /// live theory on the happy path. Returns the commit LSN and the
     /// number of ops made effective. A redo re-application failure
     /// during the refresh (possible only if the lock discipline was
-    /// bypassed, or on a store-capacity class error) leaves the live
+    /// bypassed, or at the store's capacity ceiling) leaves the live
     /// state untouched and aborts the transaction instead.
     pub fn txn_commit(&mut self, txn: u64) -> Result<(u64, usize), DbError> {
         let mut state = self.txns.remove(&txn).ok_or(DbError::TxnUnknown { txn })?;
@@ -1503,9 +1465,16 @@ impl<S: Storage> DurableDatabase<S> {
     /// — those appended since the last sync, and after `open` the
     /// recovered log tail — and advances the synced watermark, releasing
     /// them to shipping and catch-up. A no-op when nothing is unsynced.
+    /// A failed sync is final: from then on this and every append,
+    /// checkpoint and compaction install fail with [`DbError::Storage`]
+    /// until the database is reopened.
     pub fn sync(&mut self) -> Result<(), DbError> {
+        self.writable()?;
         if self.synced_lsn < self.next_lsn {
-            self.storage_mut().sync(WAL_FILE)?;
+            if let Err(e) = self.storage.sync(WAL_FILE) {
+                self.failed = Some(e.to_string());
+                return Err(e);
+            }
             self.stats.syncs += 1;
             self.synced_lsn = self.next_lsn;
         }
@@ -1550,8 +1519,8 @@ impl<S: Storage> DurableDatabase<S> {
             entry.lsn = at;
             log.extend(encode_entry(entry)?);
         }
-        self.storage_mut().replace(SNAPSHOT_FILE, json.as_bytes())?;
-        if let Err(e) = self.storage_mut().replace(WAL_FILE, &log) {
+        self.storage.replace(SNAPSHOT_FILE, json.as_bytes())?;
+        if let Err(e) = self.storage.replace(WAL_FILE, &log) {
             // The snapshot now skips the old log, and with it every open
             // transaction's records: none of them can commit durably.
             for txn in self.txn_ids() {
@@ -1709,6 +1678,7 @@ impl<S: Storage> DurableDatabase<S> {
         from_lsn: u64,
         checkpoint: bool,
     ) -> Result<CompactionOutcome, DbError> {
+        self.writable()?;
         let (captured, tail) = self
             .compaction_tail
             .take()
@@ -1794,39 +1764,25 @@ impl<S: Storage> DurableDatabase<S> {
 
     /// The storage, read-only.
     pub fn storage(&self) -> &S {
-        self.storage.as_ref().expect("storage moved out")
+        &self.storage
     }
 
     /// Consumes the database, returning the storage (fault-injection
     /// tests recover from the survivor of a crashed instance). Unlike
     /// [`DurableDatabase::close`] this deliberately does **not** flush —
     /// it models pulling the plug on a live instance.
-    pub fn into_storage(mut self) -> S {
-        self.storage.take().expect("storage moved out")
+    pub fn into_storage(self) -> S {
+        self.storage
     }
 
     /// Graceful shutdown: durably flushes any unsynced records, then
-    /// returns the storage. Under [`SyncPolicy::GroupCommit`] and
-    /// [`SyncPolicy::Manual`] records appended since the last sync point
-    /// are only in the OS cache; a process that exits without this
-    /// call leans on the best-effort [`Drop`] flush, which cannot report
-    /// failure. Call `close` on every orderly shutdown path.
+    /// returns the storage. Under [`SyncPolicy::Manual`] records appended
+    /// since the last sync are only in the OS cache, and dropping the
+    /// database does not sync them: call `close` on every orderly
+    /// shutdown path. Fails, like every sync, once a sync has failed.
     pub fn close(mut self) -> Result<S, DbError> {
         self.sync()?;
-        Ok(self.storage.take().expect("storage moved out"))
-    }
-}
-
-impl<S: Storage> Drop for DurableDatabase<S> {
-    /// Best-effort flush of buffered records. Errors are swallowed (there
-    /// is no one to report them to in `drop`); shutdown paths that need
-    /// the sync to be *confirmed* must call [`DurableDatabase::close`].
-    fn drop(&mut self) {
-        if self.synced_lsn < self.next_lsn {
-            if let Some(storage) = self.storage.as_mut() {
-                let _ = storage.sync(WAL_FILE);
-            }
-        }
+        Ok(self.storage)
     }
 }
 
@@ -2134,7 +2090,7 @@ mod tests {
     #[test]
     fn auto_compaction_triggers_on_store_growth() {
         let wal_options = WalOptions {
-            policy: SyncPolicy::GroupCommit(4),
+            policy: SyncPolicy::Manual,
             compact_growth_factor: Some(1.1),
             compact_min_nodes: 1,
         };
@@ -2153,21 +2109,6 @@ mod tests {
         let live = world_set(ddb.db());
         let (recovered, _) = reopen(ddb.into_storage());
         assert_eq!(world_set(recovered.db()), live);
-    }
-
-    #[test]
-    fn group_commit_syncs_less_often() {
-        let every = seeded(opts_nocompact());
-        let grouped = seeded(WalOptions {
-            policy: SyncPolicy::GroupCommit(8),
-            compact_growth_factor: None,
-            compact_min_nodes: 0,
-        });
-        assert_eq!(every.stats().records, grouped.stats().records);
-        assert!(every.stats().syncs > grouped.stats().syncs);
-        let mut grouped = grouped;
-        grouped.sync().unwrap(); // the explicit sync point flushes
-        assert_eq!(grouped.stats().syncs, 1);
     }
 
     #[test]
@@ -2361,9 +2302,9 @@ mod tests {
         );
     }
 
-    fn group_commit_opts() -> WalOptions {
+    fn manual_opts() -> WalOptions {
         WalOptions {
-            policy: SyncPolicy::GroupCommit(1024),
+            policy: SyncPolicy::Manual,
             compact_growth_factor: None,
             compact_min_nodes: 0,
         }
@@ -2371,7 +2312,7 @@ mod tests {
 
     fn fp_seeded(fp: &FailpointStorage) -> DurableDatabase<FailpointStorage> {
         let (mut ddb, _) =
-            DurableDatabase::open(fp.clone(), DbOptions::default(), group_commit_opts()).unwrap();
+            DurableDatabase::open(fp.clone(), DbOptions::default(), manual_opts()).unwrap();
         ddb.declare_relation("Orders", 3).unwrap();
         ddb.load_fact("Orders", &["700", "32", "9"]).unwrap();
         ddb.execute("INSERT Orders(100,32,1) | Orders(100,32,7) WHERE T")
@@ -2380,7 +2321,7 @@ mod tests {
     }
 
     #[test]
-    fn group_commit_buffer_lost_to_power_loss_kept_by_close() {
+    fn manual_tail_lost_to_power_loss_kept_by_close() {
         let fp = FailpointStorage::unlimited();
         let ddb = fp_seeded(&fp);
         let live = world_set(ddb.db());
@@ -2390,7 +2331,7 @@ mod tests {
         let (cold, _) = reopen(fp.power_loss_survivor());
         assert_ne!(world_set(cold.db()), live);
 
-        // Graceful shutdown flushes the group-commit buffer; the same
+        // Graceful shutdown flushes the unsynced tail; the same
         // power-loss image now recovers the full state.
         ddb.close().unwrap();
         let (recovered, report) = reopen(fp.power_loss_survivor());
@@ -2399,13 +2340,93 @@ mod tests {
     }
 
     #[test]
-    fn drop_flushes_group_commit_buffer_best_effort() {
+    fn dropping_without_close_syncs_nothing() {
         let fp = FailpointStorage::unlimited();
         let ddb = fp_seeded(&fp);
         let live = world_set(ddb.db());
-        drop(ddb); // no close(): the Drop impl must still flush
-        let (recovered, _) = reopen(fp.power_loss_survivor());
+        // No retried fsync on drop: after a failed sync one could report
+        // success for pages the OS already dropped.
+        drop(ddb);
+        let (cold, _) = reopen(fp.power_loss_survivor());
+        assert_ne!(world_set(cold.db()), live);
+        let (recovered, _) = reopen(fp.survivor());
         assert_eq!(world_set(recovered.db()), live);
+    }
+
+    /// [`MemStorage`] whose next sync fails once `fail` is set.
+    #[derive(Clone, Debug, Default)]
+    struct FailOneSync {
+        inner: MemStorage,
+        fail: Arc<std::sync::atomic::AtomicBool>,
+    }
+
+    impl Storage for FailOneSync {
+        fn read(&self, name: &str) -> Result<Option<Vec<u8>>, DbError> {
+            self.inner.read(name)
+        }
+
+        fn append(&mut self, name: &str, data: &[u8]) -> Result<(), DbError> {
+            self.inner.append(name, data)
+        }
+
+        fn sync(&mut self, name: &str) -> Result<(), DbError> {
+            if self.fail.swap(false, std::sync::atomic::Ordering::SeqCst) {
+                return Err(DbError::Storage {
+                    message: "injected fsync failure".into(),
+                });
+            }
+            self.inner.sync(name)
+        }
+
+        fn replace(&mut self, name: &str, data: &[u8]) -> Result<(), DbError> {
+            self.inner.replace(name, data)
+        }
+    }
+
+    #[test]
+    fn a_failed_sync_stops_every_later_write() {
+        let storage = FailOneSync::default();
+        let fail = Arc::clone(&storage.fail);
+        let (mut ddb, _) =
+            DurableDatabase::open(storage, DbOptions::default(), manual_opts()).expect("open");
+        ddb.enable_shipping();
+        ddb.declare_relation("Orders", 3).unwrap();
+        ddb.sync().unwrap();
+        assert_eq!(ddb.drain_shipping().len(), 1);
+        ddb.execute("INSERT Orders(1,1,1) WHERE T").unwrap();
+        fail.store(true, std::sync::atomic::Ordering::SeqCst);
+        assert!(matches!(ddb.sync(), Err(DbError::Storage { .. })));
+        // The storage works again, but the database does not retry: the
+        // failed sync may have lost the pages it was to flush.
+        let (syncs, log) = (
+            ddb.stats().syncs,
+            ddb.storage().inner.get(WAL_FILE).cloned(),
+        );
+        let (copy, from_lsn) = ddb.begin_compaction();
+        let refusals = [
+            ddb.execute("INSERT Orders(2,2,2) WHERE T").map(drop),
+            ddb.txn_begin().map(drop),
+            ddb.sync(),
+            ddb.checkpoint(),
+            ddb.install_compacted(copy, from_lsn, false).map(drop),
+        ];
+        for refusal in refusals {
+            match refusal {
+                Err(DbError::Storage { message }) => {
+                    assert!(message.contains("injected fsync failure"), "{message}")
+                }
+                other => panic!("expected the fail-stop refusal, got {other:?}"),
+            }
+        }
+        assert_eq!(ddb.stats().syncs, syncs);
+        assert_eq!(ddb.storage().inner.get(WAL_FILE).cloned(), log);
+        assert!(ddb.drain_shipping().is_empty(), "nothing unsynced ships");
+        // A reopen recovers from what storage holds and writes again.
+        let storage = ddb.into_storage();
+        let (mut reopened, _) =
+            DurableDatabase::open(storage, DbOptions::default(), manual_opts()).expect("reopen");
+        reopened.execute("INSERT Orders(2,2,2) WHERE T").unwrap();
+        reopened.sync().unwrap();
     }
 
     /// A database on `fp` under `policy`, holding one relation and one
@@ -3008,6 +3029,48 @@ mod tests {
         ddb.txn_commit(txn).unwrap();
         let live = world_set(ddb.db());
         let (recovered, _) = reopen(ddb.into_storage());
+        assert_eq!(world_set(recovered.db()), live);
+    }
+
+    #[test]
+    fn every_refused_kind_leaves_the_txn_view_and_the_txn_committable() {
+        let mut ddb = seeded(opts_nocompact());
+        // The workspace inherits the live store's ceiling at begin.
+        let len = ddb.db().theory().store.len() as u32;
+        ddb.db_mut().theory_mut().store.set_capacity(u32::MAX, len);
+        let txn = ddb.txn_begin().unwrap();
+        ddb.db_mut()
+            .theory_mut()
+            .store
+            .set_capacity(u32::MAX, u32::MAX);
+        let load = Op::LoadFact("Orders".into(), vec!["8".into(), "8".into(), "8".into()]);
+        ddb.txn_apply(txn, load, false).unwrap();
+        let view = |ddb: &DurableDatabase<MemStorage>| {
+            let ws = ddb.txn_view(txn).expect("open");
+            (persist::dump_theory(ws.theory()), world_set(ws))
+        };
+        let refused = [
+            Op::Execute("INSERT Orders(9,9,9) WHERE T".into()),
+            Op::LoadFact("Ghost".into(), vec!["1".into()]),
+            Op::DeclareTypedRelation("Ledger".into(), vec!["Orders".into()]),
+            Op::DeclareRelation("Orders".into(), 2),
+        ];
+        for op in refused {
+            let (before, next_lsn) = (view(&ddb), ddb.next_lsn());
+            assert!(ddb.txn_apply(txn, op.clone(), false).is_err(), "{op:?}");
+            assert_eq!(view(&ddb), before, "{op:?}");
+            assert_eq!(ddb.next_lsn(), next_lsn + 2, "{op:?}: intent and abort");
+            assert!(ddb.txn_open(txn));
+        }
+        ddb.txn_commit(txn).unwrap();
+        ddb.db_mut()
+            .theory_mut()
+            .store
+            .set_capacity(u32::MAX, u32::MAX);
+        assert!(ddb.db_mut().is_certain("Orders(8,8,8)").unwrap());
+        let live = world_set(ddb.db());
+        let (recovered, report) = reopen(ddb.into_storage());
+        assert_eq!(report.replay_error, None);
         assert_eq!(world_set(recovered.db()), live);
     }
 

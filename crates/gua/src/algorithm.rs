@@ -275,7 +275,9 @@ impl GuaEngine {
     ///   `¬(⋁_{i: f∈ωᵢ} (φᵢ)σ) → (f ↔ p_f)` — atoms sharing an owner set
     ///   are fused into one implication (the §3.6 optimization).
     ///
-    /// An empty slice is a no-op.
+    /// An empty slice is a no-op. Every refusal (an invalid update, or a
+    /// store at its capacity ceiling) comes before Step 1, so an `Err`
+    /// leaves the theory exactly as it was.
     pub fn apply_simultaneous(&mut self, updates: &[Update]) -> Result<UpdateReport, GuaError> {
         let nodes_before = self.theory.store.size_nodes() as isize;
         let mut report = UpdateReport::default();
@@ -307,11 +309,16 @@ impl GuaEngine {
         all_atoms.sort_unstable();
         all_atoms.dedup();
 
+        // Steps 1–7 only add to the theory (Step 2's renames aside), and
+        // the store's capacity is the one resource they can exhaust: with
+        // it checked here, a refused update changes nothing.
+        self.theory.store.check_capacity()?;
+
         // ---- Step 1: add to completion axioms --------------------------
         for &f in &all_atoms {
             if !self.theory.registry.is_registered(f) {
                 self.theory.register_atom(f);
-                self.theory.store.try_insert(&Wff::Atom(f).not())?;
+                self.theory.store.insert(&Wff::Atom(f).not());
                 report.completion_added += 1;
                 self.note(|t| {
                     format!(
@@ -335,7 +342,7 @@ impl GuaEngine {
                     let aa = self.theory.atoms.intern(GroundAtom::new(attr, &[c]));
                     if !self.theory.registry.is_registered(aa) {
                         self.theory.register_atom(aa);
-                        self.theory.store.try_insert(&Wff::Atom(aa).not())?;
+                        self.theory.store.insert(&Wff::Atom(aa).not());
                         report.completion_added += 1;
                     }
                 }
@@ -377,7 +384,7 @@ impl GuaEngine {
             .collect();
         for (form, phi_renamed) in forms.iter().zip(phis_renamed.iter()) {
             let wff = Wff::implies(phi_renamed.clone(), form.omega.clone());
-            self.theory.store.try_insert(&wff)?;
+            self.theory.store.insert(&wff);
             self.note(|t| {
                 format!(
                     "Step 3: added (φ)σ → ω:  {}",
@@ -402,7 +409,7 @@ impl GuaEngine {
                 .map(|f| Wff::iff(Wff::Atom(*f), Wff::Atom(sigma[f])))
                 .collect();
             let wff = Wff::implies(fired.not(), Wff::And(frame));
-            self.theory.store.try_insert(&wff)?;
+            self.theory.store.insert(&wff);
             self.note(|t| {
                 format!(
                     "Step 4: added frame formula ¬(φ)σ → ⋀(f ↔ p_f):  {}",
@@ -416,13 +423,13 @@ impl GuaEngine {
         if self.theory.schema.has_type_axioms() {
             for form in &forms {
                 let this_omega_atoms: Vec<AtomId> = form.omega.atom_set().into_iter().collect();
-                self.step5(&form.omega, &this_omega_atoms, &mut report, &mut instances)?;
+                self.step5(&form.omega, &this_omega_atoms, &mut report, &mut instances);
             }
         }
         if !self.theory.deps.is_empty() {
-            self.step6(&omega_atoms, &mut report, &mut instances)?;
+            self.step6(&omega_atoms, &mut report, &mut instances);
         }
-        self.step7(&instances.atoms, &mut report)?;
+        self.step7(&instances.atoms, &mut report);
 
         // ---- §4: simplification (amortized via growth threshold) ----------
         if self.options.simplify != SimplifyLevel::None {
@@ -455,7 +462,7 @@ impl GuaEngine {
         omega_atoms: &[AtomId],
         report: &mut UpdateReport,
         instances: &mut Instances,
-    ) -> Result<(), GuaError> {
+    ) {
         let omega_conjuncts = positive_conjuncts(omega);
 
         // Case (1): P(c⃗) ∈ ω whose attribute atoms are not all guaranteed
@@ -474,7 +481,7 @@ impl GuaEngine {
             });
             if !all_guaranteed {
                 if let Some(inst) = self.theory.type_axiom_instance(f) {
-                    self.add_axiom_instance(inst, instances, &mut report.type_instances)?;
+                    self.add_axiom_instance(inst, instances, &mut report.type_instances);
                 }
             }
         }
@@ -501,12 +508,11 @@ impl GuaEngine {
                     .any(|(&attr, &arg)| attr == ga.pred && arg == c);
                 if uses_attr_at_c {
                     if let Some(inst) = self.theory.type_axiom_instance(tuple) {
-                        self.add_axiom_instance(inst, instances, &mut report.type_instances)?;
+                        self.add_axiom_instance(inst, instances, &mut report.type_instances);
                     }
                 }
             }
         }
-        Ok(())
     }
 
     /// Step 6: instantiate dependency axioms triggered by updated atoms.
@@ -515,26 +521,25 @@ impl GuaEngine {
         omega_atoms: &[AtomId],
         report: &mut UpdateReport,
         instances: &mut Instances,
-    ) -> Result<(), GuaError> {
+    ) {
         let deps = self.theory.deps.clone();
         for dep in &deps {
             for &f in omega_atoms {
                 let insts = dep.instantiate(&self.theory.registry, &mut self.theory.atoms, Some(f));
                 for inst in insts {
-                    self.add_axiom_instance(inst, instances, &mut report.dep_instances)?;
+                    self.add_axiom_instance(inst, instances, &mut report.dep_instances);
                 }
             }
         }
-        Ok(())
     }
 
     /// Step 7: completion-axiom upkeep for atoms first introduced by Steps
     /// 5–6, including attribute atoms for their constants.
-    fn step7(&mut self, new_atoms: &[AtomId], report: &mut UpdateReport) -> Result<(), GuaError> {
+    fn step7(&mut self, new_atoms: &[AtomId], report: &mut UpdateReport) {
         for &a in new_atoms {
             if !self.theory.registry.is_registered(a) {
                 self.theory.register_atom(a);
-                self.theory.store.try_insert(&Wff::Atom(a).not())?;
+                self.theory.store.insert(&Wff::Atom(a).not());
                 report.completion_added += 1;
             }
             // Attribute completion for the constants of typed tuples.
@@ -545,24 +550,18 @@ impl GuaEngine {
                     let aa = self.theory.atoms.intern(GroundAtom::new(attr, &[c]));
                     if !self.theory.registry.is_registered(aa) {
                         self.theory.register_atom(aa);
-                        self.theory.store.try_insert(&Wff::Atom(aa).not())?;
+                        self.theory.store.insert(&Wff::Atom(aa).not());
                         report.completion_added += 1;
                     }
                 }
             }
         }
-        Ok(())
     }
 
-    fn add_axiom_instance(
-        &mut self,
-        inst: Wff,
-        instances: &mut Instances,
-        counter: &mut usize,
-    ) -> Result<(), GuaError> {
+    fn add_axiom_instance(&mut self, inst: Wff, instances: &mut Instances, counter: &mut usize) {
         if instances.seen.insert(inst.clone()) {
             instances.atoms.extend(inst.atom_set());
-            self.theory.store.try_insert(&inst)?;
+            self.theory.store.insert(&inst);
             *counter += 1;
             self.note(|t| {
                 format!(
@@ -571,7 +570,6 @@ impl GuaEngine {
                 )
             });
         }
-        Ok(())
     }
 
     /// Runs a standalone simplification pass (beyond the automatic
@@ -703,6 +701,46 @@ mod tests {
             "Tup(b)".to_string(),
             "Tup(c)".to_string()
         ]));
+    }
+
+    #[test]
+    fn an_update_at_the_store_ceiling_is_refused_before_step_1() {
+        let (mut t, a, b) = paper_theory();
+        let r = t.vocab.find_predicate("Tup").unwrap();
+        let cc = t.constant("c");
+        let c = t.atom(r, &[cc]);
+        let u = Update::modify(a, Wff::Or(vec![Wff::Atom(c), Wff::Atom(a)]), Wff::Atom(b));
+        let mut engine = GuaEngine::with_defaults(t);
+        let render = |t: &Theory| -> String {
+            t.store
+                .wffs()
+                .iter()
+                .map(|w| format!("{}\n", winslett_logic::display_wff(w, &t.vocab, &t.atoms)))
+                .collect()
+        };
+        let (rendered, generation) = (render(&engine.theory), engine.theory.generation());
+        let worlds = worlds_of(&engine.theory);
+        let live_atoms = engine.theory.store.live_atoms().len() as u32;
+        let formulas = engine.theory.store.len() as u32;
+        for (max_slots, max_formulas, table) in [
+            (live_atoms, u32::MAX, "slots"),
+            (u32::MAX, formulas, "formulas"),
+        ] {
+            engine.theory.store.set_capacity(max_slots, max_formulas);
+            match engine.apply(&u) {
+                Err(GuaError::Theory(TheoryError::StoreCapacity { what, .. })) => {
+                    assert_eq!(what, table)
+                }
+                other => panic!("expected a {table} capacity refusal, got {other:?}"),
+            }
+            assert_eq!(render(&engine.theory), rendered);
+            assert_eq!(engine.theory.generation(), generation);
+            assert_eq!(worlds_of(&engine.theory), worlds);
+            // `set_capacity` clamps to the default ceiling: this lifts it.
+            engine.theory.store.set_capacity(u32::MAX, u32::MAX);
+        }
+        engine.apply(&u).unwrap();
+        assert_eq!(worlds_of(&engine.theory).len(), 4);
     }
 
     #[test]

@@ -344,9 +344,9 @@ fn print_outcome(outcome: Result<String, ClientError>) {
 
 /// The `make serve-smoke` gate: an in-process server on an ephemeral
 /// port, one scripted session sending every op kind — the §3.5 axiom
-/// declarations included — plus pins, reads, stats, a checkpoint and a
-/// transaction, with exact assertions on the replies, then a reopen of
-/// the flushed storage that must agree.
+/// declarations included — plus pins, reads, stats, a checkpoint, a
+/// transaction and refused writes, with exact assertions on the replies,
+/// then a reopen of the flushed storage that must agree.
 fn cmd_smoke() -> Result<(), String> {
     let (server, _report) = Server::bind(
         ("127.0.0.1", 0),
@@ -482,6 +482,24 @@ fn cmd_smoke() -> Result<(), String> {
         Err(ClientError::Server(e)) if e.kind == ErrorKindWire::BadRequest => {}
         other => return Err(format!("a wire Apply must be a BadRequest, got {other:?}")),
     }
+    // Writes journaled and then refused change nothing: the typed
+    // relation over a non-attribute leaves its name free.
+    for (step, op) in [
+        (
+            "typed relation over a non-attribute",
+            Op::DeclareTypedRelation("Ledger".into(), vec!["Orders".into()]),
+        ),
+        (
+            "fact on an undeclared predicate",
+            Op::LoadFact("Ghost".into(), vec!["1".into()]),
+        ),
+    ] {
+        match c.write(op) {
+            Err(ClientError::Server(e)) if e.kind == ErrorKindWire::Refused => {}
+            other => return Err(format!("a {step} must be Refused, got {other:?}")),
+        }
+    }
+    call("declare the refused name", c.declare_relation("Ledger", 2))?;
 
     call("shutdown", c.shutdown())?;
     let storage = running
@@ -510,6 +528,18 @@ fn cmd_smoke() -> Result<(), String> {
             "reopened storage agrees with the served verdicts",
         )?;
     }
+    let vocab = &db.db().theory().vocab;
+    expect(
+        vocab
+            .find_predicate("Ledger")
+            .map(|p| vocab.predicate(p).arity)
+            == Some(2),
+        "reopened storage declares Ledger at the arity served",
+    )?;
+    expect(
+        vocab.find_predicate("Ghost").is_none(),
+        "reopened storage never declared the refused fact's predicate",
+    )?;
 
     println!("serve-smoke: ok");
     Ok(())

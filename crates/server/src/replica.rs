@@ -486,8 +486,9 @@ fn tail_once(
                 // The stream is the effective log: holes at abort sites
                 // are expected. An op that still refuses mirrors
                 // recovery's deterministic-refusal accounting — it was
-                // journaled but deterministically refused, so skipping
-                // keeps us aligned with the primary.
+                // journaled but deterministically refused, and a refused
+                // op changes nothing (`apply_op`), so skipping keeps us
+                // aligned with the primary.
                 if apply_op(db, &op).is_err() {
                     shared
                         .stats

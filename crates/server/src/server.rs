@@ -685,7 +685,9 @@ impl Batch {
     /// The durability point: one sync, one snapshot capture and
     /// publication, one ship, then every held ack. If the sync fails no
     /// ack may claim success and nothing ships: the batch is applied in
-    /// memory but not guaranteed on storage.
+    /// memory but not guaranteed on storage, and the database refuses
+    /// every later write (fail-stop), so no later pass publishes or
+    /// ships it.
     fn close<S: Storage>(&mut self, shared: &Shared<S>, db: &mut DurableDatabase<S>) {
         let acks = std::mem::take(&mut self.acks);
         let (writes, applied) = (self.writes, self.applied);
@@ -2280,14 +2282,17 @@ mod tests {
         }
         assert!(rx.try_recv().is_err(), "nothing ships before it is synced");
         assert_eq!(read_published(&shared).snapshot.generation(), published);
-        // Once syncs work again the records ship, in commit order.
+        // The failed sync is final, even once the storage works again:
+        // the next write is refused, and the failed batch never ships
+        // or publishes.
         fail.store(false, Ordering::SeqCst);
         serve_run(&shared, vec![write(2, "INSERT R(b) WHERE T")]);
-        let shipped = rx.try_recv().expect("shipped after the sync");
-        assert!(shipped.windows(2).all(|w| w[0].lsn < w[1].lsn));
-        assert!(shipped
-            .iter()
-            .any(|e| matches!(e.record, WalRecord::TxnCommit(t) if t == t1)));
+        match replies(&shared).as_slice() {
+            [(2, Response::Error(e))] => assert_eq!(e.kind, ErrorKindWire::Storage),
+            other => panic!("the write after a failed sync was not refused: {other:?}"),
+        }
+        assert!(rx.try_recv().is_err(), "nothing ships after a failed sync");
+        assert_eq!(read_published(&shared).snapshot.generation(), published);
     }
 
     #[test]

@@ -57,9 +57,9 @@ pub enum TheoryError {
         /// Description of the violated axiom instance.
         axiom: String,
     },
-    /// The formula store ran out of dense `u32` identifier space (slots or
-    /// formula handles). Formerly a panic; surfaced as a typed error so a
-    /// long-lived server can refuse the write instead of aborting.
+    /// The formula store's slot or formula table reached its ceiling (2³¹
+    /// ids, or a lower test quota). GUA checks this before its first
+    /// mutation, so the refused update changed nothing.
     StoreCapacity {
         /// Which table overflowed: `"slots"` or `"formulas"`.
         what: &'static str,

@@ -70,16 +70,25 @@ impl Schema {
                 got: attrs.len(),
             });
         }
-        for &a in &attrs {
-            if !self.attributes.contains(&a) {
-                return Err(TheoryError::NotAnAttribute {
-                    name: vocab.predicate(a).name.clone(),
-                });
-            }
-        }
+        self.check_attributes(&attrs, vocab)?;
         self.type_axioms.insert(relation, attrs);
         self.version += 1;
         Ok(())
+    }
+
+    /// Refuses with [`TheoryError::NotAnAttribute`] unless every one of
+    /// `attrs` is a declared attribute.
+    pub(crate) fn check_attributes(
+        &self,
+        attrs: &[PredId],
+        vocab: &Vocabulary,
+    ) -> Result<(), TheoryError> {
+        match attrs.iter().find(|a| !self.attributes.contains(a)) {
+            Some(&a) => Err(TheoryError::NotAnAttribute {
+                name: vocab.predicate(a).name.clone(),
+            }),
+            None => Ok(()),
+        }
     }
 
     /// The type axiom of `relation`, if one is declared.

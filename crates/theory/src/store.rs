@@ -23,6 +23,12 @@ use rustc_hash::FxHashMap;
 use smallvec::SmallVec;
 use winslett_logic::{AtomId, Formula, Wff};
 
+/// The default ceiling of the slot and formula tables: half the `u32`
+/// identifier space. GUA checks it once, before its first mutation, and
+/// no single update adds anywhere near 2³¹ entries, so an update admitted
+/// below it cannot run the ids out.
+const CEILING: u32 = 1 << 31;
+
 /// Index of a slot in the store's indirection table.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct SlotId(pub u32);
@@ -73,9 +79,9 @@ pub struct FormulaStore {
     live_nodes: usize,
     /// Number of live formulas.
     live_count: usize,
-    /// Identifier-space ceilings (`u32::MAX` unless lowered). Lowering them
-    /// makes the [`FormulaStore::try_insert`] capacity errors reachable in
-    /// tests and lets an operator quota a tenant's store.
+    /// Identifier-space ceilings (2³¹ unless lowered by
+    /// [`FormulaStore::set_capacity`]), enforced by
+    /// [`FormulaStore::check_capacity`].
     max_slots: Option<u32>,
     max_formulas: Option<u32>,
     /// Bumped on every semantic mutation (insert, remove, rename,
@@ -112,22 +118,29 @@ impl FormulaStore {
         self.version
     }
 
-    /// Lowers the identifier-space ceilings. Inserts that would need a slot
-    /// or formula id at or beyond a ceiling fail with
-    /// [`TheoryError::StoreCapacity`] instead of allocating. Used by tests
-    /// to make the (otherwise ~4-billion-insert) overflow path reachable,
-    /// and available to deployments that quota per-database growth.
+    /// Lowers the identifier-space ceilings; a ceiling above the default
+    /// 2³¹ is clamped to it. Used by tests to make the (otherwise
+    /// ~2-billion-insert) capacity refusal reachable.
     pub fn set_capacity(&mut self, max_slots: u32, max_formulas: u32) {
-        self.max_slots = Some(max_slots);
-        self.max_formulas = Some(max_formulas);
+        self.max_slots = Some(max_slots.min(CEILING));
+        self.max_formulas = Some(max_formulas.min(CEILING));
     }
 
-    fn slot_ceiling(&self) -> u64 {
-        self.max_slots.map_or(u64::from(u32::MAX), u64::from)
-    }
-
-    fn formula_ceiling(&self) -> u64 {
-        self.max_formulas.map_or(u64::from(u32::MAX), u64::from)
+    /// Refuses with [`TheoryError::StoreCapacity`] unless the slot and
+    /// formula tables are both below their ceilings. GUA checks this
+    /// once, before Step 1: it is the only resource its steps can
+    /// exhaust, so an update that passes the check cannot fail halfway.
+    pub fn check_capacity(&self) -> Result<(), TheoryError> {
+        for (what, len, ceiling) in [
+            ("slots", self.slots.len(), self.max_slots),
+            ("formulas", self.formulas.len(), self.max_formulas),
+        ] {
+            let limit = u64::from(ceiling.unwrap_or(CEILING));
+            if len as u64 >= limit {
+                return Err(TheoryError::StoreCapacity { what, limit });
+            }
+        }
+        Ok(())
     }
 
     fn slot_for(&mut self, atom: AtomId) -> SlotId {
@@ -136,7 +149,7 @@ impl FormulaStore {
                 return s;
             }
         }
-        let s = SlotId(u32::try_from(self.slots.len()).expect("checked by try_insert"));
+        let s = SlotId(u32::try_from(self.slots.len()).expect("slot ids fit in u32"));
         self.slots.push(atom);
         self.slot_occurrences.push(0);
         self.atom_slots.entry(atom).or_default().push(s);
@@ -144,47 +157,14 @@ impl FormulaStore {
     }
 
     /// Inserts a wff, returning its handle.
-    ///
-    /// Panics if the store's identifier space is exhausted; fallible
-    /// callers (the GUA update path) use [`FormulaStore::try_insert`].
     pub fn insert(&mut self, wff: &Wff) -> FormulaId {
-        self.try_insert(wff)
-            .unwrap_or_else(|e| panic!("formula store insert failed: {e}"))
-    }
-
-    /// Inserts a wff, returning its handle — or a typed
-    /// [`TheoryError::StoreCapacity`] if the insert would exhaust the
-    /// `u32` slot or formula identifier space (or a configured quota)
-    /// rather than panicking mid-update.
-    pub fn try_insert(&mut self, wff: &Wff) -> Result<FormulaId, TheoryError> {
-        // Capacity is checked up front so a failed insert allocates
-        // nothing: the slot table must fit every atom of `wff` that does
-        // not already have a live binding, and the formula table one more
-        // entry.
-        if self.formulas.len() as u64 >= self.formula_ceiling() {
-            return Err(TheoryError::StoreCapacity {
-                what: "formulas",
-                limit: self.formula_ceiling(),
-            });
-        }
-        let new_slots = wff
-            .atom_set()
-            .into_iter()
-            .filter(|a| !self.atom_slots.contains_key(a))
-            .count() as u64;
-        if self.slots.len() as u64 + new_slots > self.slot_ceiling() {
-            return Err(TheoryError::StoreCapacity {
-                what: "slots",
-                limit: self.slot_ceiling(),
-            });
-        }
         let body = wff.map_atoms(&mut |a: &AtomId| {
             let s = self.slot_for(*a);
             self.slot_occurrences[s.index()] += 1;
             s
         });
         let nodes = body.size();
-        let id = FormulaId(u32::try_from(self.formulas.len()).expect("checked above"));
+        let id = FormulaId(u32::try_from(self.formulas.len()).expect("formula ids fit in u32"));
         self.live_nodes += nodes;
         self.live_count += 1;
         self.version += 1;
@@ -193,7 +173,7 @@ impl FormulaStore {
             nodes,
             live: true,
         });
-        Ok(id)
+        id
     }
 
     /// Removes a formula (used by simplification). Idempotent.
@@ -427,52 +407,6 @@ mod tests {
     }
 
     #[test]
-    fn capacity_exhaustion_is_a_typed_error_not_a_panic() {
-        let mut s = FormulaStore::new();
-        s.set_capacity(2, 2);
-        s.insert(&Wff::and2(a(1), a(2))); // fills both slots
-        assert!(matches!(
-            s.try_insert(&a(3)),
-            Err(TheoryError::StoreCapacity {
-                what: "slots",
-                limit: 2
-            })
-        ));
-        // A wff over already-slotted atoms still fits (no new slots).
-        s.try_insert(&a(1)).unwrap();
-        // … and now the formula table is full.
-        assert!(matches!(
-            s.try_insert(&a(2)),
-            Err(TheoryError::StoreCapacity {
-                what: "formulas",
-                limit: 2
-            })
-        ));
-        // A failed insert must not have corrupted accounting.
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.occurrences_of(AtomId(1)), 2);
-        assert_eq!(s.occurrences_of(AtomId(3)), 0);
-        assert!(!s.contains_atom(AtomId(3)));
-    }
-
-    #[test]
-    fn failed_insert_allocates_nothing() {
-        // The capacity check runs before any slot allocation: a rejected
-        // wff must not leave partial slots behind (which would corrupt
-        // occurrence accounting for later renames).
-        let mut s = FormulaStore::new();
-        s.set_capacity(3, 10);
-        s.insert(&Wff::and2(a(1), a(2)));
-        // a(1) is slotted, but a(4) & a(5) need two new slots: only one fits.
-        assert!(s.try_insert(&Wff::and2(a(4), a(5))).is_err());
-        assert_eq!(s.occurrences_of(AtomId(4)), 0);
-        assert!(!s.contains_atom(AtomId(5)));
-        // The remaining slot is still usable.
-        s.try_insert(&a(4)).unwrap();
-        assert_eq!(s.occurrences_of(AtomId(4)), 1);
-    }
-
-    #[test]
     fn occurrence_accounting_after_merge_remove_reinsert() {
         // Regression: a merge rename (two slots now display one atom)
         // followed by remove and re-insert must keep per-atom occurrence
@@ -498,23 +432,6 @@ mod tests {
         assert_eq!(s.occurrences_of(AtomId(2)), 0);
         assert!(!s.contains_atom(AtomId(2)));
         assert_eq!(s.live_atoms(), Vec::<AtomId>::new());
-    }
-
-    #[test]
-    fn replace_all_preserves_capacity_quota() {
-        let mut s = FormulaStore::new();
-        s.set_capacity(8, 8);
-        s.replace_all(&[a(1)]);
-        assert!(s
-            .try_insert(&Wff::and2(
-                a(2),
-                Wff::and2(a(3), Wff::and2(a(4), Wff::and2(a(5), a(6))))
-            ))
-            .is_ok());
-        // 6 slots used; 3 more distinct atoms exceed the 8-slot quota.
-        assert!(s
-            .try_insert(&Wff::and2(a(7), Wff::and2(a(8), a(9))))
-            .is_err());
     }
 
     #[test]

@@ -152,12 +152,14 @@ impl Theory {
     }
 
     /// Declares a relation with a type axiom: argument `i` ranges over
-    /// attribute `attrs[i]` (§3.5, item 4).
+    /// attribute `attrs[i]` (§3.5, item 4). The attributes are checked
+    /// first, so a refusal leaves `name` undeclared.
     pub fn declare_typed_relation(
         &mut self,
         name: &str,
         attrs: &[PredId],
     ) -> Result<PredId, TheoryError> {
+        self.schema.check_attributes(attrs, &self.vocab)?;
         let p = self.declare_relation(name, attrs.len())?;
         self.schema.set_type_axiom(p, attrs.to_vec(), &self.vocab)?;
         Ok(p)

@@ -10,11 +10,14 @@
 //! points, including with aggressive auto-compaction so crashes land
 //! inside checkpoints too. The scripts declare a relation typed by
 //! attributes and under a functional dependency, so recovery also
-//! replays GUA's type- and dependency-axiom steps (§3.5).
+//! replays GUA's type- and dependency-axiom steps (§3.5). Random scripts
+//! also carry ops the database journals and then refuses: each must
+//! leave the theory as it found it, and a crash between such an intent
+//! and its abort record must still recover a prefix state.
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
-use winslett::db::persist::DependencyDump;
+use winslett::db::persist::{dump_theory, DependencyDump, TheoryDump};
 use winslett::db::wal::{
     DurableDatabase, FailpointStorage, MemStorage, Storage, SyncPolicy, WalOptions,
 };
@@ -33,7 +36,12 @@ enum Op {
     AddFd(&'static str, &'static [usize]),
     LoadFact(&'static str, &'static [&'static str]),
     Exec(&'static str),
+    /// An LDML statement run with the formula store at its capacity
+    /// ceiling, lifted again right after.
+    ExecAtCeiling(&'static str),
     Checkpoint,
+    /// An op the database journals and then refuses.
+    Refused(&'static Op),
 }
 
 fn apply_op<S: Storage>(
@@ -63,7 +71,18 @@ fn apply_op<S: Storage>(
         }
         Op::LoadFact(pred, args) => ddb.load_fact(pred, args).map(|_| ()),
         Op::Exec(src) => ddb.execute(src).map(|_| ()),
+        Op::ExecAtCeiling(src) => {
+            let len = ddb.db().theory().store.len() as u32;
+            ddb.db_mut().theory_mut().store.set_capacity(u32::MAX, len);
+            let result = ddb.execute(src).map(|_| ());
+            ddb.db_mut()
+                .theory_mut()
+                .store
+                .set_capacity(u32::MAX, u32::MAX);
+            result
+        }
         Op::Checkpoint => ddb.checkpoint(),
+        Op::Refused(op) => apply_op(ddb, op),
     }
 }
 
@@ -79,8 +98,20 @@ fn world_set(db: &LogicalDatabase) -> BTreeSet<Vec<String>> {
         .collect()
 }
 
+/// What a refused op must leave as it found it: the store's wffs, the
+/// registry, the schema and the dependencies (all in the dump), and the
+/// worlds.
+fn fingerprint(db: &LogicalDatabase) -> (TheoryDump, BTreeSet<Vec<String>>) {
+    (dump_theory(db.theory()), world_set(db))
+}
+
 /// Crash-free probe run: returns every prefix state's world set (the set
 /// of *legal* recovery outcomes) and the total bytes the script writes.
+/// A refused op's state is the one before it. The store's ceiling lives
+/// in the process, not in the log, so a crash between an
+/// [`Op::ExecAtCeiling`] intent and its abort record leaves the intent as
+/// the log's tail, and recovery applies it like any op in flight at a
+/// crash: that state is legal too.
 fn probe(script: &[Op], wal_options: WalOptions) -> (Vec<BTreeSet<Vec<String>>>, u64) {
     let storage = FailpointStorage::unlimited();
     let handle = storage.clone();
@@ -88,7 +119,24 @@ fn probe(script: &[Op], wal_options: WalOptions) -> (Vec<BTreeSet<Vec<String>>>,
         DurableDatabase::open(storage, DbOptions::default(), wal_options).expect("probe open");
     let mut states = vec![world_set(ddb.db())];
     for op in script {
-        apply_op(&mut ddb, op).expect("probe op");
+        let before = fingerprint(ddb.db());
+        let result = apply_op(&mut ddb, op);
+        match op {
+            Op::Refused(inner) => {
+                assert!(result.is_err(), "{inner:?} was not refused");
+                assert_eq!(
+                    fingerprint(ddb.db()),
+                    before,
+                    "refused {inner:?} changed the theory"
+                );
+                if let Op::ExecAtCeiling(src) = inner {
+                    let mut in_flight = ddb.db().clone();
+                    in_flight.execute(src).expect("applies without the ceiling");
+                    states.push(world_set(&in_flight));
+                }
+            }
+            _ => result.expect("probe op"),
+        }
         states.push(world_set(ddb.db()));
     }
     ddb.sync().expect("probe sync");
@@ -102,7 +150,7 @@ fn run_with_kill(script: &[Op], kill: u64, wal_options: WalOptions) -> MemStorag
     let handle = storage.clone();
     if let Ok((mut ddb, _)) = DurableDatabase::open(storage, DbOptions::default(), wal_options) {
         for op in script {
-            if apply_op(&mut ddb, op).is_err() {
+            if apply_op(&mut ddb, op).is_err() && !matches!(op, Op::Refused(_)) {
                 break;
             }
         }
@@ -167,7 +215,7 @@ fn nocompact() -> WalOptions {
 
 fn compact_aggressively() -> WalOptions {
     WalOptions {
-        policy: SyncPolicy::GroupCommit(3),
+        policy: SyncPolicy::Manual,
         compact_growth_factor: Some(1.05),
         compact_min_nodes: 1,
     }
@@ -218,8 +266,22 @@ fn explicit_checkpoint_mid_script_is_crash_safe() {
     }
 }
 
-/// Pool of independent operations for randomized scripts (each is valid
-/// whatever subset precedes it, so every prefix is a legal state).
+#[test]
+fn kill_points_around_refused_ops_recover_to_a_prefix_state() {
+    // Every kill byte, so crashes land between each refused op's intent
+    // and its abort record.
+    let mut script: Vec<Op> = SCRIPT[..SETUP].to_vec();
+    script.extend(OP_POOL.iter().filter(|op| matches!(op, Op::Refused(_))));
+    script.push(Op::Exec("INSERT InStock(33,5) WHERE T"));
+    let (legal, total) = probe(&script, nocompact());
+    for kill in 0..=total {
+        assert_atomic_at(&script, kill, nocompact(), &legal);
+    }
+}
+
+/// Pool of independent operations for randomized scripts (each is valid,
+/// or refused, whatever subset precedes it, so every prefix is a legal
+/// state).
 const OP_POOL: &[Op] = &[
     Op::Exec("INSERT Orders(100,32,1) | Orders(100,32,7) WHERE T"),
     Op::Exec("INSERT InStock(33,5) WHERE T"),
@@ -232,6 +294,10 @@ const OP_POOL: &[Op] = &[
     Op::Exec("MODIFY Price(32,12) TO BE Price(32,11) WHERE T"),
     Op::Exec("DELETE Cost(10) WHERE T"),
     Op::Checkpoint,
+    Op::Refused(&Op::LoadFact("Ghost", &["1"])),
+    Op::Refused(&Op::DeclareTypedRelation("Ledger", &["Orders"])),
+    Op::Refused(&Op::DeclareRelation("Orders", 2)),
+    Op::Refused(&Op::ExecAtCeiling("INSERT InStock(33,6) WHERE T")),
 ];
 
 proptest! {
@@ -243,13 +309,13 @@ proptest! {
     fn any_crash_recovers_to_a_prefix_state(
         ops in prop::collection::vec(0..OP_POOL.len(), 1..6),
         kill_permille in 0u64..=1000,
-        grouped in any::<bool>(),
+        manual in any::<bool>(),
         compact in any::<bool>(),
     ) {
         let mut script: Vec<Op> = SCRIPT[..SETUP].to_vec(); // schema, axioms, facts
         script.extend(ops.iter().map(|&i| OP_POOL[i]));
         let wal_options = WalOptions {
-            policy: if grouped { SyncPolicy::GroupCommit(4) } else { SyncPolicy::EveryRecord },
+            policy: if manual { SyncPolicy::Manual } else { SyncPolicy::EveryRecord },
             compact_growth_factor: if compact { Some(1.1) } else { None },
             compact_min_nodes: 1,
         };
