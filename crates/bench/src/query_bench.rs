@@ -16,10 +16,16 @@
 //! * **session** — one [`winslett_logic::EntailmentSession`] built from the same
 //!   constraints: the base is encoded once, every candidate wff is encoded
 //!   once behind an activation literal, and every check is an
-//!   assumption-solve that keeps learnt clauses alive.
+//!   assumption-solve (`satisfiable_under`) that keeps learnt clauses
+//!   alive;
+//! * **decide** — the same session through
+//!   [`winslett_logic::EntailmentSession::decide`], the call the query
+//!   engine and snapshot readers make: a check a model an earlier solve
+//!   found already settles takes no solve.
 //!
-//! Verdicts must agree check-for-check, and the session verdicts are also
-//! cross-checked against the production [`Query::evaluate`] path. The
+//! Verdicts must agree check-for-check across the three paths, and the
+//! session verdicts are also cross-checked against the production
+//! [`Query::evaluate`] path. The
 //! emitted JSON is validated by re-parsing into [`QueryBench`] — the shape
 //! gate behind `make bench-smoke`.
 
@@ -28,7 +34,7 @@ use crate::report::Table;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 use winslett_core::{Query, Workload};
-use winslett_logic::{cnf::Tseitin, Wff};
+use winslett_logic::{cnf::Tseitin, EntailmentSession, Wff};
 use winslett_theory::Theory;
 
 /// Solver-side counters for one decision strategy's full run.
@@ -47,6 +53,9 @@ pub struct SolveCounters {
     pub propagations: u64,
     /// Conflicts across all solves.
     pub conflicts: u64,
+    /// Checks answered from a model an earlier solve found, with no solve
+    /// (0 except on the decide path).
+    pub model_answers: u64,
 }
 
 /// One decision strategy's measured run.
@@ -76,15 +85,18 @@ pub struct QueryBench {
     pub candidate_bindings: u64,
     /// `std::thread::available_parallelism()` on the measuring host.
     pub host_parallelism: u64,
-    /// Whether legacy and session verdicts agreed on every check *and* the
-    /// session verdicts reproduce `Query::evaluate`. Must be `true`.
+    /// Whether the legacy, session and decide verdicts agreed on every
+    /// check *and* the session verdicts reproduce `Query::evaluate`. Must
+    /// be `true`.
     pub identical_answers: bool,
     /// Legacy total time / session total time.
     pub session_speedup: f64,
     /// The fresh-solver-per-check run.
     pub legacy: PathRun,
-    /// The incremental-session run.
+    /// The incremental-session run, one assumption solve per check.
     pub session: PathRun,
+    /// The same session through `EntailmentSession::decide`.
+    pub decide: PathRun,
     /// Free-form observations.
     pub notes: Vec<String>,
 }
@@ -136,12 +148,14 @@ fn run_legacy(
     (PathRun { total_us, stats }, verdicts)
 }
 
-/// The session decision path: one [`winslett_logic::EntailmentSession`] over the same
-/// constraints, reused across every check of every round.
-fn run_session(
+/// A session decision path: one [`EntailmentSession`] over the same
+/// constraints, reused across every check of every round, deciding each
+/// candidate with `check`.
+fn run_on_session(
     theory: &Theory,
     rounds: usize,
     candidate_sets: &[Vec<(Vec<String>, Wff)>],
+    check: impl Fn(&mut EntailmentSession, &Wff) -> (bool, bool),
 ) -> (PathRun, Verdicts) {
     let mut verdicts = Vec::new();
     let start = Instant::now();
@@ -149,10 +163,7 @@ fn run_session(
     for _ in 0..rounds {
         for cands in candidate_sets {
             for (_, wff) in cands {
-                let l = session.literal_for(wff);
-                let possible = session.satisfiable_under(&[l]);
-                let certain = possible && !session.satisfiable_under(&[l.negate()]);
-                verdicts.push((possible, certain));
+                verdicts.push(check(&mut session, wff));
             }
         }
     }
@@ -164,8 +175,19 @@ fn run_session(
         encode_reuse_hits: s.encode_reuse_hits,
         propagations: session.solver_mut().propagations,
         conflicts: session.solver_mut().conflicts,
+        model_answers: s.model_answers,
     };
     (PathRun { total_us, stats }, verdicts)
+}
+
+/// The session path's check: one assumption solve per question.
+fn solve_both(session: &mut EntailmentSession, wff: &Wff) -> (bool, bool) {
+    let l = session.literal_for(wff);
+    let possible = session.satisfiable_under(&[l]);
+    (
+        possible,
+        possible && !session.satisfiable_under(&[l.negate()]),
+    )
 }
 
 /// Builds the E11-style workload, measures both decision paths, and
@@ -201,12 +223,15 @@ pub fn run_query_bench(r: usize, rounds: usize) -> QueryBench {
     let constraints = theory.model_constraints();
     let num_atoms = theory.num_atoms();
     let (legacy, legacy_verdicts) = run_legacy(&constraints, num_atoms, rounds, &candidate_sets);
-    let (session, session_verdicts) = run_session(&theory, rounds, &candidate_sets);
+    let (session, session_verdicts) = run_on_session(&theory, rounds, &candidate_sets, solve_both);
+    let (decide, decide_verdicts) =
+        run_on_session(&theory, rounds, &candidate_sets, EntailmentSession::decide);
 
     // Check-for-check agreement, plus agreement with the production path:
     // answers assembled from the first round of session verdicts must
     // reproduce `Query::evaluate` exactly.
-    let mut identical_answers = legacy_verdicts == session_verdicts;
+    let mut identical_answers =
+        legacy_verdicts == session_verdicts && decide_verdicts == session_verdicts;
     let mut offset = 0;
     for (q, cands) in parsed.iter().zip(&candidate_sets) {
         let production = q.evaluate(&theory).expect("production evaluate");
@@ -240,13 +265,23 @@ pub fn run_query_bench(r: usize, rounds: usize) -> QueryBench {
             legacy.stats.encodes,
             session.stats.encode_reuse_hits
         ),
-        "certain is only solved for possible candidates on both paths, so \
-         solve counts match and the speedup isolates encoding reuse plus \
-         retained learnt clauses."
+        "certain is only solved for possible candidates on the legacy and \
+         session paths, so their solve counts match and the speedup isolates \
+         encoding reuse plus retained learnt clauses."
             .to_owned(),
+        format!(
+            "decide answers {} of its {} checks from models earlier solves \
+             found and solves the other {}, in {:.1} µs against the session \
+             path's {:.1} µs.",
+            decide.stats.model_answers,
+            decide.stats.model_answers + decide.stats.solves,
+            decide.stats.solves,
+            decide.total_us,
+            session.total_us
+        ),
     ];
     QueryBench {
-        version: 1,
+        version: 2,
         experiment: "query".to_owned(),
         workload: format!(
             "E11-style: {} queries × {rounds} rounds over Orders({r}) with \
@@ -262,6 +297,7 @@ pub fn run_query_bench(r: usize, rounds: usize) -> QueryBench {
         session_speedup,
         legacy,
         session,
+        decide,
         notes,
     }
 }
@@ -270,20 +306,38 @@ pub fn run_query_bench(r: usize, rounds: usize) -> QueryBench {
 /// [`QueryBench`] and checking the cross-field invariants. Returns the
 /// parsed document on success; `make bench-smoke` fails on `Err`.
 pub fn validate_query_bench(text: &str) -> Result<QueryBench, String> {
-    let b: QueryBench = kernel::parse(text, "query", 1)?;
+    let b: QueryBench = kernel::parse(text, "query", 2)?;
     if b.rounds == 0 || b.queries == 0 || b.candidate_bindings == 0 {
         return Err(
             "workload collapsed: rounds, queries, and candidate_bindings must be > 0".into(),
         );
     }
     if !b.identical_answers {
-        return Err("legacy and session paths disagree on some verdict".into());
+        return Err("legacy, session and decide paths disagree on some verdict".into());
     }
-    for (label, run) in [("legacy", &b.legacy), ("session", &b.session)] {
+    for (label, run) in [
+        ("legacy", &b.legacy),
+        ("session", &b.session),
+        ("decide", &b.decide),
+    ] {
         if run.stats.solves == 0 {
             return Err(format!("{label} run performed no solves"));
         }
         kernel::positive(run.total_us, &format!("{label} total_us"))?;
+    }
+    if b.decide.stats.solves > b.session.stats.solves {
+        return Err(format!(
+            "decide solved {} times, the session path {} — decide must never \
+             solve more",
+            b.decide.stats.solves, b.session.stats.solves
+        ));
+    }
+    if b.decide.stats.solves + b.decide.stats.model_answers != b.session.stats.solves {
+        return Err(format!(
+            "decide's {} solves and {} model answers do not cover the session \
+             path's {} checks",
+            b.decide.stats.solves, b.decide.stats.model_answers, b.session.stats.solves
+        ));
     }
     if b.legacy.stats.solves != b.session.stats.solves {
         return Err(format!(
@@ -328,17 +382,23 @@ pub fn query_table(b: &QueryBench) -> Table {
             "solves",
             "encodes",
             "reuse hits",
+            "model answers",
             "propagations",
             "conflicts",
         ],
     );
-    for (label, r) in [("legacy", &b.legacy), ("session", &b.session)] {
+    for (label, r) in [
+        ("legacy", &b.legacy),
+        ("session", &b.session),
+        ("decide", &b.decide),
+    ] {
         t.row(vec![
             label.to_owned(),
             format!("{:.1}", r.total_us),
             r.stats.solves.to_string(),
             r.stats.encodes.to_string(),
             r.stats.encode_reuse_hits.to_string(),
+            r.stats.model_answers.to_string(),
             r.stats.propagations.to_string(),
             r.stats.conflicts.to_string(),
         ]);
@@ -366,6 +426,8 @@ mod tests {
         assert_eq!(b.queries, 3);
         assert!(b.candidate_bindings > 0);
         assert_eq!(b.legacy.stats.solves, b.session.stats.solves);
+        assert!(b.decide.stats.solves <= b.session.stats.solves);
+        assert!(b.decide.stats.model_answers > 0);
         assert!(b.session.stats.encode_reuse_hits > 0);
         let text = serde_json::to_string_pretty(&b).expect("serializes");
         let back = validate_query_bench(&text).expect("validates");
@@ -388,6 +450,18 @@ mod tests {
             .unwrap_err()
             .contains("acceptance floor"));
         let mut bad = b.clone();
+        bad.decide.stats.solves = bad.session.stats.solves + 1;
+        let text = serde_json::to_string_pretty(&bad).expect("serializes");
+        assert!(validate_query_bench(&text)
+            .unwrap_err()
+            .contains("never solve more"));
+        let mut bad = b.clone();
+        bad.decide.stats.model_answers += 1;
+        let text = serde_json::to_string_pretty(&bad).expect("serializes");
+        assert!(validate_query_bench(&text)
+            .unwrap_err()
+            .contains("do not cover"));
+        let mut bad = b.clone();
         bad.session.stats.encodes = bad.legacy.stats.encodes;
         let text = serde_json::to_string_pretty(&bad).expect("serializes");
         assert!(validate_query_bench(&text)
@@ -402,5 +476,6 @@ mod tests {
         let rendered = query_table(&b).render();
         assert!(rendered.contains("legacy"));
         assert!(rendered.contains("session"));
+        assert!(rendered.contains("decide"));
     }
 }

@@ -125,25 +125,34 @@ pub(crate) struct Resolved {
 impl Resolved {
     /// Resolves `op` against `db`: an `Execute` is parsed, widened (§3.5)
     /// and validated into its effective `Apply`; any other op journals as
-    /// itself.
+    /// itself. An update is refused here, before anything is journaled,
+    /// when the formula store is at its ceiling: the ceiling lives in the
+    /// process, not in the log, so recovery could not refuse it again.
     pub(crate) fn new(op: Op, db: &mut LogicalDatabase) -> Result<Self, DbError> {
         match op {
             Op::Execute(src) => {
                 let parsed = db.parse_update(&src)?;
                 Self::update(&parsed, db)
             }
-            journal => Ok(Resolved {
-                journal,
-                effective: None,
-            }),
+            journal => {
+                if let Op::Apply(_) = journal {
+                    db.theory().store.check_capacity()?;
+                }
+                Ok(Resolved {
+                    journal,
+                    effective: None,
+                })
+            }
         }
     }
 
-    /// Resolves an update AST into its effective `Apply`.
+    /// Resolves an update AST into its effective `Apply`, refusing at the
+    /// store's ceiling as [`Resolved::new`] does.
     pub(crate) fn update(update: &Update, db: &mut LogicalDatabase) -> Result<Self, DbError> {
         let effective = db.effective_update(update);
         let t = db.theory();
         effective.validate(&t.vocab, &t.atoms)?;
+        t.store.check_capacity()?;
         Ok(Resolved {
             journal: Op::Apply(dump_update(&effective, t)),
             effective: Some(effective),

@@ -190,28 +190,12 @@ impl Query {
     /// Evaluates the query against `theory`, returning certain and possible
     /// answers. Candidate bindings are generated from the registered atoms
     /// (anything outside the completion axioms is false everywhere), then
-    /// each fully instantiated query is decided by two assumption-solves
-    /// against the theory's shared entailment session — no per-binding
-    /// solver construction. When many candidates exist and the host has
-    /// spare cores, independent bindings fan out across scoped workers with
-    /// per-worker session clones (the worlds-engine pattern).
+    /// each fully instantiated query is decided against the theory's shared
+    /// entailment session — at most two assumption solves, none for a half
+    /// a model the session already found settles, and no per-binding
+    /// solver construction.
     pub fn evaluate(&self, theory: &Theory) -> Result<Answers, DbError> {
-        let candidates = self.candidate_instances(theory)?;
-        let verdicts = decide_candidates(theory, &candidates);
-        let mut answers = Answers::default();
-        for ((row, _), (possible, certain)) in candidates.into_iter().zip(verdicts) {
-            if possible {
-                if certain {
-                    answers.certain.push(row.clone());
-                }
-                answers.possible.push(row);
-            }
-        }
-        answers.certain.sort();
-        answers.certain.dedup();
-        answers.possible.sort();
-        answers.possible.dedup();
-        Ok(answers)
+        theory.with_entailment_session(|s| self.evaluate_with_session(theory, s))
     }
 
     /// Evaluates the query deciding every candidate against a
@@ -232,7 +216,7 @@ impl Query {
         let candidates = self.candidate_instances(theory)?;
         let mut answers = Answers::default();
         for (row, wff) in candidates {
-            let (possible, certain) = decide_one(session, &wff);
+            let (possible, certain) = session.decide(&wff);
             if possible {
                 if certain {
                     answers.certain.push(row.clone());
@@ -399,52 +383,6 @@ impl Query {
             }
         }
         Ok(Wff::and(conjuncts))
-    }
-}
-
-/// Candidate count below which parallel decision is not worth the
-/// per-worker session rebuild.
-const PARALLEL_DECIDE_THRESHOLD: usize = 32;
-
-/// Decides one instantiated candidate against a session:
-/// `(possible, certain)`. Certainty is only probed when the candidate is
-/// possible — over an inconsistent theory nothing is possible, matching
-/// the legacy fresh-solver answers.
-fn decide_one(session: &mut winslett_logic::EntailmentSession, wff: &Wff) -> (bool, bool) {
-    session.decide(wff)
-}
-
-/// Decides every candidate, sequentially through the theory's cached
-/// session or fanned across scoped workers with per-worker fresh sessions
-/// when the batch is large and cores are available. Results are indexed,
-/// so the outcome is identical for every thread count.
-fn decide_candidates(theory: &Theory, candidates: &[(Vec<String>, Wff)]) -> Vec<(bool, bool)> {
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    if candidates.len() >= PARALLEL_DECIDE_THRESHOLD && threads > 1 {
-        let workers = threads.min(candidates.len());
-        let chunk = candidates.len().div_ceil(workers);
-        let mut verdicts = vec![(false, false); candidates.len()];
-        std::thread::scope(|scope| {
-            for (cand_chunk, out_chunk) in candidates.chunks(chunk).zip(verdicts.chunks_mut(chunk))
-            {
-                scope.spawn(move || {
-                    let mut session = theory.fresh_entailment_session();
-                    for ((_, wff), slot) in cand_chunk.iter().zip(out_chunk.iter_mut()) {
-                        *slot = decide_one(&mut session, wff);
-                    }
-                });
-            }
-        });
-        verdicts
-    } else {
-        theory.with_entailment_session(|s| {
-            candidates
-                .iter()
-                .map(|(_, wff)| decide_one(s, wff))
-                .collect()
-        })
     }
 }
 

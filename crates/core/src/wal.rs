@@ -2062,22 +2062,23 @@ mod tests {
         assert!(db.db_mut().is_possible("R(b)").is_err());
     }
 
+    /// A library-supplied `Apply` that GUA refuses only after its intent
+    /// was journaled: an update may not mention a predicate constant, and
+    /// the journaled form is not validated before it applies.
+    fn refused_apply() -> Op {
+        Op::Apply(UpdateDump::Insert("__pc_refused".into(), "T".into()))
+    }
+
     #[test]
     fn refused_update_is_annulled_by_an_abort_record() {
         let mut ddb = seeded(opts_nocompact());
-        // Choke the formula store so GUA fails *after* the intent was
-        // journaled — the compensation path.
-        let len = ddb.db().theory().store.len() as u32;
-        ddb.db_mut().theory_mut().store.set_capacity(u32::MAX, len);
-        let err = ddb.execute("INSERT Orders(800,32,5) WHERE T");
+        // GUA fails *after* the intent was journaled — the compensation
+        // path.
+        let err = ddb.apply(refused_apply());
         assert!(err.is_err());
         let live = world_set(ddb.db());
-        // Lift the cap and keep going; the aborted record must not be
-        // replayed on recovery.
-        ddb.db_mut()
-            .theory_mut()
-            .store
-            .set_capacity(u32::MAX, u32::MAX);
+        // Keep going; the aborted record must not be replayed on
+        // recovery.
         ddb.execute("DELETE Orders(700,32,9) WHERE T").unwrap();
         let live2 = world_set(ddb.db());
         assert_ne!(live, live2);
@@ -2641,15 +2642,8 @@ mod tests {
         let mut ddb = seeded(opts_nocompact());
         let (copy, from_lsn) = ddb.begin_compaction();
         // A refused update journals an intent then a compensating abort;
-        // neither may replay onto the compacted copy. Choke the store so
-        // GUA fails after the intent was journaled.
-        let len = ddb.db().theory().store.len() as u32;
-        ddb.db_mut().theory_mut().store.set_capacity(u32::MAX, len);
-        assert!(ddb.execute("INSERT Orders(800,32,5) WHERE T").is_err());
-        ddb.db_mut()
-            .theory_mut()
-            .store
-            .set_capacity(u32::MAX, u32::MAX);
+        // neither may replay onto the compacted copy.
+        assert!(ddb.apply(refused_apply()).is_err());
         ddb.execute("INSERT InStock(50,5) WHERE T").unwrap();
         let live = world_set(ddb.db());
         let outcome = ddb.install_compacted(copy, from_lsn, false).unwrap();
@@ -2853,15 +2847,9 @@ mod tests {
         // drain starts empty.
         assert!(ddb.drain_shipping().is_empty());
         ddb.execute("INSERT InStock(40,1) WHERE T").unwrap();
-        // Choke the store so GUA refuses after journaling the intent: the
-        // Apply/Abort pair must be filtered out of the shipped batch.
-        let len = ddb.db().theory().store.len() as u32;
-        ddb.db_mut().theory_mut().store.set_capacity(u32::MAX, len);
-        assert!(ddb.execute("INSERT Orders(800,32,5) WHERE T").is_err());
-        ddb.db_mut()
-            .theory_mut()
-            .store
-            .set_capacity(u32::MAX, u32::MAX);
+        // GUA refuses after journaling the intent: the Apply/Abort pair
+        // must be filtered out of the shipped batch.
+        assert!(ddb.apply(refused_apply()).is_err());
         ddb.execute("INSERT InStock(41,1) WHERE T").unwrap();
         let batch = ddb.drain_shipping();
         assert_eq!(batch.len(), 2, "{batch:?}");
@@ -3033,6 +3021,45 @@ mod tests {
     }
 
     #[test]
+    fn a_ceiling_refusal_journals_nothing() {
+        let mut ddb = seeded(opts_nocompact());
+        // The workspace inherits the live store's ceiling at begin.
+        let len = ddb.db().theory().store.len() as u32;
+        ddb.db_mut().theory_mut().store.set_capacity(u32::MAX, len);
+        let txn = ddb.txn_begin().unwrap();
+        let update = Op::Apply(UpdateDump::Insert("Orders(9,9,9)".into(), "T".into()));
+        for op in [Op::Execute("INSERT Orders(9,9,9) WHERE T".into()), update] {
+            let next_lsn = ddb.next_lsn();
+            let bytes = ddb.storage().read(WAL_FILE).unwrap();
+            let plain = ddb.apply(op.clone());
+            assert!(
+                matches!(
+                    plain,
+                    Err(DbError::Theory(TheoryError::StoreCapacity { .. }))
+                ),
+                "{op:?}: {plain:?}"
+            );
+            let in_txn = ddb.txn_apply(txn, op.clone(), false);
+            assert!(
+                matches!(
+                    in_txn,
+                    Err(DbError::Theory(TheoryError::StoreCapacity { .. }))
+                ),
+                "{op:?}: {in_txn:?}"
+            );
+            assert_eq!(ddb.next_lsn(), next_lsn, "{op:?} was journaled");
+            assert_eq!(ddb.storage().read(WAL_FILE).unwrap(), bytes, "{op:?}");
+            assert!(ddb.txn_open(txn));
+        }
+        // A crash now recovers the state before the refusals: the open
+        // transaction rolls back and nothing refused replays.
+        let live = world_set(ddb.db());
+        let (recovered, report) = reopen(ddb.storage().clone());
+        assert_eq!(report.replay_error, None);
+        assert_eq!(world_set(recovered.db()), live);
+    }
+
+    #[test]
     fn every_refused_kind_leaves_the_txn_view_and_the_txn_committable() {
         let mut ddb = seeded(opts_nocompact());
         // The workspace inherits the live store's ceiling at begin.
@@ -3049,17 +3076,26 @@ mod tests {
             let ws = ddb.txn_view(txn).expect("open");
             (persist::dump_theory(ws.theory()), world_set(ws))
         };
+        // Each refused op and the records it journals: a ceiling refusal
+        // none, any other refusal its intent and the abort.
         let refused = [
-            Op::Execute("INSERT Orders(9,9,9) WHERE T".into()),
-            Op::LoadFact("Ghost".into(), vec!["1".into()]),
-            Op::DeclareTypedRelation("Ledger".into(), vec!["Orders".into()]),
-            Op::DeclareRelation("Orders".into(), 2),
+            (Op::Execute("INSERT Orders(9,9,9) WHERE T".into()), 0),
+            (
+                Op::Apply(UpdateDump::Insert("Orders(9,9,9)".into(), "T".into())),
+                0,
+            ),
+            (Op::LoadFact("Ghost".into(), vec!["1".into()]), 2),
+            (
+                Op::DeclareTypedRelation("Ledger".into(), vec!["Orders".into()]),
+                2,
+            ),
+            (Op::DeclareRelation("Orders".into(), 2), 2),
         ];
-        for op in refused {
+        for (op, records) in refused {
             let (before, next_lsn) = (view(&ddb), ddb.next_lsn());
             assert!(ddb.txn_apply(txn, op.clone(), false).is_err(), "{op:?}");
             assert_eq!(view(&ddb), before, "{op:?}");
-            assert_eq!(ddb.next_lsn(), next_lsn + 2, "{op:?}: intent and abort");
+            assert_eq!(ddb.next_lsn(), next_lsn + records, "{op:?}");
             assert!(ddb.txn_open(txn));
         }
         ddb.txn_commit(txn).unwrap();

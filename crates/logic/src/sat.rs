@@ -6,7 +6,8 @@
 //! finite atom universe these are propositional problems; this module
 //! provides a conflict-driven clause-learning solver in the MiniSat style:
 //! two-watched-literal unit propagation, first-UIP conflict analysis with
-//! backjumping, and VSIDS-like variable activities.
+//! backjumping, and VSIDS-like variable activities kept in a binary
+//! decision heap.
 //!
 //! The solver is deliberately one-shot per query: callers build a solver,
 //! add clauses, and call [`Solver::solve`]. Model enumeration re-uses one
@@ -111,6 +112,8 @@ impl SatResult {
 
 const ACTIVITY_DECAY: f64 = 0.95;
 const ACTIVITY_RESCALE: f64 = 1e100;
+/// `heap_pos` of a variable outside the decision heap.
+const NOT_IN_HEAP: u32 = u32::MAX;
 
 /// A CDCL SAT solver.
 ///
@@ -141,6 +144,12 @@ pub struct Solver {
     prop_head: usize,
     activity: Vec<f64>,
     act_inc: f64,
+    /// Decision order: a binary max-heap of variables under
+    /// [`Solver::before`]. Every unassigned variable is in it; assigned
+    /// ones may linger until [`Solver::decide`] pops them.
+    heap: Vec<u32>,
+    /// Position of each variable in `heap`, or [`NOT_IN_HEAP`].
+    heap_pos: Vec<u32>,
     /// Saved phases for decision polarity.
     phase: Vec<bool>,
     /// `false` once a top-level conflict has been derived.
@@ -154,6 +163,11 @@ pub struct Solver {
     pub propagations: u64,
     /// Statistics: number of clauses learnt (and retained) from conflicts.
     pub learnt_clauses: u64,
+    /// Runs the kernel as it was before the decision heap: every decision
+    /// scans all variables, and every solve re-propagates the root trail.
+    /// The differential tests compare the two kernels call for call.
+    #[cfg(test)]
+    reference: bool,
 }
 
 impl Solver {
@@ -171,6 +185,9 @@ impl Solver {
             prop_head: 0,
             activity: vec![0.0; num_vars],
             act_inc: 1.0,
+            // Equal activities order by index, so `0..n` is already a heap.
+            heap: (0..num_vars as u32).collect(),
+            heap_pos: (0..num_vars as u32).collect(),
             phase: vec![false; num_vars],
             ok: true,
             seen: vec![false; num_vars],
@@ -178,6 +195,8 @@ impl Solver {
             decisions: 0,
             propagations: 0,
             learnt_clauses: 0,
+            #[cfg(test)]
+            reference: false,
         }
     }
 
@@ -189,14 +208,19 @@ impl Solver {
     /// Grows the variable space to at least `n` variables.
     pub fn ensure_vars(&mut self, n: usize) {
         if n > self.num_vars {
+            let old = self.num_vars;
             self.num_vars = n;
             self.watches.resize(n * 2, Vec::new());
             self.assign.resize(n, None);
             self.level.resize(n, 0);
             self.reason.resize(n, None);
             self.activity.resize(n, 0.0);
+            self.heap_pos.resize(n, NOT_IN_HEAP);
             self.phase.resize(n, false);
             self.seen.resize(n, false);
+            for v in old..n {
+                self.heap_insert(v as u32);
+            }
         }
     }
 
@@ -343,12 +367,12 @@ impl Solver {
                 let v = l.var().index();
                 self.assign[v] = None;
                 self.reason[v] = None;
+                if self.heap_pos[v] == NOT_IN_HEAP {
+                    self.heap_insert(v as u32);
+                }
             }
         }
         self.prop_head = self.trail.len().min(self.prop_head);
-        if target_level == 0 {
-            self.prop_head = self.prop_head.min(self.trail.len());
-        }
     }
 
     fn bump_activity(&mut self, v: Var) {
@@ -358,6 +382,88 @@ impl Solver {
                 *a /= ACTIVITY_RESCALE;
             }
             self.act_inc /= ACTIVITY_RESCALE;
+            // Values that underflowed to equal now order by index.
+            self.heap_rebuild();
+        } else if self.heap_pos[v.index()] != NOT_IN_HEAP {
+            self.sift_up(self.heap_pos[v.index()] as usize);
+        }
+    }
+
+    // ----- decision heap -----------------------------------------------------
+
+    /// The decision order: higher activity first, then lower index —
+    /// exactly the variable a scan for the strict maximum picks.
+    #[inline]
+    fn before(&self, a: u32, b: u32) -> bool {
+        let (x, y) = (self.activity[a as usize], self.activity[b as usize]);
+        x > y || (x == y && a < b)
+    }
+
+    fn heap_insert(&mut self, v: u32) {
+        self.heap_pos[v as usize] = self.heap.len() as u32;
+        self.heap.push(v);
+        self.sift_up(self.heap.len() - 1);
+    }
+
+    /// Removes and returns the heap's first variable.
+    fn heap_pop(&mut self) -> Option<u32> {
+        let top = *self.heap.first()?;
+        let last = self.heap.pop().expect("non-empty");
+        self.heap_pos[top as usize] = NOT_IN_HEAP;
+        if last != top {
+            self.heap[0] = last;
+            self.heap_pos[last as usize] = 0;
+            self.sift_down(0);
+        }
+        Some(top)
+    }
+
+    fn sift_up(&mut self, mut i: usize) {
+        let v = self.heap[i];
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            let p = self.heap[parent];
+            if !self.before(v, p) {
+                break;
+            }
+            self.heap[i] = p;
+            self.heap_pos[p as usize] = i as u32;
+            i = parent;
+        }
+        self.heap[i] = v;
+        self.heap_pos[v as usize] = i as u32;
+    }
+
+    fn sift_down(&mut self, mut i: usize) {
+        let v = self.heap[i];
+        loop {
+            let left = 2 * i + 1;
+            if left >= self.heap.len() {
+                break;
+            }
+            let right = left + 1;
+            let child = if right < self.heap.len() && self.before(self.heap[right], self.heap[left])
+            {
+                right
+            } else {
+                left
+            };
+            let c = self.heap[child];
+            if !self.before(c, v) {
+                break;
+            }
+            self.heap[i] = c;
+            self.heap_pos[c as usize] = i as u32;
+            i = child;
+        }
+        self.heap[i] = v;
+        self.heap_pos[v as usize] = i as u32;
+    }
+
+    /// Restores the heap order over the current members.
+    fn heap_rebuild(&mut self) {
+        for i in (0..self.heap.len() / 2).rev() {
+            self.sift_down(i);
         }
     }
 
@@ -433,7 +539,33 @@ impl Solver {
         (learnt, back_level)
     }
 
+    /// Opens a decision level on the most active unassigned variable, at
+    /// its saved phase. Returns `false` when every variable is assigned.
     fn decide(&mut self) -> bool {
+        #[cfg(test)]
+        if self.reference {
+            return self.decide_by_scan();
+        }
+        while let Some(v) = self.heap_pop() {
+            if self.assign[v as usize].is_none() {
+                self.open_decision(v as usize);
+                return true;
+            }
+        }
+        false
+    }
+
+    fn open_decision(&mut self, v: usize) {
+        self.decisions += 1;
+        self.trail_lim.push(self.trail.len());
+        let phase = self.phase[v];
+        self.enqueue(Lit::new(Var(v as u32), phase), None);
+    }
+
+    /// The decision rule the heap replaced: a scan for the strictly most
+    /// active unassigned variable.
+    #[cfg(test)]
+    fn decide_by_scan(&mut self) -> bool {
         let mut best: Option<usize> = None;
         let mut best_act = f64::NEG_INFINITY;
         for v in 0..self.num_vars {
@@ -445,10 +577,7 @@ impl Solver {
         match best {
             None => false,
             Some(v) => {
-                self.decisions += 1;
-                self.trail_lim.push(self.trail.len());
-                let phase = self.phase[v];
-                self.enqueue(Lit::new(Var(v as u32), phase), None);
+                self.open_decision(v);
                 true
             }
         }
@@ -468,12 +597,24 @@ impl Solver {
     /// Returns `Unsat` when the clauses are unsatisfiable *under the
     /// assumptions*; unless the clause set itself is unsatisfiable, the
     /// solver remains usable for further calls.
+    ///
+    /// Every path that leaves level 0 propagates it first, and every
+    /// return backtracks to it, so the root trail is fully propagated
+    /// here and the call starts at the first assumption.
     pub fn solve_with(&mut self, assumptions: &[Lit]) -> SatResult {
         if !self.ok {
             return SatResult::Unsat;
         }
         self.backtrack_to(0);
-        self.prop_head = 0;
+        debug_assert_eq!(
+            self.prop_head,
+            self.trail.len(),
+            "root trail not propagated"
+        );
+        #[cfg(test)]
+        if self.reference {
+            self.prop_head = 0;
+        }
         loop {
             if let Some(confl) = self.propagate() {
                 self.conflicts += 1;
@@ -938,5 +1079,151 @@ mod tests {
         s.ensure_vars(5);
         assert!(s.add_clause(&[l(5)]));
         assert!(s.solve().is_sat());
+    }
+
+    /// A solver running the kernel the decision heap replaced.
+    fn reference_solver(num_vars: usize) -> Solver {
+        let mut s = Solver::new(num_vars);
+        s.reference = true;
+        s
+    }
+
+    /// A random 3-SAT instance at the satisfiability threshold (4.26
+    /// clauses per variable), three distinct variables per clause.
+    fn threshold_3sat(next: &mut impl FnMut() -> u64, nv: usize) -> Vec<Vec<Lit>> {
+        let nc = (nv as f64 * 4.26).round() as usize;
+        (0..nc)
+            .map(|_| {
+                let mut vars: Vec<u32> = Vec::with_capacity(3);
+                while vars.len() < 3 {
+                    let v = (next() % nv as u64) as u32;
+                    if !vars.contains(&v) {
+                        vars.push(v);
+                    }
+                }
+                vars.into_iter()
+                    .map(|v| Lit::new(Var(v), next().is_multiple_of(2)))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Feeds the same clauses and the same assumption solves to the heap
+    /// kernel and the reference kernel and asserts identical results,
+    /// models included. Returns the conflicts the heap kernel met.
+    fn assert_kernels_agree(
+        next: &mut impl FnMut() -> u64,
+        nv: usize,
+        clauses: &[Vec<Lit>],
+        solves: usize,
+    ) -> u64 {
+        let mut heap = Solver::new(nv);
+        let mut scan = reference_solver(nv);
+        for c in clauses {
+            assert_eq!(heap.add_clause(c), scan.add_clause(c));
+        }
+        for round in 0..solves {
+            let assumptions: Vec<Lit> = (0..next() % 4)
+                .map(|_| Lit::new(Var((next() % nv as u64) as u32), next().is_multiple_of(2)))
+                .collect();
+            let got = heap.solve_with(&assumptions);
+            assert_eq!(
+                got,
+                scan.solve_with(&assumptions),
+                "solve {round} under {assumptions:?} diverged"
+            );
+            if let SatResult::Sat(m) = &got {
+                check_model(m, clauses);
+                // Block the model now and then, so later solves start
+                // from a changed clause set.
+                if next().is_multiple_of(3) {
+                    let block: Vec<Lit> = m
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &b)| Lit::new(Var(i as u32), !b))
+                        .collect();
+                    assert_eq!(heap.add_clause(&block), scan.add_clause(&block));
+                }
+            }
+            assert_eq!(heap.decisions, scan.decisions, "solve {round}");
+            assert_eq!(heap.conflicts, scan.conflicts, "solve {round}");
+        }
+        heap.conflicts
+    }
+
+    #[test]
+    fn heap_kernel_matches_the_scan_kernel_on_threshold_3sat() {
+        let mut state = 0xD1FF_5EEDu64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut conflicts = 0;
+        for _ in 0..80 {
+            let nv = 20 + (next() % 100) as usize;
+            let clauses = threshold_3sat(&mut next, nv);
+            conflicts += assert_kernels_agree(&mut next, nv, &clauses, 8);
+        }
+        assert!(
+            conflicts > 1000,
+            "instances too easy: {conflicts} conflicts"
+        );
+    }
+
+    #[test]
+    fn heap_kernel_matches_the_scan_kernel_past_an_activity_rescale() {
+        // The increment grows by 1/0.95 per conflict, so the first bump
+        // past 1e100 (a rescale) comes after at most ~4 490 conflicts.
+        let rescale_after = (ACTIVITY_RESCALE.ln() / (1.0 / ACTIVITY_DECAY).ln()).ceil() as u64;
+        let mut state = 0x4E5C_A1E5u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let nv = 150;
+        let clauses = threshold_3sat(&mut next, nv);
+        let conflicts = assert_kernels_agree(&mut next, nv, &clauses, 12);
+        assert!(
+            conflicts > rescale_after,
+            "{conflicts} conflicts never reached a rescale (needs {rescale_after})"
+        );
+    }
+
+    #[test]
+    fn a_rescale_reorders_activities_that_underflow_to_equal() {
+        let mut s = Solver::new(3);
+        s.activity = vec![1e-300, 2e-300, 0.0];
+        s.heap_rebuild();
+        // One bump of x2 past the threshold divides every activity by
+        // 1e100: x0's and x1's both underflow to 0 and tie, so index
+        // order puts x0 first again.
+        s.act_inc = 2.0 * ACTIVITY_RESCALE;
+        s.bump_activity(Var(2));
+        assert_eq!(s.activity[0], s.activity[1]);
+        assert!(s.decide() && s.decide());
+        assert_eq!(s.trail, vec![l(-3), l(-1)]);
+    }
+
+    #[test]
+    fn root_trail_is_propagated_before_every_solve() {
+        // Units added between solves propagate as they are added, so a
+        // solve never needs to revisit the root trail.
+        let mut s = Solver::new(4);
+        s.add_clause(&[l(-1), l(2)]);
+        s.add_clause(&[l(-2), l(3)]);
+        assert!(s.solve().is_sat());
+        s.add_clause(&[l(1)]);
+        assert_eq!(s.prop_head, s.trail.len());
+        assert_eq!(s.trail.len(), 3, "x1 → x2 → x3 at the root");
+        let before = s.propagations;
+        match s.solve_with(&[l(-4)]) {
+            SatResult::Sat(m) => assert_eq!(m, vec![true, true, true, false]),
+            SatResult::Unsat => panic!("satisfiable"),
+        }
+        assert_eq!(s.propagations - before, 1, "only the assumption propagates");
     }
 }

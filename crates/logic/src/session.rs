@@ -22,11 +22,25 @@
 //! Activation literals are cached per wff, so asking the same question
 //! twice (or asking `consistent_with` and `entails` of the same wff, the
 //! query engine's standard pair) encodes nothing the second time.
+//!
+//! The session also keeps the atom prefix of the last few models its
+//! solves found. Each is a model of the base, so a wff true in one is
+//! possible and a wff false in one is not certain: [`EntailmentSession::decide`],
+//! [`EntailmentSession::entails`] and [`EntailmentSession::consistent_with`]
+//! answer from them when they settle the question, and solve only when
+//! they do not.
 
 use crate::cnf::Tseitin;
 use crate::sat::{Lit, SatResult, Solver};
 use crate::Wff;
 use rustc_hash::FxHashMap;
+use std::collections::VecDeque;
+
+/// How many of its latest models a session keeps to answer from. Two is
+/// the fewest that can settle both halves of [`EntailmentSession::decide`];
+/// on served_read four avoided barely more solves and ran no faster
+/// (EXPERIMENTS.md E11).
+const KNOWN_MODELS: usize = 2;
 
 /// Counters describing the work a session has performed (and avoided).
 #[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
@@ -40,6 +54,9 @@ pub struct SessionStats {
     pub encode_reuse_hits: u64,
     /// `solve_with` calls issued.
     pub assumption_solves: u64,
+    /// Solves avoided because a model an earlier solve found already
+    /// settled the question.
+    pub model_answers: u64,
 }
 
 /// A persistent incremental entailment engine over a fixed atom universe.
@@ -62,6 +79,9 @@ pub struct EntailmentSession {
     solver: Solver,
     /// Activation literal of every wff encoded so far.
     lits: FxHashMap<Wff, Lit>,
+    /// Atom prefixes of the latest models the solver found, newest last.
+    /// Each one is a model of the base.
+    models: VecDeque<Vec<bool>>,
     stats: SessionStats,
 }
 
@@ -74,6 +94,7 @@ impl EntailmentSession {
             ts: Tseitin::new(num_atoms),
             solver: Solver::new(num_atoms),
             lits: FxHashMap::default(),
+            models: VecDeque::with_capacity(KNOWN_MODELS),
             stats: SessionStats::default(),
         }
     }
@@ -110,7 +131,10 @@ impl EntailmentSession {
     /// session's clause database and learnt clauses. Adding clauses through
     /// it is safe as long as they are consequences of (or definitions over)
     /// the base — query activation literals must stay unconstrained.
+    /// The session forgets the models it knows, since the caller may
+    /// change the clause set.
     pub fn solver_mut(&mut self) -> &mut Solver {
+        self.models.clear();
         &mut self.solver
     }
 
@@ -132,6 +156,7 @@ impl EntailmentSession {
     pub fn assert_base(&mut self, wff: &Wff) {
         self.ts.assert_true(wff);
         self.stats.base_wffs += 1;
+        self.models.clear();
         self.flush();
     }
 
@@ -150,10 +175,42 @@ impl EntailmentSession {
         l
     }
 
-    /// Raw assumption solve, counted in the stats.
+    /// Raw assumption solve, counted in the stats. A model it finds is
+    /// kept for later questions.
     pub fn solve_under(&mut self, assumptions: &[Lit]) -> SatResult {
         self.stats.assumption_solves += 1;
-        self.solver.solve_with(assumptions)
+        let result = self.solver.solve_with(assumptions);
+        if let SatResult::Sat(model) = &result {
+            let mut kept = if self.models.len() == KNOWN_MODELS {
+                self.models.pop_front().expect("full")
+            } else {
+                Vec::with_capacity(self.num_atoms())
+            };
+            kept.clear();
+            kept.extend_from_slice(&model[..self.num_atoms()]);
+            self.models.push_back(kept);
+        }
+        result
+    }
+
+    /// What the known models say of `wff`: whether one satisfies it and
+    /// whether one falsifies it. Nothing is known of a wff with an atom
+    /// outside the universe, since no model assigns it.
+    fn known(&self, wff: &Wff) -> (bool, bool) {
+        let n = self.num_atoms();
+        let mut inside = true;
+        wff.for_each_atom(&mut |a| inside &= a.index() < n);
+        let (mut satisfied, mut falsified) = (false, false);
+        if inside {
+            for m in &self.models {
+                if wff.eval(&mut |a| m[a.index()]) {
+                    satisfied = true;
+                } else {
+                    falsified = true;
+                }
+            }
+        }
+        (satisfied, falsified)
     }
 
     /// Whether the base plus the assumptions is satisfiable.
@@ -169,6 +226,10 @@ impl EntailmentSession {
     /// Whether some model of the base satisfies `wff` (possible truth).
     pub fn consistent_with(&mut self, wff: &Wff) -> bool {
         let l = self.literal_for(wff);
+        if self.known(wff).0 {
+            self.stats.model_answers += 1;
+            return true;
+        }
         self.satisfiable_under(&[l])
     }
 
@@ -184,6 +245,10 @@ impl EntailmentSession {
     /// semantics.
     pub fn entails(&mut self, wff: &Wff) -> bool {
         let l = self.literal_for(wff);
+        if self.known(wff).1 {
+            self.stats.model_answers += 1;
+            return false;
+        }
         !self.satisfiable_under(&[l.negate()])
     }
 
@@ -196,14 +261,31 @@ impl EntailmentSession {
 
     /// The standard query pair `(possible, certain)` for one wff: whether
     /// some model of the base satisfies it, and whether every model does.
-    /// One activation literal, at most two assumption solves — certainty
-    /// is only probed when the wff is possible, so an inconsistent base
-    /// answers `(false, false)` exactly like the fresh-solver convention
-    /// the query engine and snapshot readers rely on.
+    /// One activation literal, at most two assumption solves, and none
+    /// for a half the known models settle. Certainty is only probed when
+    /// the wff is possible, so an inconsistent base answers
+    /// `(false, false)` exactly like the fresh-solver convention the
+    /// query engine and snapshot readers rely on.
     pub fn decide(&mut self, wff: &Wff) -> (bool, bool) {
         let l = self.literal_for(wff);
-        let possible = self.satisfiable_under(&[l]);
-        let certain = possible && !self.satisfiable_under(&[l.negate()]);
+        let (satisfied, falsified) = self.known(wff);
+        let possible = if satisfied {
+            self.stats.model_answers += 1;
+            true
+        } else {
+            self.satisfiable_under(&[l])
+        };
+        if !possible {
+            return (false, false);
+        }
+        // A model the first solve found satisfies `wff`, so it cannot
+        // settle certainty: `falsified` is still all the models know.
+        let certain = if falsified {
+            self.stats.model_answers += 1;
+            false
+        } else {
+            !self.satisfiable_under(&[l.negate()])
+        };
         (possible, certain)
     }
 
@@ -307,6 +389,45 @@ mod tests {
         // (the pair short-circuits instead of reporting vacuous truth).
         let mut s = EntailmentSession::with_base(2, [a(0), a(0).not()].iter());
         assert_eq!(s.decide(&a(1)), (false, false));
+    }
+
+    #[test]
+    fn a_repeated_probe_is_answered_from_known_models() {
+        let base = [Wff::or2(a(0), a(1))];
+        let mut s = EntailmentSession::with_base(2, base.iter());
+        // First sight: one solve finds a model with a0, one without.
+        assert_eq!(s.decide(&a(0)), (true, false));
+        let first = s.stats();
+        assert_eq!(first.assumption_solves, 2);
+        assert_eq!(first.model_answers, 0);
+        // Asked again, the two models settle both halves.
+        assert_eq!(s.decide(&a(0)), (true, false));
+        assert!(s.consistent_with(&a(0)));
+        assert!(!s.entails(&a(0)));
+        let again = s.stats();
+        assert_eq!(again.assumption_solves, 2);
+        assert_eq!(again.model_answers, 4);
+        assert_eq!(again.encoded_wffs, 1);
+        assert_eq!(again.encode_reuse_hits, 3);
+        // Certainty is never read off a model: it still takes a solve.
+        assert!(s.entails(&base[0]));
+        assert_eq!(s.stats().assumption_solves, 3);
+    }
+
+    #[test]
+    fn asserting_base_forgets_known_models() {
+        let mut s = EntailmentSession::new(2);
+        assert!(s.consistent_with(&a(0).not()));
+        // The model that made ¬a0 possible is not a model of the new base.
+        s.assert_base(&a(0));
+        assert!(!s.consistent_with(&a(0).not()));
+        assert_eq!(s.stats().model_answers, 0);
+        // Nor may a caller's clauses meet a model found before them.
+        assert!(s.consistent_with(&a(1).not()));
+        let b1 = s.literal_for(&a(1));
+        s.solver_mut().add_clause(&[b1]);
+        assert!(!s.consistent_with(&a(1).not()));
+        assert_eq!(s.stats().model_answers, 0);
     }
 
     #[test]

@@ -31,6 +31,10 @@ pub struct TheoryStats {
     /// Assumption solves answered by cached sessions.
     #[serde(default)]
     pub session_assumption_solves: u64,
+    /// Solves cached sessions avoided by answering from a model an
+    /// earlier solve found.
+    #[serde(default)]
+    pub session_model_answers: u64,
     /// Query wffs Tseitin-encoded inside sessions.
     #[serde(default)]
     pub session_encodes: u64,
@@ -48,7 +52,7 @@ impl std::fmt::Display for TheoryStats {
         write!(
             f,
             "{} wffs / {} nodes, {} atoms ({} registered, R = {}), {} constants, {} predicates, {} dependencies; \
-             sessions: {} built / {} invalidated, {} solves, {} encodes (+{} reused), {} learnt kept",
+             sessions: {} built / {} invalidated, {} solves (+{} answered from models), {} encodes (+{} reused), {} learnt kept",
             self.num_formulas,
             self.store_nodes,
             self.num_atoms,
@@ -60,6 +64,7 @@ impl std::fmt::Display for TheoryStats {
             self.session_rebuilds,
             self.session_invalidations,
             self.session_assumption_solves,
+            self.session_model_answers,
             self.session_encodes,
             self.session_encode_reuse_hits,
             self.session_learned_retained,
@@ -85,6 +90,7 @@ mod tests {
             session_rebuilds: 2,
             session_invalidations: 1,
             session_assumption_solves: 9,
+            session_model_answers: 3,
             session_encodes: 4,
             session_encode_reuse_hits: 5,
             session_learned_retained: 7,

@@ -323,8 +323,8 @@ impl Theory {
     }
 
     /// Builds a fresh [`EntailmentSession`] over the current model
-    /// constraints, bypassing the cache. Used for per-worker session
-    /// clones in parallel query evaluation and by benchmarks.
+    /// constraints, bypassing the cache. Used by snapshot readers, which
+    /// keep a private session per pinned generation, and by benchmarks.
     pub fn fresh_entailment_session(&self) -> EntailmentSession {
         let constraints = self.model_constraints();
         EntailmentSession::with_base(self.num_atoms(), constraints.iter())
@@ -347,6 +347,7 @@ impl Theory {
                 slot.retired.encoded_wffs += st.encoded_wffs;
                 slot.retired.encode_reuse_hits += st.encode_reuse_hits;
                 slot.retired.assumption_solves += st.assumption_solves;
+                slot.retired.model_answers += st.model_answers;
                 slot.retired_learned += old.learned_retained();
             }
             slot.cached = Some((generation, self.fresh_entailment_session()));
@@ -367,6 +368,7 @@ impl Theory {
             total.encoded_wffs += st.encoded_wffs;
             total.encode_reuse_hits += st.encode_reuse_hits;
             total.assumption_solves += st.assumption_solves;
+            total.model_answers += st.model_answers;
             learned += s.learned_retained();
         }
         (slot.rebuilds, slot.invalidations, total, learned)
@@ -551,6 +553,7 @@ impl Theory {
             session_rebuilds: rebuilds,
             session_invalidations: invalidations,
             session_assumption_solves: session.assumption_solves,
+            session_model_answers: session.model_answers,
             session_encodes: session.encoded_wffs,
             session_encode_reuse_hits: session.encode_reuse_hits,
             session_learned_retained: learned,

@@ -2,13 +2,17 @@
 //! theories, random mutation sequences, and random ground probe wffs, the
 //! session-backed `Theory::entails` / `Theory::consistent_with` /
 //! `Theory::is_consistent` must agree with one-shot fresh-solver SAT calls
-//! over the same model constraints. A separate regression check exercises
-//! the generation-counter invalidation through real GUA updates.
+//! over the same model constraints. A second oracle drives one
+//! `EntailmentSession` directly, interleaving `decide`, `entails`,
+//! `consistent_with` and `assert_base`, so answers read off the models the
+//! session already found are checked against one-shot solves too. A
+//! separate regression check exercises the generation-counter
+//! invalidation through real GUA updates.
 
 use proptest::prelude::*;
 use winslett::gua::{GuaEngine, GuaOptions, SimplifyLevel};
 use winslett::ldml::Update;
-use winslett::logic::{cnf, AtomId, Formula, Wff};
+use winslett::logic::{cnf, AtomId, EntailmentSession, Formula, Wff};
 use winslett::theory::Theory;
 
 const NUM_ATOMS: usize = 4;
@@ -144,6 +148,76 @@ proptest! {
             assert_matches_oracle(&t, step_probes)?;
         }
         assert_matches_oracle(&t, &probes)?;
+    }
+}
+
+/// One call on a raw entailment session.
+#[derive(Clone, Debug)]
+enum SessionOp {
+    Decide(Wff),
+    Entails(Wff),
+    ConsistentWith(Wff),
+    AssertBase(Wff),
+}
+
+fn session_op_strategy() -> impl Strategy<Value = SessionOp> {
+    prop_oneof![
+        wff_strategy().prop_map(SessionOp::Decide),
+        wff_strategy().prop_map(SessionOp::Entails),
+        wff_strategy().prop_map(SessionOp::ConsistentWith),
+        wff_strategy().prop_map(SessionOp::AssertBase),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// A session answers every question exactly as a one-shot solver over
+    /// its current base does, whether it solved or read the answer off a
+    /// model an earlier solve found, and however base assertions are
+    /// interleaved with the questions. Each probe is asked twice in a row,
+    /// so the second answer can come from a known model.
+    #[test]
+    fn session_calls_interleaved_with_base_growth_match_oneshot_cnf(
+        initial in prop::collection::vec(wff_strategy(), 0..3),
+        script in prop::collection::vec(session_op_strategy(), 1..24),
+    ) {
+        let mut base = initial.clone();
+        let mut s = EntailmentSession::with_base(NUM_ATOMS, initial.iter());
+        for op in &script {
+            let refs: Vec<&Wff> = base.iter().collect();
+            let possible = |w: &Wff| {
+                let mut with_w = refs.clone();
+                with_w.push(w);
+                cnf::satisfiable(&with_w, NUM_ATOMS)
+            };
+            for _ in 0..2 {
+                match op {
+                    SessionOp::Decide(w) => {
+                        let p = possible(w);
+                        let want = (p, p && cnf::entails(&refs, w, NUM_ATOMS));
+                        prop_assert_eq!(s.decide(w), want, "decide({:?}) over {:?}", w, base);
+                    }
+                    SessionOp::Entails(w) => prop_assert_eq!(
+                        s.entails(w),
+                        cnf::entails(&refs, w, NUM_ATOMS),
+                        "entails({:?}) over {:?}", w, base
+                    ),
+                    SessionOp::ConsistentWith(w) => prop_assert_eq!(
+                        s.consistent_with(w),
+                        possible(w),
+                        "consistent_with({:?}) over {:?}", w, base
+                    ),
+                    SessionOp::AssertBase(_) => {}
+                }
+            }
+            if let SessionOp::AssertBase(w) = op {
+                s.assert_base(w);
+                base.push(w.clone());
+            }
+        }
+        let stats = s.stats();
+        prop_assert_eq!(stats.base_wffs as usize, base.len());
     }
 }
 

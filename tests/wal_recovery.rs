@@ -107,11 +107,8 @@ fn fingerprint(db: &LogicalDatabase) -> (TheoryDump, BTreeSet<Vec<String>>) {
 
 /// Crash-free probe run: returns every prefix state's world set (the set
 /// of *legal* recovery outcomes) and the total bytes the script writes.
-/// A refused op's state is the one before it. The store's ceiling lives
-/// in the process, not in the log, so a crash between an
-/// [`Op::ExecAtCeiling`] intent and its abort record leaves the intent as
-/// the log's tail, and recovery applies it like any op in flight at a
-/// crash: that state is legal too.
+/// A refused op's state is the one before it. An [`Op::ExecAtCeiling`]
+/// is refused before anything is journaled, so no crash can recover it.
 fn probe(script: &[Op], wal_options: WalOptions) -> (Vec<BTreeSet<Vec<String>>>, u64) {
     let storage = FailpointStorage::unlimited();
     let handle = storage.clone();
@@ -129,11 +126,6 @@ fn probe(script: &[Op], wal_options: WalOptions) -> (Vec<BTreeSet<Vec<String>>>,
                     before,
                     "refused {inner:?} changed the theory"
                 );
-                if let Op::ExecAtCeiling(src) = inner {
-                    let mut in_flight = ddb.db().clone();
-                    in_flight.execute(src).expect("applies without the ceiling");
-                    states.push(world_set(&in_flight));
-                }
             }
             _ => result.expect("probe op"),
         }
